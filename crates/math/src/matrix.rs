@@ -287,18 +287,18 @@ impl Matrix {
             return out;
         }
         let plan = gemm::plan_for(ShapeClass::of(m, kdim, n)).clamped(m, kdim, n);
-        let mut bpack = vec![0.0; kdim * plan.nc];
+        let mut bpack = Vec::new();
         // A's logical row i is the stored column i: gather it per KC panel
         // into a contiguous buffer so the same ascending-k microkernel runs.
         let mut apack = vec![0.0; plan.kc];
         for jc in (0..n).step_by(plan.nc) {
             let ncur = plan.nc.min(n - jc);
-            pack_b_strip(&other.data, n, kdim, jc, ncur, &mut bpack);
+            let bstrip = b_strip(&other.data, n, kdim, jc, ncur, &mut bpack);
             for ic in (0..m).step_by(plan.mc) {
                 let iend = (ic + plan.mc).min(m);
                 for pc in (0..kdim).step_by(plan.kc) {
                     let kcur = plan.kc.min(kdim - pc);
-                    let bpanel = &bpack[pc * ncur..(pc + kcur) * ncur];
+                    let bpanel = &bstrip[pc * ncur..(pc + kcur) * ncur];
                     for i in ic..iend {
                         for kk in 0..kcur {
                             apack[kk] = self.data[(pc + kk) * m + i];
@@ -366,11 +366,12 @@ impl Matrix {
     /// whose first element corresponds to `(r0, 0)` of the product, blocked
     /// and packed per `plan`.
     ///
-    /// Loop nest: NC strips of B are packed contiguous once per strip; MC
-    /// row blocks keep a C block hot across the KC panel loop; the NR-wide
-    /// microkernel keeps per-element accumulator chains in registers for a
-    /// full panel. Per output element the reduction order is ascending k
-    /// regardless of all three block extents.
+    /// Loop nest: NC strips of B are packed contiguous once per strip (a
+    /// strip spanning all of B is B, read in place); MC row blocks keep a
+    /// C block hot across the KC panel loop; the NR-wide microkernel keeps
+    /// per-element accumulator chains in registers for a full panel. Per
+    /// output element the reduction order is ascending k regardless of all
+    /// three block extents.
     fn mul_into_range(
         a: &Matrix,
         b: &Matrix,
@@ -385,15 +386,15 @@ impl Matrix {
             return;
         }
         let p = plan.clamped(r1 - r0, kdim, n);
-        let mut bpack = vec![0.0; kdim * p.nc];
+        let mut bpack = Vec::new();
         for jc in (0..n).step_by(p.nc) {
             let ncur = p.nc.min(n - jc);
-            pack_b_strip(&b.data, n, kdim, jc, ncur, &mut bpack);
+            let bstrip = b_strip(&b.data, n, kdim, jc, ncur, &mut bpack);
             for ic in (r0..r1).step_by(p.mc) {
                 let iend = (ic + p.mc).min(r1);
                 for pc in (0..kdim).step_by(p.kc) {
                     let kcur = p.kc.min(kdim - pc);
-                    let bpanel = &bpack[pc * ncur..(pc + kcur) * ncur];
+                    let bpanel = &bstrip[pc * ncur..(pc + kcur) * ncur];
                     for i in ic..iend {
                         let arow = &a.data[i * kdim + pc..i * kdim + pc + kcur];
                         let crow = &mut out_band[(i - r0) * n + jc..(i - r0) * n + jc + ncur];
@@ -441,6 +442,19 @@ impl Matrix {
         Matrix::from_vec(self.rows, self.cols, data)
     }
 
+    /// `self += other` in place: the same one add per element as
+    /// [`Matrix::add`], without allocating a result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes disagree.
+    pub fn add_in_place(&mut self, other: &Matrix) {
+        assert_eq!(self.shape(), other.shape(), "add_in_place: shape mismatch");
+        for (a, b) in self.data.iter_mut().zip(&other.data) {
+            *a += b;
+        }
+    }
+
     /// Scales every element by `alpha` in place.
     pub fn scale_in_place(&mut self, alpha: f64) {
         vector::scale(alpha, &mut self.data);
@@ -452,15 +466,29 @@ impl Matrix {
     }
 }
 
-/// Packs B's column strip `[0..kdim) × [jc, jc+ncur)` into `bpack` as a
-/// contiguous row-major `kdim × ncur` panel. The pack is an index-ordered
-/// copy — row `kk` of the panel is row `kk` of the strip — so it cannot
-/// reorder any reduction.
-fn pack_b_strip(bdata: &[f64], n: usize, kdim: usize, jc: usize, ncur: usize, bpack: &mut [f64]) {
-    for (kk, dst) in bpack.chunks_mut(ncur).take(kdim).enumerate() {
-        let src = &bdata[kk * n + jc..kk * n + jc + ncur];
-        dst[..ncur].copy_from_slice(src);
+/// B's column strip `[0..kdim) × [jc, jc+ncur)` as a contiguous row-major
+/// `kdim × ncur` panel. A strip spanning all `n` columns already is one —
+/// B itself, returned without a copy or an allocation; a narrower strip is
+/// packed into `bpack` (sized by the first, widest strip and reused by the
+/// rest). The pack is an index-ordered copy — row `kk` of the panel is row
+/// `kk` of the strip — so either way the panel holds the same values at the
+/// same offsets and no reduction is reordered.
+fn b_strip<'a>(
+    bdata: &'a [f64],
+    n: usize,
+    kdim: usize,
+    jc: usize,
+    ncur: usize,
+    bpack: &'a mut Vec<f64>,
+) -> &'a [f64] {
+    if ncur == n {
+        return &bdata[..kdim * n];
     }
+    bpack.resize(kdim * ncur, 0.0);
+    for (kk, dst) in bpack.chunks_exact_mut(ncur).enumerate() {
+        dst.copy_from_slice(&bdata[kk * n + jc..kk * n + jc + ncur]);
+    }
+    bpack
 }
 
 /// One output row segment against a packed `kcur × ncur` B panel: NR-wide

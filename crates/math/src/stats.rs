@@ -146,21 +146,18 @@ pub fn covariance_matrix(samples: &Matrix) -> Matrix {
     if n < 2 {
         return cov;
     }
-    let mut mu = vec![0.0; d];
+    let mu = column_means(samples);
+    // Center each row once, then add its outer product into the upper
+    // triangle; every element still sums its rows in ascending order.
+    let mut centered = vec![0.0; d];
     for r in 0..n {
-        for (j, m) in mu.iter_mut().enumerate() {
-            *m += samples[(r, j)];
+        for ((c, x), m) in centered.iter_mut().zip(samples.row(r)).zip(&mu) {
+            *c = x - m;
         }
-    }
-    for m in mu.iter_mut() {
-        *m /= n as f64;
-    }
-    for r in 0..n {
-        let row = samples.row(r);
         for i in 0..d {
-            let di = row[i] - mu[i];
-            for j in i..d {
-                cov[(i, j)] += di * (row[j] - mu[j]);
+            let di = centered[i];
+            for (cij, dj) in cov.row_mut(i)[i..].iter_mut().zip(&centered[i..]) {
+                *cij += di * dj;
             }
         }
     }
@@ -183,8 +180,8 @@ pub fn column_means(samples: &Matrix) -> Vec<f64> {
         return mu;
     }
     for r in 0..n {
-        for (j, m) in mu.iter_mut().enumerate() {
-            *m += samples[(r, j)];
+        for (m, x) in mu.iter_mut().zip(samples.row(r)) {
+            *m += x;
         }
     }
     for m in mu.iter_mut() {

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use treu_math::decomp::{power_iteration, reconstruct, svd, symmetric_eigen};
-use treu_math::Matrix;
+use treu_math::rng::SplitMix64;
+use treu_math::{vector, Matrix};
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-10.0..10.0f64, rows * cols)
@@ -19,8 +20,85 @@ fn symmetric(n: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+fn any_size_symmetric() -> impl Strategy<Value = Matrix> {
+    prop_oneof![symmetric(1), symmetric(2), symmetric(5), symmetric(8)]
+}
+
+/// Power iteration with two matvecs per iteration: `A·x` for the step and
+/// `A·y` for the Rayleigh quotient. [`power_iteration`] carries `A·y` into
+/// the next iteration as its `A·x` instead, and must return these exact
+/// bits.
+fn two_matvec_power_iteration(
+    a: &Matrix,
+    seed: u64,
+    tol: f64,
+    max_iters: usize,
+) -> (f64, Vec<f64>) {
+    let n = a.rows();
+    let mut rng = SplitMix64::new(seed);
+    let mut x: Vec<f64> = (0..n).map(|_| rng.next_gaussian()).collect();
+    vector::normalize(&mut x);
+    let mut lambda = 0.0;
+    for _ in 0..max_iters {
+        let mut y = a.matvec(&x);
+        let norm = vector::normalize(&mut y);
+        if norm == 0.0 {
+            for v in x.iter_mut() {
+                *v = rng.next_gaussian();
+            }
+            vector::normalize(&mut x);
+            continue;
+        }
+        let new_lambda = vector::dot(&y, &a.matvec(&y));
+        x = y;
+        if (new_lambda - lambda).abs() <= tol * new_lambda.abs().max(1.0) {
+            lambda = new_lambda;
+            break;
+        }
+        lambda = new_lambda;
+    }
+    (lambda, x)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn power_iteration_matches_the_two_matvec_reference(
+        a in any_size_symmetric(),
+        seed in any::<u64>(),
+        max_iters in 0usize..120,
+        tol_exp in 0i32..16,
+    ) {
+        let tol = 10f64.powi(-tol_exp);
+        let (lam, v) = power_iteration(&a, seed, tol, max_iters);
+        let (ref_lam, ref_v) = two_matvec_power_iteration(&a, seed, tol, max_iters);
+        prop_assert_eq!(lam.to_bits(), ref_lam.to_bits());
+        prop_assert_eq!(bits(&v), bits(&ref_v));
+    }
+
+    #[test]
+    fn power_iteration_restarts_match_the_reference(
+        n in 1usize..9,
+        seed in any::<u64>(),
+        max_iters in 0usize..40,
+    ) {
+        // The zero matrix takes the restart branch every iteration. The
+        // shift matrix (ones on the superdiagonal) is nilpotent: its
+        // carried product reaches zero after at most n - 1 iterations and
+        // must then be dropped, not reused, by the restart.
+        let shift = Matrix::from_fn(n, n, |r, c| if c == r + 1 { 1.0 } else { 0.0 });
+        for a in [Matrix::zeros(n, n), shift] {
+            let (lam, v) = power_iteration(&a, seed, 1e-12, max_iters);
+            let (ref_lam, ref_v) = two_matvec_power_iteration(&a, seed, 1e-12, max_iters);
+            prop_assert_eq!(lam.to_bits(), ref_lam.to_bits());
+            prop_assert_eq!(bits(&v), bits(&ref_v));
+        }
+    }
 
     #[test]
     fn eigen_reconstructs_symmetric_matrices(a in symmetric(5)) {

@@ -233,12 +233,13 @@ impl Layer for SelfAttention {
         let d_q = d_scores.matmul(&self.k);
         let d_k = d_scores.matmul_tn(&self.q);
         // Parameter grads and input grad.
-        self.grad_wq = self.grad_wq.add(&self.x.matmul_tn(&d_q));
-        self.grad_wk = self.grad_wk.add(&self.x.matmul_tn(&d_k));
-        self.grad_wv = self.grad_wv.add(&self.x.matmul_tn(&d_v));
+        self.grad_wq.add_in_place(&self.x.matmul_tn(&d_q));
+        self.grad_wk.add_in_place(&self.x.matmul_tn(&d_k));
+        self.grad_wv.add_in_place(&self.x.matmul_tn(&d_v));
         let mut grad_in = d_q.matmul_nt(&self.wq);
-        grad_in = grad_in.add(&d_k.matmul_nt(&self.wk));
-        grad_in.add(&d_v.matmul_nt(&self.wv))
+        grad_in.add_in_place(&d_k.matmul_nt(&self.wk));
+        grad_in.add_in_place(&d_v.matmul_nt(&self.wv));
+        grad_in
     }
 
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {

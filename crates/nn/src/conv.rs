@@ -72,25 +72,28 @@ impl Conv1d {
 }
 
 impl Layer for Conv1d {
+    // Both passes walk row slices in the loop order (r, oc, t, ic, k):
+    // every output and gradient element sees its adds in the same order
+    // as a plain indexed loop, without a bounds check per access.
     fn forward(&mut self, input: &Matrix, _train: bool) -> Matrix {
         assert_eq!(input.cols(), self.in_channels * self.len, "Conv1d: input width mismatch");
         self.input = input.clone();
-        let out_len = self.out_len();
+        let (len, kernel, out_len) = (self.len, self.kernel, self.out_len());
         let mut out = Matrix::zeros(input.rows(), self.out_channels * out_len);
         for r in 0..input.rows() {
             let x = input.row(r);
-            for oc in 0..self.out_channels {
-                let filt = self.w.row(oc);
-                for t in 0..out_len {
-                    let mut acc = self.b[oc];
-                    for ic in 0..self.in_channels {
-                        let xoff = ic * self.len + t;
-                        let woff = ic * self.kernel;
-                        for k in 0..self.kernel {
-                            acc += x[xoff + k] * filt[woff + k];
+            let filters = self.w.as_slice().chunks_exact(self.in_channels * kernel);
+            for ((filt, &bias), oseg) in
+                filters.zip(&self.b).zip(out.row_mut(r).chunks_exact_mut(out_len))
+            {
+                for (t, o) in oseg.iter_mut().enumerate() {
+                    let mut acc = bias;
+                    for (xc, wc) in x.chunks_exact(len).zip(filt.chunks_exact(kernel)) {
+                        for (xv, wv) in xc[t..t + kernel].iter().zip(wc) {
+                            acc += xv * wv;
                         }
                     }
-                    out[(r, oc * out_len + t)] = acc;
+                    *o = acc;
                 }
             }
         }
@@ -98,25 +101,40 @@ impl Layer for Conv1d {
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let out_len = self.out_len();
+        let (len, kernel, out_len) = (self.len, self.kernel, self.out_len());
         assert_eq!(grad_out.cols(), self.out_channels * out_len, "Conv1d: grad width mismatch");
         assert_eq!(grad_out.rows(), self.input.rows(), "Conv1d: grad batch mismatch");
-        let mut grad_in = Matrix::zeros(self.input.rows(), self.in_channels * self.len);
+        let fan_in = self.in_channels * kernel;
+        let mut grad_in = Matrix::zeros(self.input.rows(), self.in_channels * len);
         for r in 0..grad_out.rows() {
             let x = self.input.row(r);
-            for oc in 0..self.out_channels {
-                for t in 0..out_len {
-                    let g = grad_out[(r, oc * out_len + t)];
+            let gin = grad_in.row_mut(r);
+            for (((gseg, gb), gw), filt) in grad_out
+                .row(r)
+                .chunks_exact(out_len)
+                .zip(self.grad_b.iter_mut())
+                .zip(self.grad_w.as_mut_slice().chunks_exact_mut(fan_in))
+                .zip(self.w.as_slice().chunks_exact(fan_in))
+            {
+                for (t, &g) in gseg.iter().enumerate() {
                     if g == 0.0 {
                         continue;
                     }
-                    self.grad_b[oc] += g;
-                    for ic in 0..self.in_channels {
-                        let xoff = ic * self.len + t;
-                        let woff = ic * self.kernel;
-                        for k in 0..self.kernel {
-                            self.grad_w[(oc, woff + k)] += g * x[xoff + k];
-                            grad_in[(r, xoff + k)] += g * self.w[(oc, woff + k)];
+                    *gb += g;
+                    for (((xc, gic), gwc), wc) in x
+                        .chunks_exact(len)
+                        .zip(gin.chunks_exact_mut(len))
+                        .zip(gw.chunks_exact_mut(kernel))
+                        .zip(filt.chunks_exact(kernel))
+                    {
+                        for (((xv, gi), gwv), wv) in xc[t..t + kernel]
+                            .iter()
+                            .zip(&mut gic[t..t + kernel])
+                            .zip(gwc.iter_mut())
+                            .zip(wc)
+                        {
+                            *gwv += g * xv;
+                            *gi += g * wv;
                         }
                     }
                 }

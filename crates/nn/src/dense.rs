@@ -79,9 +79,9 @@ impl Layer for Dense {
         assert_eq!(grad_out.cols(), self.w.cols(), "Dense: backward width mismatch");
         // dW = x^T g ; db = column sums of g ; dx = g W^T — both GEMMs
         // read the transposed operand in place (matmul_tn / matmul_nt), so
-        // no transpose copies are allocated on the training hot path.
-        let gw = self.input.matmul_tn(grad_out);
-        self.grad_w = self.grad_w.add(&gw);
+        // no transpose copies are allocated on the training hot path, and
+        // dW accumulates into grad_w without a fresh sum matrix.
+        self.grad_w.add_in_place(&self.input.matmul_tn(grad_out));
         for r in 0..grad_out.rows() {
             for (gb, g) in self.grad_b.iter_mut().zip(grad_out.row(r)) {
                 *gb += g;

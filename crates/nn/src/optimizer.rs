@@ -12,6 +12,11 @@ use crate::layer::Layer;
 pub trait Optimizer {
     /// Applies one update step using the currently accumulated gradients.
     /// Does not zero gradients; call [`Layer::zero_grads`] afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a visited gradient buffer's length differs from its
+    /// parameter buffer's, before that buffer's state is touched.
     fn step(&mut self, model: &mut dyn Layer);
 }
 
@@ -47,6 +52,7 @@ impl Optimizer for Sgd {
         let mu = self.momentum;
         let velocity = &mut self.velocity;
         model.for_each_param(&mut |params, grads| {
+            assert_eq!(grads.len(), params.len(), "Sgd: gradient/parameter length mismatch");
             if velocity.len() == idx {
                 velocity.push(vec![0.0; params.len()]);
             }
@@ -94,6 +100,7 @@ impl Optimizer for Adam {
         let (ms, vs) = (&mut self.m, &mut self.v);
         let mut idx = 0usize;
         model.for_each_param(&mut |params, grads| {
+            assert_eq!(grads.len(), params.len(), "Adam: gradient/parameter length mismatch");
             if ms.len() == idx {
                 ms.push(vec![0.0; params.len()]);
                 vs.push(vec![0.0; params.len()]);
@@ -101,13 +108,16 @@ impl Optimizer for Adam {
             let m = &mut ms[idx];
             let v = &mut vs[idx];
             assert_eq!(m.len(), params.len(), "Adam: model shape changed between steps");
-            for i in 0..params.len() {
-                let g = grads[i];
-                m[i] = b1 * m[i] + (1.0 - b1) * g;
-                v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-                let mhat = m[i] / bc1;
-                let vhat = v[i] / bc2;
-                params[i] -= lr * mhat / (vhat.sqrt() + eps);
+            // Lengths are checked above, so the zip drops no element; the
+            // zip, unlike indexing, lets this loop vectorize.
+            for (((p, &g), mi), vi) in
+                params.iter_mut().zip(grads.iter()).zip(m.iter_mut()).zip(v.iter_mut())
+            {
+                *mi = b1 * *mi + (1.0 - b1) * g;
+                *vi = b2 * *vi + (1.0 - b2) * g * g;
+                let mhat = *mi / bc1;
+                let vhat = *vi / bc2;
+                *p -= lr * mhat / (vhat.sqrt() + eps);
             }
             idx += 1;
         });
@@ -217,6 +227,24 @@ mod tests {
             opt.step(&mut s);
             assert!((s.p[0].abs() - 0.1).abs() < 1e-6, "g0={g0} step={}", s.p[0]);
         }
+    }
+
+    /// A layer whose gradient buffer is one element short of its
+    /// parameters.
+    fn mismatched() -> Scalar {
+        Scalar { p: vec![1.0; 3], g: vec![1.0; 2] }
+    }
+
+    #[test]
+    #[should_panic(expected = "Sgd: gradient/parameter length mismatch")]
+    fn sgd_rejects_mismatched_gradients() {
+        Sgd::new(0.1, 0.9).step(&mut mismatched());
+    }
+
+    #[test]
+    #[should_panic(expected = "Adam: gradient/parameter length mismatch")]
+    fn adam_rejects_mismatched_gradients() {
+        Adam::new(0.1).step(&mut mismatched());
     }
 
     #[test]

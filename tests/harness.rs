@@ -11,6 +11,7 @@
 use treu::conformance_params as light_params;
 use treu::core::exec::Executor;
 use treu::core::experiment::Params;
+use treu::math::hash::fnv64_parts;
 
 #[test]
 fn every_experiment_runs_and_is_deterministic() {
@@ -49,6 +50,53 @@ fn conformance_every_id_reproduces_at_every_job_count() {
             }
         }
     }
+}
+
+/// Per-id trail fingerprints of a conformance-parameter verify at seed
+/// 2023, in registry order. Kernel rewrites must keep every one of them:
+/// the determinism tests above only check that a run repeats, so a change
+/// that flips a result bit the same way twice would pass them.
+const PINNED_2023: [(&str, u64); 21] = [
+    ("E2.10", 0x78a82e37a77c6e7d),
+    ("E2.10-abl", 0x3c616613ddabc64b),
+    ("E2.11", 0x72fc9f6c62a687e8),
+    ("E2.2a", 0x6fa59714ca1f2077),
+    ("E2.2b", 0xafaafef07db59824),
+    ("E2.3", 0x355ab1b14cd10813),
+    ("E2.4", 0x42eef737249d2d4f),
+    ("E2.5", 0xfa42c61029604448),
+    ("E2.5-abl", 0x827f51b083678715),
+    ("E2.6", 0x19d3da9468e2c952),
+    ("E2.7", 0x05714d1643e853d9),
+    ("E2.8", 0xc07f59a6548b2258),
+    ("E2.8-abl", 0x04325a434dab4ab8),
+    ("E2.9", 0x388a3915f9ccf8f2),
+    ("E3", 0x8ae85b0828288bfa),
+    ("N1", 0x2852699dfad8201b),
+    ("T1", 0xd8dccb3d246f6f07),
+    ("T2", 0x09caf6007152cdfe),
+    ("T3", 0xe04ee9442101f2d1),
+    ("X-bias", 0x34d61cf7f2120172),
+    ("cluster_faults", 0x721f96b6c342ff0e),
+];
+
+#[test]
+fn conformance_fingerprints_match_the_pinned_table() {
+    let reg = treu::full_registry();
+    let report = Executor::new(2).verify_all_with(&reg, 2023, |id, _| light_params(id));
+    assert!(report.all_reproduced(), "{:?}", report.violations());
+    let got: Vec<(&str, u64)> =
+        report.outcomes.iter().map(|o| (o.id.as_str(), o.fingerprint)).collect();
+    assert_eq!(got, PINNED_2023, "a registry result changed at seed 2023");
+    // The registry-wide digest BENCH_svc.json commits: id, fingerprint
+    // and outcome ("ok") per id, folded in registry order.
+    let fps: Vec<[u8; 8]> = PINNED_2023.iter().map(|(_, fp)| fp.to_le_bytes()).collect();
+    let parts: Vec<&[u8]> = PINNED_2023
+        .iter()
+        .zip(&fps)
+        .flat_map(|((id, _), fp)| [id.as_bytes(), fp.as_slice(), b"ok".as_slice()])
+        .collect();
+    assert_eq!(fnv64_parts(&parts), 0x6f6be159d4099f12);
 }
 
 #[test]
