@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use treu_bench::workload;
+use treu_core::batch::{Batch, Dispatch, Mode};
 use treu_core::exec::Executor;
 use treu_core::experiment::{Experiment, Params, RunContext};
 use treu_core::sweep::Axis;
@@ -55,10 +56,17 @@ fn bench(c: &mut Criterion) {
     let hw = default_threads();
 
     // The guarantee before the speed: job count must not change results.
-    let seq = Executor::sequential().run_all(&reg, 7);
-    let par = Executor::new(hw).run_all(&reg, 7);
+    let run_all = |exec: &Executor| {
+        let batch = Batch::new(Mode::Run, 7);
+        batch.execute(&reg, Dispatch::InProcess(exec)).expect("in-process").report.into_run().0
+    };
+    let seq = run_all(&Executor::sequential());
+    let par = run_all(&Executor::new(hw));
     assert!(
-        seq.iter().zip(&par).all(|(a, b)| a.0 == b.0 && a.1.trail == b.1.trail),
+        seq.iter()
+            .zip(&par)
+            .all(|(a, b)| a.0 == b.0
+                && a.1.record().map(|r| &r.trail) == b.1.record().map(|r| &r.trail)),
         "parallel registry batch diverged from sequential"
     );
     println!("executor: {} registry ids, fingerprints identical at 1 and {hw} job(s)\n", seq.len());
@@ -67,7 +75,7 @@ fn bench(c: &mut Criterion) {
     for jobs in [1, 2, hw] {
         g.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, &j| {
             let exec = Executor::new(j);
-            b.iter(|| black_box(exec.run_all(&reg, 7)))
+            b.iter(|| black_box(run_all(&exec)))
         });
     }
     g.finish();

@@ -22,7 +22,8 @@
 
 use std::time::Instant;
 use treu_bench::workload;
-use treu_core::exec::Executor;
+use treu_core::batch::{Batch, Dispatch, Mode};
+use treu_core::exec::{Executor, RunOutcome};
 use treu_core::experiment::{Experiment, Params, RunContext};
 use treu_core::ExperimentRegistry;
 use treu_math::parallel::{default_threads, par_map, par_map_dynamic};
@@ -170,20 +171,24 @@ fn main() {
     let mut untraced_wall = f64::INFINITY;
     let mut traced_wall = f64::INFINITY;
     let mut measured = None;
+    let batch = Batch::new(Mode::Run, 1);
+    let run_all = |exec: Executor| {
+        batch.execute(&reg, Dispatch::InProcess(&exec)).expect("in-process").report.into_run()
+    };
     for _ in 0..trace_repeats {
-        let (w, out) =
-            time_min(1, || Executor::new(jobs).with_tracing(false).run_all_report(&reg, 1));
+        let (w, out) = time_min(1, || run_all(Executor::new(jobs).with_tracing(false)));
         untraced_wall = untraced_wall.min(w);
         let untraced_recs = out.0;
-        let (w, out) = time_min(1, || Executor::new(jobs).run_all_report(&reg, 1));
+        let (w, out) = time_min(1, || run_all(Executor::new(jobs)));
         traced_wall = traced_wall.min(w);
         measured = Some((untraced_recs, out.0, out.1));
     }
     let (untraced_recs, traced_recs, traced_report) = measured.expect("repeats >= 1");
+    let fingerprint = |o: &RunOutcome| o.record().map(|r| r.fingerprint());
     let trace_identical = untraced_recs
         .iter()
         .zip(traced_recs.iter())
-        .all(|((ia, ra), (ib, rb))| ia == ib && ra.fingerprint() == rb.fingerprint());
+        .all(|((ia, ra), (ib, rb))| ia == ib && fingerprint(ra) == fingerprint(rb));
     assert!(trace_identical, "tracing changed batch results — determinism violation");
     assert!(traced_report.counters.events > 0, "traced batch recorded no events");
     let trace_overhead_pct = (traced_wall - untraced_wall) / untraced_wall * 100.0;

@@ -14,7 +14,7 @@
 //!   experiments and run seeds — hot tenants re-request hot keys, which
 //!   is what gives a bounded cache a steady state to converge to.
 //! * **Dispatch** drains per-tenant FIFOs through
-//!   [`treu_core::exec::FairQueue`]: rounds of `capacity` slots, at most
+//!   [`FairQueue`]: rounds of `capacity` slots, at most
 //!   `quota` per tenant per round, so a flooding tenant inflates its own
 //!   tail latency and nobody else's.
 //! * **Execution** is supervised under an epoch-phased
@@ -36,12 +36,10 @@
 //! bitwise-identical across job counts *and* to the fault-free baseline
 //! soak (same config at rate 0): chaos may cost attempts, never results.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 use treu_core::cache::{CacheBound, RunCache};
-use treu_core::exec::{
-    run_supervised, Executor, FairQueue, RunOutcome, SupervisePolicy, TenantLedger,
-};
+use treu_core::exec::{run_supervised, Executor, RunOutcome, SupervisePolicy};
 use treu_core::experiment::Params;
 use treu_core::fault::SoakSchedule;
 use treu_core::registry::Entry;
@@ -350,12 +348,216 @@ impl SoakReport {
     }
 }
 
-/// Nearest-rank quantile over service latencies — delegated to the one
-/// shared ceil-rank implementation so the soak, the tenant ledger and
-/// every future consumer agree on what "p99" means (the analyzer's R12
-/// rule keeps it that way).
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    treu_core::exec::quantile_ceil_rank(sorted, q)
+/// Nearest-rank (ceil) quantile over an ascending-sorted sample.
+///
+/// The rank is `ceil(q * n)` clamped to `1..=n`, so `q = 0.99` answers
+/// "the smallest value at or above which 99% of samples sit". The
+/// tempting truncating form `(n * 99) / 100` is an off-by-one below 100
+/// samples — at `n = 3` it indexes the *median* instead of the maximum —
+/// which is exactly the kind of silent small-sample skew a
+/// reproducibility report cannot afford. Shared by the soak report and
+/// [`TenantLedger::p99_latency_rounds`].
+fn quantile_ceil_rank(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
+/// Per-tenant accounting for a sustained multi-tenant run.
+///
+/// Latencies are **logical**: measured in dispatch rounds (a pure count
+/// of scheduler iterations), never wall time, so fairness numbers are
+/// part of the reproducible record like everything else.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct TenantStats {
+    /// Submissions enqueued for this tenant.
+    pub submitted: u64,
+    /// Submissions served (from cache or computed).
+    pub served: u64,
+    /// Served from the run cache.
+    pub cache_hits: u64,
+    /// Served by computing (supervised execution).
+    pub computed: u64,
+    /// Worst service latency, in dispatch rounds (1 = served in the
+    /// round it became eligible).
+    pub max_latency_rounds: u64,
+    /// Sum of service latencies, for the mean.
+    pub total_latency_rounds: u64,
+}
+
+impl TenantStats {
+    /// Mean service latency in rounds (0 when nothing served yet).
+    pub fn mean_latency_rounds(&self) -> f64 {
+        if self.served == 0 {
+            0.0
+        } else {
+            self.total_latency_rounds as f64 / self.served as f64
+        }
+    }
+}
+
+/// Deterministic per-tenant ledger: a `BTreeMap` keyed by tenant id, so
+/// iteration, rendering and hashing are canonical.
+#[derive(Debug, Clone, Default)]
+pub struct TenantLedger {
+    tenants: BTreeMap<u64, TenantStats>,
+    // Pooled across tenants ([`TenantStats`] stays `Copy`); one entry per
+    // served submission, in service order.
+    latencies: Vec<u64>,
+}
+
+impl TenantLedger {
+    /// An empty ledger.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one enqueued submission.
+    pub fn note_submitted(&mut self, tenant: u64) {
+        self.tenants.entry(tenant).or_default().submitted += 1;
+    }
+
+    /// Records one served submission with its logical latency.
+    pub fn note_served(&mut self, tenant: u64, latency_rounds: u64, from_cache: bool) {
+        let t = self.tenants.entry(tenant).or_default();
+        t.served += 1;
+        if from_cache {
+            t.cache_hits += 1;
+        } else {
+            t.computed += 1;
+        }
+        t.max_latency_rounds = t.max_latency_rounds.max(latency_rounds);
+        t.total_latency_rounds += latency_rounds;
+        self.latencies.push(latency_rounds);
+    }
+
+    /// This tenant's stats (zeroed when unknown).
+    pub fn get(&self, tenant: u64) -> TenantStats {
+        self.tenants.get(&tenant).copied().unwrap_or_default()
+    }
+
+    /// Tenants in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &TenantStats)> {
+        self.tenants.iter().map(|(t, s)| (*t, s))
+    }
+
+    /// Number of tenants seen.
+    pub fn len(&self) -> usize {
+        self.tenants.len()
+    }
+
+    /// True when no tenant has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.tenants.is_empty()
+    }
+
+    /// The worst per-tenant maximum latency — the fairness headline: with
+    /// quotas on, a hot tenant's backlog raises *its own* number, not
+    /// everyone else's.
+    pub fn worst_latency_rounds(&self) -> u64 {
+        self.tenants.values().map(|t| t.max_latency_rounds).max().unwrap_or(0)
+    }
+
+    /// Ceil-rank p99 of service latency pooled across all tenants (0 when
+    /// nothing served). At small n this is the maximum, never a smaller
+    /// rank — see [`quantile_ceil_rank`].
+    pub fn p99_latency_rounds(&self) -> u64 {
+        let mut sorted = self.latencies.clone();
+        sorted.sort_unstable();
+        quantile_ceil_rank(&sorted, 0.99)
+    }
+
+    /// Per-tenant table for reports.
+    pub fn render(&self) -> String {
+        let mut out = String::from("  tenant      served    hits  computed  mean-lat  max-lat\n");
+        for (tenant, t) in self.iter() {
+            out.push_str(&format!(
+                "  {:<10} {:>7} {:>7} {:>9} {:>9.2} {:>8}\n",
+                format!("t{tenant}"),
+                t.served,
+                t.cache_hits,
+                t.computed,
+                t.mean_latency_rounds(),
+                t.max_latency_rounds
+            ));
+        }
+        out
+    }
+}
+
+/// A deterministic weighted-round-robin dispatch queue: per-tenant FIFO
+/// sub-queues, drained in rounds that interleave tenants so one hot
+/// tenant can never occupy more than its quota of any round.
+///
+/// Scheduling is a pure function of queue state — tenants are visited in
+/// ascending id order, one item per tenant per rotation, rotations
+/// repeat up to the quota — so every schedule replays bitwise and the
+/// soak's eviction/trace determinism can stand on top of it.
+#[derive(Debug, Clone)]
+pub struct FairQueue<T> {
+    queues: BTreeMap<u64, VecDeque<T>>,
+    quota: usize,
+}
+
+impl<T> FairQueue<T> {
+    /// A queue granting each tenant up to `quota` slots per round
+    /// (`quota` is clamped to at least 1).
+    pub fn new(quota: usize) -> Self {
+        Self { queues: BTreeMap::new(), quota: quota.max(1) }
+    }
+
+    /// The per-round per-tenant slot quota.
+    pub fn quota(&self) -> usize {
+        self.quota
+    }
+
+    /// Enqueues `item` at the back of `tenant`'s FIFO.
+    pub fn push(&mut self, tenant: u64, item: T) {
+        self.queues.entry(tenant).or_default().push_back(item);
+    }
+
+    /// Total queued items across tenants.
+    pub fn len(&self) -> usize {
+        self.queues.values().map(VecDeque::len).sum()
+    }
+
+    /// True when every tenant's queue is drained.
+    pub fn is_empty(&self) -> bool {
+        self.queues.values().all(VecDeque::is_empty)
+    }
+
+    /// Drains the next dispatch round: up to `capacity` items, at most
+    /// `quota` per tenant, interleaved one-per-tenant in ascending id
+    /// order so the quota cut never biases toward low tenant ids.
+    /// Returns `(tenant, item)` pairs in dispatch order.
+    pub fn next_round(&mut self, capacity: usize) -> Vec<(u64, T)> {
+        let mut round = Vec::new();
+        for _rotation in 0..self.quota {
+            if round.len() >= capacity {
+                break;
+            }
+            let mut progressed = false;
+            let tenants: Vec<u64> = self.queues.keys().copied().collect();
+            for tenant in tenants {
+                if round.len() >= capacity {
+                    break;
+                }
+                if let Some(q) = self.queues.get_mut(&tenant) {
+                    if let Some(item) = q.pop_front() {
+                        round.push((tenant, item));
+                        progressed = true;
+                    }
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+        self.queues.retain(|_, q| !q.is_empty());
+        round
+    }
 }
 
 /// Computes (or replays) the clean-baseline fingerprint for a key. The
@@ -521,8 +723,8 @@ pub fn run_soak(
         drift,
         evictions: cache.stats().evictions,
         rounds,
-        p50_latency_rounds: quantile(&latencies, 0.50),
-        p99_latency_rounds: quantile(&latencies, 0.99),
+        p50_latency_rounds: quantile_ceil_rank(&latencies, 0.50),
+        p99_latency_rounds: quantile_ceil_rank(&latencies, 0.99),
         worst_tenant_latency_rounds: ledger.worst_latency_rounds(),
         epoch_hit_rates,
         steady_hit_rate,
@@ -541,6 +743,22 @@ mod tests {
 
     fn quick() -> SoakConfig {
         SoakConfig::quick(2)
+    }
+
+    /// Flattens a submission-order tenant sequence into fair dispatch order:
+    /// the order [`FairQueue`] with the given `quota` and unbounded round
+    /// capacity would serve it. Returns indices into `tenants`, so
+    /// fairness is testable as a pure permutation, independent of the soak.
+    fn fair_interleave(tenants: &[u64], quota: usize) -> Vec<usize> {
+        let mut q = FairQueue::new(quota);
+        for (i, &t) in tenants.iter().enumerate() {
+            q.push(t, i);
+        }
+        let mut order = Vec::with_capacity(tenants.len());
+        while !q.is_empty() {
+            order.extend(q.next_round(usize::MAX).into_iter().map(|(_, i)| i));
+        }
+        order
     }
 
     #[test]
@@ -579,12 +797,12 @@ mod tests {
 
     #[test]
     fn quantiles_are_nearest_rank() {
-        assert_eq!(quantile(&[], 0.5), 0);
-        assert_eq!(quantile(&[7], 0.5), 7);
+        assert_eq!(quantile_ceil_rank(&[], 0.5), 0);
+        assert_eq!(quantile_ceil_rank(&[7], 0.5), 7);
         let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(quantile(&v, 0.50), 50);
-        assert_eq!(quantile(&v, 0.99), 99);
-        assert_eq!(quantile(&v, 1.0), 100);
+        assert_eq!(quantile_ceil_rank(&v, 0.50), 50);
+        assert_eq!(quantile_ceil_rank(&v, 0.99), 99);
+        assert_eq!(quantile_ceil_rank(&v, 1.0), 100);
     }
 
     #[test]
@@ -624,5 +842,127 @@ mod tests {
             assert!(json.contains(field), "missing {field} in:\n{json}");
         }
         assert!(report.render().contains("steady-state hit-rate 0.750"));
+    }
+
+    #[test]
+    fn fair_queue_interleaves_and_caps_a_hot_tenant_per_round() {
+        let mut q = FairQueue::new(2);
+        // Tenant 1 floods; tenants 2 and 3 trickle.
+        for i in 0..8 {
+            q.push(1, format!("hot-{i}"));
+        }
+        q.push(2, "a".to_string());
+        q.push(3, "b".to_string());
+        let round = q.next_round(16);
+        // Rotation 1 visits 1,2,3; rotation 2 has only tenant 1 left.
+        let tenants: Vec<u64> = round.iter().map(|(t, _)| *t).collect();
+        assert_eq!(tenants, vec![1, 2, 3, 1], "one per tenant per rotation, quota 2");
+        assert_eq!(round[0].1, "hot-0");
+        assert_eq!(round[3].1, "hot-1", "per-tenant FIFO order is preserved");
+        assert_eq!(tenants.iter().filter(|&&t| t == 1).count(), 2, "quota caps the flood");
+        assert_eq!(q.len(), 6, "the rest of the flood waits its turn");
+        // Capacity cuts mid-rotation without losing items.
+        let cut = q.next_round(1);
+        assert_eq!(cut.len(), 1);
+        assert_eq!(q.len(), 5);
+    }
+
+    #[test]
+    fn fair_queue_rounds_replay_bitwise() {
+        let build = || {
+            let mut q = FairQueue::new(3);
+            for i in 0..40u64 {
+                q.push(i % 5, i);
+            }
+            q
+        };
+        let drain = |mut q: FairQueue<u64>| {
+            let mut order = Vec::new();
+            while !q.is_empty() {
+                order.extend(q.next_round(7));
+            }
+            order
+        };
+        assert_eq!(drain(build()), drain(build()), "scheduling is pure queue state");
+    }
+
+    #[test]
+    fn fair_interleave_is_a_permutation_that_bounds_starvation() {
+        // Submission order: 12 from tenant 9, then one each from 1 and 2.
+        let mut tenants = vec![9u64; 12];
+        tenants.extend([1, 2]);
+        let order = fair_interleave(&tenants, 1);
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..tenants.len()).collect::<Vec<_>>(), "permutation");
+        // With quota 1 the light tenants are served in the very first
+        // rotation, despite arriving last.
+        assert!(order[..3].contains(&12), "tenant 1's lone item is up front: {order:?}");
+        assert!(order[..3].contains(&13), "tenant 2's lone item is up front: {order:?}");
+        // Degenerate inputs stay total.
+        assert!(fair_interleave(&[], 4).is_empty());
+        assert_eq!(fair_interleave(&[5], 0).len(), 1, "quota clamps to 1");
+    }
+
+    #[test]
+    fn tenant_ledger_accounts_and_renders_canonically() {
+        let mut ledger = TenantLedger::new();
+        for t in [3u64, 1, 1, 2] {
+            ledger.note_submitted(t);
+        }
+        ledger.note_served(1, 1, true);
+        ledger.note_served(1, 5, false);
+        ledger.note_served(2, 2, false);
+        ledger.note_served(3, 1, true);
+        assert_eq!(ledger.len(), 3);
+        let t1 = ledger.get(1);
+        assert_eq!((t1.submitted, t1.served, t1.cache_hits, t1.computed), (2, 2, 1, 1));
+        assert_eq!(t1.max_latency_rounds, 5);
+        assert_eq!(t1.mean_latency_rounds(), 3.0);
+        assert_eq!(ledger.worst_latency_rounds(), 5);
+        let ids: Vec<u64> = ledger.iter().map(|(t, _)| t).collect();
+        assert_eq!(ids, vec![1, 2, 3], "iteration is ascending tenant id");
+        let table = ledger.render();
+        assert!(table.contains("t1"), "{table}");
+        assert!(table.contains("max-lat"), "{table}");
+        assert_eq!(ledger.get(99), TenantStats::default(), "unknown tenants read as zero");
+    }
+
+    #[test]
+    fn quantile_ceil_rank_never_undershoots_small_samples() {
+        assert_eq!(quantile_ceil_rank(&[], 0.99), 0);
+        assert_eq!(quantile_ceil_rank(&[7], 0.99), 7);
+
+        // n = 3: ceil rank is ceil(2.97) = 3 → the maximum. The truncating
+        // form (3 * 99) / 100 = 2 would index the *median* — the exact
+        // off-by-one this function exists to rule out.
+        let three = [1u64, 2, 3];
+        assert_eq!(quantile_ceil_rank(&three, 0.99), 3);
+        assert_eq!((three.len() * 99) / 100, 2, "the truncating rank lands on the median");
+
+        // n = 99: ceil(98.01) = 99 → still the maximum; truncation gives 98.
+        let n99: Vec<u64> = (1..=99).collect();
+        assert_eq!(quantile_ceil_rank(&n99, 0.99), 99);
+        assert_eq!((n99.len() * 99) / 100, 98);
+
+        // n = 100: ceil(99.0) = 99 → first index where the two agree.
+        let n100: Vec<u64> = (1..=100).collect();
+        assert_eq!(quantile_ceil_rank(&n100, 0.99), 99);
+        assert_eq!(quantile_ceil_rank(&n100, 0.50), 50);
+        assert_eq!(quantile_ceil_rank(&n100, 1.0), 100);
+        assert_eq!(quantile_ceil_rank(&n100, 0.0), 1, "rank clamps to at least 1");
+    }
+
+    #[test]
+    fn tenant_ledger_p99_is_ceil_rank_over_pooled_latencies() {
+        let mut ledger = TenantLedger::new();
+        assert_eq!(ledger.p99_latency_rounds(), 0, "empty ledger reads as zero");
+        // Three served submissions across two tenants: p99 must be the
+        // pooled maximum (9), not the median a truncating rank would pick.
+        ledger.note_served(1, 2, true);
+        ledger.note_served(2, 9, false);
+        ledger.note_served(1, 4, false);
+        assert_eq!(ledger.p99_latency_rounds(), 9);
+        assert_eq!(ledger.worst_latency_rounds(), 9);
     }
 }

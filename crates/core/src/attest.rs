@@ -47,7 +47,6 @@
 
 use crate::cache::{run_entry_body, RunCache};
 use crate::exec::{RunOutcome, VerifyReport};
-use crate::experiment::RunRecord;
 use crate::hash::fnv64_parts;
 use crate::provenance::{escape_key, unescape, Trail};
 use std::collections::BTreeMap;
@@ -329,20 +328,13 @@ impl LinkDraft {
         }
     }
 
-    /// Records the successful outcomes of a supervised/sharded run batch
-    /// as `run:<id>` products.
+    /// Records the successful outcomes of a run batch as `run:<id>`
+    /// products.
     pub fn absorb_run_outcomes(&mut self, pairs: &[(String, RunOutcome)]) {
         for (id, out) in pairs {
             if let RunOutcome::Ok { record, .. } = out {
                 self.product(format!("run:{id}"), record.fingerprint());
             }
-        }
-    }
-
-    /// Records plain run records as `run:<id>` products.
-    pub fn absorb_run_records(&mut self, records: &[(String, RunRecord)]) {
-        for (id, rec) in records {
-            self.product(format!("run:{id}"), rec.fingerprint());
         }
     }
 

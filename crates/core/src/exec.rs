@@ -34,16 +34,16 @@
 //! experiment: the paper's §4 performance-measurement lesson applied to
 //! the harness.
 //!
-//! Batches can additionally run through a content-addressed
-//! [`RunCache`] (`*_cached` variants): runs whose key — experiment id,
-//! params, seed, code+env fingerprint — is already stored are replayed
-//! from disk instead of recomputed, making re-verification near-free.
+//! Registry-wide batches — run or verify, cached or not, in-process or
+//! sharded — all go through the one pipeline in [`crate::batch`], which
+//! maps [`crate::svc::execute_task`] over this executor's workers.
+//! [`Executor::verify_all_supervised_with`] is a single call into it.
 //!
-//! **Supervision.** Registry batches are *supervised*: every run executes
-//! under `std::panic::catch_unwind`, optionally bounded by a per-run
-//! deadline (a scoped watchdog waits on a channel with a timeout — the
-//! verdict lands at the deadline, the straggler is joined cooperatively),
-//! and failed attempts retry under the deterministic backoff schedule in
+//! **Supervision.** Every registry run executes under
+//! `std::panic::catch_unwind`, optionally bounded by a per-run deadline
+//! (a scoped watchdog waits on a channel with a timeout — the verdict
+//! lands at the deadline, the straggler is joined cooperatively), and
+//! failed attempts retry under the deterministic backoff schedule in
 //! [`crate::fault::backoff_millis`] up to a [`SupervisePolicy`] budget.
 //! A run that exhausts its budget is **quarantined**, not fatal: the rest
 //! of the batch completes, the [`VerifyReport`] carries a per-run failure
@@ -52,15 +52,13 @@
 //! same path, so the §3 "finish the batch and report what broke" story is
 //! a tested property, not a hope.
 
+use crate::batch::{Batch, Dispatch, Mode};
 use crate::cache::{Lookup, RunCache};
 use crate::experiment::{run_once, Experiment, Params, RunRecord};
 use crate::fault::{backoff_millis, FaultPlan, FaultyExperiment};
 use crate::registry::ExperimentRegistry;
 use crate::sweep::{grid_points, Axis, SweepPoint};
-use crate::trace::{
-    AttemptOutcome, BatchTrace, CacheResult, RunTrace, TraceCounters, TraceEvent, WorkerTiming,
-};
-use std::collections::{BTreeMap, VecDeque};
+use crate::trace::{AttemptOutcome, BatchTrace, CacheResult, RunTrace, TraceCounters, TraceEvent};
 use std::time::{Duration, Instant};
 use treu_math::parallel::{adaptive_chunk, default_threads, par_map_dynamic_stats, SchedStats};
 use treu_math::scaling::amdahl_speedup;
@@ -183,111 +181,6 @@ impl Executor {
         })
     }
 
-    /// Runs every registered experiment at its default parameters,
-    /// returning `(id, record)` pairs in registry (id) order.
-    pub fn run_all(&self, reg: &ExperimentRegistry, seed: u64) -> Vec<(String, RunRecord)> {
-        self.run_all_report(reg, seed).0
-    }
-
-    /// [`Executor::run_all`] plus an [`ExecReport`] for the batch.
-    pub fn run_all_report(
-        &self,
-        reg: &ExperimentRegistry,
-        seed: u64,
-    ) -> (Vec<(String, RunRecord)>, ExecReport) {
-        self.run_all_report_cached(reg, seed, None)
-    }
-
-    /// [`Executor::run_all_report`] through an optional [`RunCache`]:
-    /// ids whose `(id, defaults, seed)` key is cached under the current
-    /// code+env fingerprint are replayed from disk; only the misses are
-    /// dispatched to workers, and their records are stored after the
-    /// batch. Results are identical to the uncached call (the cache
-    /// round-trips trails bitwise); a cached record's `wall_seconds` is
-    /// its original compute cost.
-    pub fn run_all_report_cached(
-        &self,
-        reg: &ExperimentRegistry,
-        seed: u64,
-        cache: Option<&RunCache>,
-    ) -> (Vec<(String, RunRecord)>, ExecReport) {
-        let entries: Vec<(&str, &Params)> = reg.iter().map(|(id, e)| (id, &e.defaults)).collect();
-        // treu-lint: allow(wall-clock, reason = "batch timing reported outside the fingerprint")
-        let start = Instant::now();
-        let mut traces: Vec<RunTrace> =
-            entries.iter().map(|(id, _)| RunTrace::new(id, seed)).collect();
-        let mut slots: Vec<Option<RunRecord>> = entries
-            .iter()
-            .zip(traces.iter_mut())
-            .map(|((id, p), rt)| match cache {
-                None => None,
-                Some(c) => {
-                    let found = c.lookup_classified(id, seed, p);
-                    if self.tracing {
-                        rt.push(
-                            TraceEvent::Cache { result: cache_result(&found) },
-                            start.elapsed().as_secs_f64(),
-                        );
-                    }
-                    match found {
-                        Lookup::Hit(rec) => Some(rec),
-                        _ => None,
-                    }
-                }
-            })
-            .collect();
-        let cached_runs = slots.iter().filter(|s| s.is_some()).count();
-        let misses: Vec<usize> = (0..entries.len()).filter(|&i| slots[i].is_none()).collect();
-        let tracing = self.tracing;
-        let (computed, sched) = self.map_indexed_stats(misses.len(), |k| {
-            let (id, _) = entries[misses[k]];
-            let mut rt = tracing.then(|| RunTrace::new(id, seed));
-            if let Some(rt) = rt.as_mut() {
-                rt.push(TraceEvent::Claim { replica: 0 }, start.elapsed().as_secs_f64());
-                rt.push(
-                    TraceEvent::AttemptStart { replica: 0, attempt: 0 },
-                    start.elapsed().as_secs_f64(),
-                );
-            }
-            let rec = reg.run(id, seed).expect("id comes from the registry's own iterator");
-            if let Some(rt) = rt.as_mut() {
-                rt.push(
-                    TraceEvent::AttemptEnd { replica: 0, attempt: 0, outcome: AttemptOutcome::Ok },
-                    start.elapsed().as_secs_f64(),
-                );
-            }
-            (rec, rt)
-        });
-        for (k, (rec, rt)) in computed.into_iter().enumerate() {
-            let i = misses[k];
-            if let Some(rt) = rt {
-                traces[i].absorb(rt);
-            }
-            if let Some(c) = cache {
-                let (id, p) = entries[i];
-                if c.store(id, seed, p, &rec).is_ok() && tracing {
-                    traces[i].push(TraceEvent::CacheStored, start.elapsed().as_secs_f64());
-                }
-            }
-            slots[i] = Some(rec);
-        }
-        let records: Vec<(String, RunRecord)> = entries
-            .iter()
-            .zip(slots)
-            .map(|((id, _), rec)| (id.to_string(), rec.expect("every slot filled above")))
-            .collect();
-        let wall = start.elapsed().as_secs_f64();
-        let report = ExecReport::from_labelled(
-            self.jobs,
-            records.iter().map(|(id, r)| (id.clone(), r.wall_seconds)),
-            wall,
-        )
-        .with_workers(&sched)
-        .with_cached(cached_runs)
-        .with_trace(batch_trace("run", seed, traces, self.jobs, wall, &sched));
-        (records, report)
-    }
-
     /// The parallel form of [`crate::experiment::assert_deterministic`]:
     /// runs `exp` twice concurrently with the same seed and panics unless
     /// the two trails are bitwise-identical. Returns the shared
@@ -306,120 +199,15 @@ impl Executor {
         runs[0].fingerprint()
     }
 
-    /// Verifies every registered experiment: each id is run twice,
-    /// concurrently with everything else, and the two trails are
-    /// cross-checked. Uses each entry's default parameters.
-    pub fn verify_all(&self, reg: &ExperimentRegistry, seed: u64) -> VerifyReport {
-        self.verify_all_with(reg, seed, |_, defaults| defaults)
-    }
-
-    /// [`Executor::verify_all`] with a parameter override hook: `params`
-    /// receives each id and its registered defaults and returns the
-    /// parameters to verify at (the conformance tests lighten heavy
-    /// experiments this way).
-    pub fn verify_all_with(
-        &self,
-        reg: &ExperimentRegistry,
-        seed: u64,
-        params: impl Fn(&str, Params) -> Params + Sync,
-    ) -> VerifyReport {
-        self.verify_all_cached_with(reg, seed, None, params)
-    }
-
-    /// [`Executor::verify_all`] through an optional [`RunCache`].
-    pub fn verify_all_cached(
-        &self,
-        reg: &ExperimentRegistry,
-        seed: u64,
-        cache: Option<&RunCache>,
-    ) -> VerifyReport {
-        self.verify_all_cached_with(reg, seed, cache, |_, defaults| defaults)
-    }
-
-    /// The general verification pass: parameter override hook plus an
-    /// optional [`RunCache`].
-    ///
-    /// A cache hit means the id was previously run (and, for entries this
-    /// pass wrote, cross-checked) under the *same code+env fingerprint*,
-    /// so its outcome is reported as reproduced-from-cache without
-    /// recomputation — re-verification of an unchanged artifact costs
-    /// ~zero. Misses run twice concurrently, are cross-checked, and the
-    /// first replica is stored on success. [`VerifyReport::recomputed`]
-    /// counts the ids that actually ran.
-    pub fn verify_all_cached_with(
-        &self,
-        reg: &ExperimentRegistry,
-        seed: u64,
-        cache: Option<&RunCache>,
-        params: impl Fn(&str, Params) -> Params + Sync,
-    ) -> VerifyReport {
-        self.verify_all_supervised_with(reg, seed, cache, &SupervisePolicy::default(), None, params)
-    }
-
-    /// Runs every registered experiment under supervision: panics are
-    /// caught, attempts retry per `policy`, and exhausted runs come back
-    /// as [`RunOutcome::Failed`] instead of aborting the batch. An
-    /// optional [`FaultPlan`] injects deterministic chaos on the way in.
-    pub fn run_all_supervised(
-        &self,
-        reg: &ExperimentRegistry,
-        seed: u64,
-        policy: &SupervisePolicy,
-        plan: Option<&FaultPlan>,
-    ) -> (Vec<(String, RunOutcome)>, ExecReport) {
-        let entries: Vec<_> = reg.iter().collect();
-        // treu-lint: allow(wall-clock, reason = "batch timing reported outside the fingerprint")
-        let start = Instant::now();
-        let tracing = self.tracing;
-        let (results, sched) = self.map_indexed_stats(entries.len(), |i| {
-            let (id, e) = entries[i];
-            let mut rt = tracing.then(|| RunTrace::new(id, seed));
-            if let Some(rt) = rt.as_mut() {
-                rt.push(TraceEvent::Claim { replica: 0 }, start.elapsed().as_secs_f64());
-            }
-            let out = run_supervised_traced(
-                e.runner(),
-                id,
-                seed,
-                &e.defaults,
-                policy,
-                plan,
-                0,
-                rt.as_mut().map(|rt| (rt, start)),
-            );
-            (out, rt)
-        });
-        let mut traces = Vec::with_capacity(entries.len());
-        let mut pairs: Vec<(String, RunOutcome)> = Vec::with_capacity(entries.len());
-        for ((id, _), (out, rt)) in entries.iter().zip(results) {
-            traces.push(rt.unwrap_or_else(|| RunTrace::new(id, seed)));
-            pairs.push((id.to_string(), out));
-        }
-        let failed = pairs.iter().filter(|(_, o)| !o.is_ok()).count();
-        let wall = start.elapsed().as_secs_f64();
-        let report = ExecReport::from_labelled(
-            self.jobs,
-            pairs.iter().filter_map(|(id, o)| o.record().map(|r| (id.clone(), r.wall_seconds))),
-            wall,
-        )
-        .with_workers(&sched)
-        .with_failed(failed)
-        .with_trace(batch_trace("run", seed, traces, self.jobs, wall, &sched));
-        (pairs, report)
-    }
-
-    /// [`Executor::verify_all`] under full supervision — this is the
-    /// general pass every other verify method funnels into.
+    /// Verifies every registered experiment in-process under `policy` and
+    /// an optional fault plan, through an optional cache, at the
+    /// parameters `params` picks for each id — a single
+    /// [`crate::batch::Batch`] of [`crate::batch::Mode::Verify`].
     ///
     /// Each non-cached id runs as two supervised replicas; both must
     /// succeed and agree bitwise to count as reproduced. Failures carry a
-    /// taxonomy: a panic or deadline that survives the retry budget is
-    /// quarantined as such, replica disagreement is
-    /// [`FailureKind::Nondeterministic`], and when a *corrupt cache
-    /// entry* preceded the recompute the outcome is tagged
-    /// [`FailureKind::CorruptCache`] on failure (or marked self-healed on
-    /// success). The batch always completes; gating is the caller's
-    /// [`DenyPolicy`] decision.
+    /// taxonomy (see [`FailureKind`]); the batch always completes, and
+    /// gating is the caller's [`DenyPolicy`] decision.
     pub fn verify_all_supervised_with(
         &self,
         reg: &ExperimentRegistry,
@@ -429,113 +217,18 @@ impl Executor {
         plan: Option<&FaultPlan>,
         params: impl Fn(&str, Params) -> Params + Sync,
     ) -> VerifyReport {
-        let jobs: Vec<(&str, Params, &crate::registry::Entry)> =
-            reg.iter().map(|(id, e)| (id, params(id, e.defaults.clone()), e)).collect();
-        // treu-lint: allow(wall-clock, reason = "verification timing reported outside the fingerprint")
-        let start = Instant::now();
-        let mut traces: Vec<RunTrace> =
-            jobs.iter().map(|(id, _, _)| RunTrace::new(id, seed)).collect();
-        let looked: Vec<Lookup> = jobs
-            .iter()
-            .zip(traces.iter_mut())
-            .map(|((id, p, _), rt)| {
-                let found = match cache {
-                    Some(c) => c.lookup_classified(id, seed, p),
-                    None => Lookup::Miss,
-                };
-                if self.tracing && cache.is_some() {
-                    rt.push(
-                        TraceEvent::Cache { result: cache_result(&found) },
-                        start.elapsed().as_secs_f64(),
-                    );
-                }
-                found
-            })
-            .collect();
-        let misses: Vec<usize> =
-            (0..jobs.len()).filter(|&i| !matches!(looked[i], Lookup::Hit(_))).collect();
-        let tracing = self.tracing;
-        // Both replicas of a missed id are independent tasks, so they run
-        // concurrently whenever jobs >= 2. Each replica records into its
-        // own local buffer (no shared state on the hot path); buffers are
-        // merged below in fixed (id, replica) order, which is what keeps
-        // the rendered stream schedule-independent.
-        let (runs, sched) = self.map_indexed_stats(misses.len() * 2, |i| {
-            let (id, p, e) = &jobs[misses[i / 2]];
-            let replica = (i % 2) as u32;
-            let mut rt = tracing.then(|| RunTrace::new(id, seed));
-            if let Some(rt) = rt.as_mut() {
-                rt.push(TraceEvent::Claim { replica }, start.elapsed().as_secs_f64());
-            }
-            let out = run_supervised_traced(
-                e.runner(),
-                id,
-                seed,
-                p,
-                policy,
-                plan,
-                replica,
-                rt.as_mut().map(|rt| (rt, start)),
-            );
-            (out, rt)
-        });
-        let recomputed = misses.len();
-        let mut fresh = runs.into_iter();
-        let outcomes = jobs
-            .iter()
-            .zip(looked)
-            .enumerate()
-            .map(|(i, ((id, p, _), found))| match found {
-                Lookup::Hit(rec) => {
-                    let outcome = VerifyOutcome {
-                        id: id.to_string(),
-                        fingerprint: rec.fingerprint(),
-                        reproduced: true,
-                        cached: true,
-                        attempts: 1,
-                        healed_corruption: false,
-                        failure: None,
-                    };
-                    if tracing && cache.is_some() {
-                        traces[i].push(
-                            TraceEvent::Verdict {
-                                reproduced: true,
-                                cached: true,
-                                attempts: 1,
-                                fingerprint: outcome.fingerprint,
-                                failure: None,
-                            },
-                            start.elapsed().as_secs_f64(),
-                        );
-                    }
-                    outcome
-                }
-                not_hit => {
-                    let was_corrupt = matches!(not_hit, Lookup::Corrupt);
-                    let (oa, ta) = fresh.next().expect("two fresh runs per miss");
-                    let (ob, tb) = fresh.next().expect("two fresh runs per miss");
-                    if let Some(t) = ta {
-                        traces[i].absorb(t);
-                    }
-                    if let Some(t) = tb {
-                        traces[i].absorb(t);
-                    }
-                    cross_check(
-                        id,
-                        seed,
-                        p,
-                        &[oa, ob],
-                        cache,
-                        was_corrupt,
-                        tracing.then_some((&mut traces[i], start)),
-                    )
-                }
-            })
-            .collect();
-        let wall = start.elapsed().as_secs_f64();
-        let trace = batch_trace("verify", seed, traces, self.jobs, wall, &sched);
-        let counters = trace.counters();
-        VerifyReport { jobs: self.jobs, outcomes, wall_seconds: wall, recomputed, trace, counters }
+        let batch = Batch {
+            cache,
+            policy: *policy,
+            plan,
+            params: &params,
+            ..Batch::new(Mode::Verify, seed)
+        };
+        batch
+            .execute(reg, Dispatch::InProcess(self))
+            .expect("in-process dispatch does no fallible I/O")
+            .report
+            .into_verify()
     }
 }
 
@@ -547,115 +240,6 @@ pub(crate) fn cache_result(found: &Lookup) -> CacheResult {
         Lookup::Stale => CacheResult::Stale,
         Lookup::Corrupt => CacheResult::Corrupt,
     }
-}
-
-/// Assembles per-run traces plus the scheduler's timing into a
-/// [`BatchTrace`] (worker loads and wall time go to the sidecar only).
-pub(crate) fn batch_trace(
-    kind: &str,
-    seed: u64,
-    runs: Vec<RunTrace>,
-    jobs: usize,
-    wall_seconds: f64,
-    sched: &SchedStats,
-) -> BatchTrace {
-    BatchTrace {
-        kind: kind.to_string(),
-        seed,
-        runs,
-        jobs,
-        wall_seconds,
-        workers: sched
-            .busy_seconds
-            .iter()
-            .zip(&sched.chunks_claimed)
-            .zip(&sched.items)
-            .map(|((&busy_seconds, &chunks), &items)| WorkerTiming { busy_seconds, chunks, items })
-            .collect(),
-    }
-}
-
-/// Cross-checks one id's two supervised replicas into a [`VerifyOutcome`],
-/// recording store/heal/verdict events into the run's trace when one is
-/// threaded through.
-pub(crate) fn cross_check(
-    id: &str,
-    seed: u64,
-    params: &Params,
-    pair: &[RunOutcome],
-    cache: Option<&RunCache>,
-    was_corrupt: bool,
-    mut tracer: Option<(&mut RunTrace, Instant)>,
-) -> VerifyOutcome {
-    let outcome = match (&pair[0], &pair[1]) {
-        (
-            RunOutcome::Ok { record: a, attempts: aa },
-            RunOutcome::Ok { record: b, attempts: ab },
-        ) => {
-            let reproduced = a.trail == b.trail;
-            let attempts = (*aa).max(*ab);
-            if reproduced {
-                if let Some(c) = cache {
-                    if c.store(id, seed, params, a).is_ok() {
-                        emit(&mut tracer, TraceEvent::CacheStored);
-                    }
-                }
-                if was_corrupt {
-                    emit(&mut tracer, TraceEvent::CacheHealed);
-                }
-            }
-            let failure = (!reproduced).then(|| RunFailure {
-                taxonomy: if was_corrupt {
-                    FailureKind::CorruptCache
-                } else {
-                    FailureKind::Nondeterministic
-                },
-                attempts,
-                last_error: "verification replicas produced different trails".to_string(),
-            });
-            VerifyOutcome {
-                id: id.to_string(),
-                fingerprint: a.fingerprint(),
-                reproduced,
-                cached: false,
-                attempts,
-                healed_corruption: was_corrupt && reproduced,
-                failure,
-            }
-        }
-        _ => {
-            let f = pair
-                .iter()
-                .find_map(|o| match o {
-                    RunOutcome::Failed(f) => Some(f.clone()),
-                    RunOutcome::Ok { .. } => None,
-                })
-                .expect("a non-Ok pair contains a failure");
-            let fingerprint =
-                pair.iter().find_map(RunOutcome::record).map(RunRecord::fingerprint).unwrap_or(0);
-            let taxonomy = if was_corrupt { FailureKind::CorruptCache } else { f.taxonomy };
-            VerifyOutcome {
-                id: id.to_string(),
-                fingerprint,
-                reproduced: false,
-                cached: false,
-                attempts: f.attempts,
-                healed_corruption: false,
-                failure: Some(RunFailure { taxonomy, ..f }),
-            }
-        }
-    };
-    emit(
-        &mut tracer,
-        TraceEvent::Verdict {
-            reproduced: outcome.reproduced,
-            cached: false,
-            attempts: outcome.attempts,
-            fingerprint: outcome.fingerprint,
-            failure: outcome.failure.as_ref().map(|f| f.taxonomy.name()),
-        },
-    );
-    outcome
 }
 
 /// Pushes `event` into the tracer's run buffer, stamped with the elapsed
@@ -1012,6 +596,37 @@ pub struct VerifyOutcome {
     pub failure: Option<RunFailure>,
 }
 
+impl VerifyOutcome {
+    /// The verdict as rendered after the id: `REPRODUCED` (with its
+    /// cache, healing and retry tags), `QUARANTINED(..)` or `MISMATCH`.
+    pub fn status(&self) -> String {
+        if self.reproduced {
+            format!(
+                "REPRODUCED{} (fingerprint {:#018x}){}{}",
+                if self.cached { " [cached]" } else { "" },
+                self.fingerprint,
+                if self.healed_corruption { " [healed corrupt cache entry]" } else { "" },
+                if self.attempts > 1 {
+                    format!(" [after {} attempts]", self.attempts)
+                } else {
+                    String::new()
+                }
+            )
+        } else if let Some(f) =
+            self.failure.as_ref().filter(|f| f.taxonomy != FailureKind::Nondeterministic)
+        {
+            format!(
+                "QUARANTINED({}) after {} attempt(s): {}",
+                f.taxonomy.name(),
+                f.attempts,
+                f.last_error
+            )
+        } else {
+            "MISMATCH — run is not deterministic".to_string()
+        }
+    }
+}
+
 /// The result of a registry-wide verification pass.
 #[derive(Debug, Clone)]
 pub struct VerifyReport {
@@ -1088,34 +703,7 @@ impl VerifyReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for o in &self.outcomes {
-            if o.reproduced {
-                let mut suffix = String::new();
-                if o.healed_corruption {
-                    suffix.push_str(" [healed corrupt cache entry]");
-                }
-                if o.attempts > 1 {
-                    suffix.push_str(&format!(" [after {} attempts]", o.attempts));
-                }
-                out.push_str(&format!(
-                    "{:<10} REPRODUCED{} (fingerprint {:#018x}){}\n",
-                    o.id,
-                    if o.cached { " [cached]" } else { "" },
-                    o.fingerprint,
-                    suffix
-                ));
-            } else if let Some(f) =
-                o.failure.as_ref().filter(|f| f.taxonomy != FailureKind::Nondeterministic)
-            {
-                out.push_str(&format!(
-                    "{:<10} QUARANTINED({}) after {} attempt(s): {}\n",
-                    o.id,
-                    f.taxonomy.name(),
-                    f.attempts,
-                    f.last_error
-                ));
-            } else {
-                out.push_str(&format!("{:<10} MISMATCH — run is not deterministic\n", o.id));
-            }
+            out.push_str(&format!("{:<10} {}\n", o.id, o.status()));
         }
         out.push_str(&format!(
             "{}/{} reproduced in {:.3}s with {} job(s)\n",
@@ -1263,10 +851,12 @@ impl ExecReport {
     }
 
     /// Load-imbalance ratio: busiest over least-busy worker. 1.0 when
-    /// fewer than two workers reported, or when nobody did measurable
-    /// work (e.g. every run quarantined) — always finite.
+    /// fewer than two workers reported, when every run was replayed from
+    /// the cache (the workers' busy time is replay, not compute), or when
+    /// nobody did measurable work (e.g. every run quarantined) — always
+    /// finite.
     pub fn imbalance_ratio(&self) -> f64 {
-        if self.workers.len() < 2 {
+        if self.workers.len() < 2 || self.all_cached() {
             return 1.0;
         }
         let max = self.workers.iter().map(|w| w.busy_seconds).fold(0.0, f64::max);
@@ -1419,234 +1009,6 @@ impl ExecReport {
     }
 }
 
-/// Nearest-rank (ceil) quantile over an ascending-sorted sample.
-///
-/// The rank is `ceil(q * n)` clamped to `1..=n`, so `q = 0.99` answers
-/// "the smallest value at or above which 99% of samples sit". The
-/// tempting truncating form `(n * 99) / 100` is an off-by-one below 100
-/// samples — at `n = 3` it indexes the *median* instead of the maximum —
-/// which is exactly the kind of silent small-sample skew a
-/// reproducibility report cannot afford. Shared by the soak harness and
-/// [`TenantLedger::p99_latency_rounds`].
-pub fn quantile_ceil_rank(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// Per-tenant accounting for a sustained multi-tenant run.
-///
-/// Latencies are **logical**: measured in dispatch rounds (a pure count
-/// of scheduler iterations), never wall time, so fairness numbers are
-/// part of the reproducible record like everything else.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TenantStats {
-    /// Submissions enqueued for this tenant.
-    pub submitted: u64,
-    /// Submissions served (from cache or computed).
-    pub served: u64,
-    /// Served from the run cache.
-    pub cache_hits: u64,
-    /// Served by computing (supervised execution).
-    pub computed: u64,
-    /// Worst service latency, in dispatch rounds (1 = served in the
-    /// round it became eligible).
-    pub max_latency_rounds: u64,
-    /// Sum of service latencies, for the mean.
-    pub total_latency_rounds: u64,
-}
-
-impl TenantStats {
-    /// Mean service latency in rounds (0 when nothing served yet).
-    pub fn mean_latency_rounds(&self) -> f64 {
-        if self.served == 0 {
-            0.0
-        } else {
-            self.total_latency_rounds as f64 / self.served as f64
-        }
-    }
-}
-
-/// Deterministic per-tenant ledger: a `BTreeMap` keyed by tenant id, so
-/// iteration, rendering and hashing are canonical.
-#[derive(Debug, Clone, Default)]
-pub struct TenantLedger {
-    tenants: BTreeMap<u64, TenantStats>,
-    // Pooled across tenants ([`TenantStats`] stays `Copy`); one entry per
-    // served submission, in service order.
-    latencies: Vec<u64>,
-}
-
-impl TenantLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one enqueued submission.
-    pub fn note_submitted(&mut self, tenant: u64) {
-        self.tenants.entry(tenant).or_default().submitted += 1;
-    }
-
-    /// Records one served submission with its logical latency.
-    pub fn note_served(&mut self, tenant: u64, latency_rounds: u64, from_cache: bool) {
-        let t = self.tenants.entry(tenant).or_default();
-        t.served += 1;
-        if from_cache {
-            t.cache_hits += 1;
-        } else {
-            t.computed += 1;
-        }
-        t.max_latency_rounds = t.max_latency_rounds.max(latency_rounds);
-        t.total_latency_rounds += latency_rounds;
-        self.latencies.push(latency_rounds);
-    }
-
-    /// This tenant's stats (zeroed when unknown).
-    pub fn get(&self, tenant: u64) -> TenantStats {
-        self.tenants.get(&tenant).copied().unwrap_or_default()
-    }
-
-    /// Tenants in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &TenantStats)> {
-        self.tenants.iter().map(|(t, s)| (*t, s))
-    }
-
-    /// Number of tenants seen.
-    pub fn len(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// True when no tenant has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.tenants.is_empty()
-    }
-
-    /// The worst per-tenant maximum latency — the fairness headline: with
-    /// quotas on, a hot tenant's backlog raises *its own* number, not
-    /// everyone else's.
-    pub fn worst_latency_rounds(&self) -> u64 {
-        self.tenants.values().map(|t| t.max_latency_rounds).max().unwrap_or(0)
-    }
-
-    /// Ceil-rank p99 of service latency pooled across all tenants (0 when
-    /// nothing served). At small n this is the maximum, never a smaller
-    /// rank — see [`quantile_ceil_rank`].
-    pub fn p99_latency_rounds(&self) -> u64 {
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        quantile_ceil_rank(&sorted, 0.99)
-    }
-
-    /// Per-tenant table for reports.
-    pub fn render(&self) -> String {
-        let mut out = String::from("  tenant      served    hits  computed  mean-lat  max-lat\n");
-        for (tenant, t) in self.iter() {
-            out.push_str(&format!(
-                "  {:<10} {:>7} {:>7} {:>9} {:>9.2} {:>8}\n",
-                format!("t{tenant}"),
-                t.served,
-                t.cache_hits,
-                t.computed,
-                t.mean_latency_rounds(),
-                t.max_latency_rounds
-            ));
-        }
-        out
-    }
-}
-
-/// A deterministic weighted-round-robin dispatch queue: per-tenant FIFO
-/// sub-queues, drained in rounds that interleave tenants so one hot
-/// tenant can never occupy more than its quota of any round.
-///
-/// Scheduling is a pure function of queue state — tenants are visited in
-/// ascending id order, one item per tenant per rotation, rotations
-/// repeat up to the quota — so every schedule replays bitwise and the
-/// soak's eviction/trace determinism can stand on top of it.
-#[derive(Debug, Clone)]
-pub struct FairQueue<T> {
-    queues: BTreeMap<u64, VecDeque<T>>,
-    quota: usize,
-}
-
-impl<T> FairQueue<T> {
-    /// A queue granting each tenant up to `quota` slots per round
-    /// (`quota` is clamped to at least 1).
-    pub fn new(quota: usize) -> Self {
-        Self { queues: BTreeMap::new(), quota: quota.max(1) }
-    }
-
-    /// The per-round per-tenant slot quota.
-    pub fn quota(&self) -> usize {
-        self.quota
-    }
-
-    /// Enqueues `item` at the back of `tenant`'s FIFO.
-    pub fn push(&mut self, tenant: u64, item: T) {
-        self.queues.entry(tenant).or_default().push_back(item);
-    }
-
-    /// Total queued items across tenants.
-    pub fn len(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
-    }
-
-    /// True when every tenant's queue is drained.
-    pub fn is_empty(&self) -> bool {
-        self.queues.values().all(VecDeque::is_empty)
-    }
-
-    /// Drains the next dispatch round: up to `capacity` items, at most
-    /// `quota` per tenant, interleaved one-per-tenant in ascending id
-    /// order so the quota cut never biases toward low tenant ids.
-    /// Returns `(tenant, item)` pairs in dispatch order.
-    pub fn next_round(&mut self, capacity: usize) -> Vec<(u64, T)> {
-        let mut round = Vec::new();
-        for _rotation in 0..self.quota {
-            if round.len() >= capacity {
-                break;
-            }
-            let mut progressed = false;
-            let tenants: Vec<u64> = self.queues.keys().copied().collect();
-            for tenant in tenants {
-                if round.len() >= capacity {
-                    break;
-                }
-                if let Some(q) = self.queues.get_mut(&tenant) {
-                    if let Some(item) = q.pop_front() {
-                        round.push((tenant, item));
-                        progressed = true;
-                    }
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        self.queues.retain(|_, q| !q.is_empty());
-        round
-    }
-}
-
-/// Flattens a submission-order tenant sequence into fair dispatch order:
-/// the order [`FairQueue`] with the given `quota` and unbounded round
-/// capacity would serve it. Returns indices into `tenants`. Exposed so
-/// fairness is testable as a pure permutation, independent of the soak.
-pub fn fair_interleave(tenants: &[u64], quota: usize) -> Vec<usize> {
-    let mut q = FairQueue::new(quota);
-    for (i, &t) in tenants.iter().enumerate() {
-        q.push(t, i);
-    }
-    let mut order = Vec::with_capacity(tenants.len());
-    while !q.is_empty() {
-        order.extend(q.next_round(usize::MAX).into_iter().map(|(_, i)| i));
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1727,6 +1089,37 @@ mod tests {
         Executor::new(2).assert_deterministic(&exp, 1, &Params::new());
     }
 
+    /// A registry-wide run batch: `(id, record)` pairs plus its report.
+    fn run_all(
+        exec: &Executor,
+        reg: &ExperimentRegistry,
+        seed: u64,
+        cache: Option<&RunCache>,
+    ) -> (Vec<(String, RunRecord)>, ExecReport) {
+        let batch = Batch { cache, ..Batch::new(Mode::Run, seed) };
+        let (outcomes, report) =
+            batch.execute(reg, Dispatch::InProcess(exec)).unwrap().report.into_run();
+        let records = outcomes.into_iter().map(|(id, o)| (id, o.record().unwrap().clone()));
+        (records.collect(), report)
+    }
+
+    /// A registry-wide verify batch at registry defaults.
+    fn verify_all(
+        exec: &Executor,
+        reg: &ExperimentRegistry,
+        seed: u64,
+        cache: Option<&RunCache>,
+    ) -> VerifyReport {
+        exec.verify_all_supervised_with(
+            reg,
+            seed,
+            cache,
+            &SupervisePolicy::default(),
+            None,
+            |_, d| d,
+        )
+    }
+
     fn small_registry() -> ExperimentRegistry {
         let mut reg = ExperimentRegistry::new();
         reg.register("A", "x", "noisy a", Params::new().with_int("n", 16), Box::new(Noisy));
@@ -1738,10 +1131,10 @@ mod tests {
     #[test]
     fn run_all_is_in_id_order_and_job_count_invariant() {
         let reg = small_registry();
-        let base = Executor::sequential().run_all(&reg, 7);
+        let base = run_all(&Executor::sequential(), &reg, 7, None).0;
         assert_eq!(base.iter().map(|(id, _)| id.as_str()).collect::<Vec<_>>(), vec!["A", "B", "C"]);
         for jobs in [2, 5] {
-            let par = Executor::new(jobs).run_all(&reg, 7);
+            let par = run_all(&Executor::new(jobs), &reg, 7, None).0;
             for ((ida, a), (idb, b)) in base.iter().zip(par.iter()) {
                 assert_eq!(ida, idb);
                 assert_eq!(a.trail, b.trail, "jobs={jobs}");
@@ -1753,7 +1146,7 @@ mod tests {
     fn verify_all_passes_deterministic_registry() {
         let reg = small_registry();
         for jobs in [1, 4] {
-            let report = Executor::new(jobs).verify_all(&reg, 3);
+            let report = verify_all(&Executor::new(jobs), &reg, 3, None);
             assert!(report.all_reproduced(), "jobs={jobs}");
             assert!(report.violations().is_empty());
             assert_eq!(report.outcomes.len(), 3);
@@ -1773,7 +1166,7 @@ mod tests {
             Params::new(),
             Box::new(NonDet(std::sync::atomic::AtomicU64::new(0))),
         );
-        let report = Executor::new(4).verify_all(&reg, 3);
+        let report = verify_all(&Executor::new(4), &reg, 3, None);
         assert!(!report.all_reproduced());
         assert_eq!(report.violations(), vec!["Z-bad"]);
         assert!(report.render().contains("MISMATCH"));
@@ -1782,7 +1175,14 @@ mod tests {
     #[test]
     fn verify_all_with_overrides_params() {
         let reg = small_registry();
-        let report = Executor::new(2).verify_all_with(&reg, 5, |_, d| d.with_int("n", 4));
+        let report = Executor::new(2).verify_all_supervised_with(
+            &reg,
+            5,
+            None,
+            &SupervisePolicy::default(),
+            None,
+            |_, d| d.with_int("n", 4),
+        );
         assert!(report.all_reproduced());
     }
 
@@ -1904,14 +1304,14 @@ mod tests {
         let dir = cache_dir("runall");
         let cache = RunCache::open(&dir).unwrap();
         let exec = Executor::new(2);
-        let plain = exec.run_all(&reg, 7);
-        let (cold, cold_report) = exec.run_all_report_cached(&reg, 7, Some(&cache));
+        let plain = run_all(&exec, &reg, 7, None).0;
+        let (cold, cold_report) = run_all(&exec, &reg, 7, Some(&cache));
         assert_eq!(cold_report.cached_runs, 0);
         for ((ida, a), (idb, b)) in plain.iter().zip(cold.iter()) {
             assert_eq!(ida, idb);
             assert_eq!(a.trail, b.trail, "cold cached batch must match the uncached batch");
         }
-        let (warm, warm_report) = exec.run_all_report_cached(&reg, 7, Some(&cache));
+        let (warm, warm_report) = run_all(&exec, &reg, 7, Some(&cache));
         assert_eq!(warm_report.cached_runs, reg.len(), "second pass is fully cached");
         for ((ida, a), (idb, b)) in plain.iter().zip(warm.iter()) {
             assert_eq!(ida, idb);
@@ -1934,14 +1334,14 @@ mod tests {
         let dir = cache_dir("verify");
         let exec = Executor::new(4);
         let cold_cache = RunCache::open(&dir).unwrap();
-        let cold = exec.verify_all_cached(&reg, 3, Some(&cold_cache));
+        let cold = verify_all(&exec, &reg, 3, Some(&cold_cache));
         assert!(cold.all_reproduced());
         assert_eq!(cold.recomputed, reg.len());
         assert_eq!(cold.cached_count(), 0);
         assert_eq!(cold_cache.stats().misses, reg.len() as u64);
 
         let warm_cache = RunCache::open(&dir).unwrap();
-        let warm = exec.verify_all_cached(&reg, 3, Some(&warm_cache));
+        let warm = verify_all(&exec, &reg, 3, Some(&warm_cache));
         assert!(warm.all_reproduced());
         assert_eq!(warm.recomputed, 0, "warm cache must recompute zero experiments");
         assert_eq!(warm.cached_count(), reg.len());
@@ -1969,12 +1369,12 @@ mod tests {
         );
         let dir = cache_dir("nondet");
         let cache = RunCache::open(&dir).unwrap();
-        let first = Executor::new(2).verify_all_cached(&reg, 3, Some(&cache));
+        let first = verify_all(&Executor::new(2), &reg, 3, Some(&cache));
         assert_eq!(first.violations(), vec!["Z-bad"]);
         // A second pass must re-run (and re-flag) the broken id: failures
         // are never served from the cache.
         let cache2 = RunCache::open(&dir).unwrap();
-        let second = Executor::new(2).verify_all_cached(&reg, 3, Some(&cache2));
+        let second = verify_all(&Executor::new(2), &reg, 3, Some(&cache2));
         assert_eq!(second.violations(), vec!["Z-bad"]);
         assert_eq!(second.recomputed, 1);
         assert_eq!(second.cached_count(), reg.len() - 1);
@@ -2196,7 +1596,7 @@ mod tests {
         );
         assert!(faulted.all_reproduced(), "transient faults within budget must reproduce");
         assert!(!faulted.retried().is_empty(), "rate-1.0 transient plan must force retries");
-        let clean = Executor::new(2).verify_all(&reg, 3);
+        let clean = verify_all(&Executor::new(2), &reg, 3, None);
         for (a, b) in faulted.outcomes.iter().zip(clean.outcomes.iter()) {
             assert_eq!(a.fingerprint, b.fingerprint, "{}: chaos must converge to clean", a.id);
         }
@@ -2209,13 +1609,15 @@ mod tests {
     fn run_all_supervised_reports_failures_without_aborting() {
         let mut reg = small_registry();
         reg.register("Z-panic", "w", "broken", Params::new(), Box::new(AlwaysPanics));
+        let batch = Batch { policy: SupervisePolicy::new(0), ..Batch::new(Mode::Run, 7) };
+        let exec = Executor::new(2);
         let (pairs, report) =
-            Executor::new(2).run_all_supervised(&reg, 7, &SupervisePolicy::new(0), None);
+            batch.execute(&reg, Dispatch::InProcess(&exec)).unwrap().report.into_run();
         assert_eq!(pairs.len(), 4);
         assert_eq!(pairs.iter().filter(|(_, o)| o.is_ok()).count(), 3);
         assert_eq!(report.failed_runs, 1);
         assert_eq!(report.runs.len(), 3, "quarantined runs contribute no timing");
-        let base = Executor::sequential().run_all(&small_registry(), 7);
+        let base = run_all(&Executor::sequential(), &small_registry(), 7, None).0;
         for ((id, out), (bid, brec)) in pairs.iter().filter(|(_, o)| o.is_ok()).zip(base.iter()) {
             assert_eq!(id, bid);
             assert_eq!(out.record().unwrap().trail, brec.trail);
@@ -2228,128 +1630,6 @@ mod tests {
             assert_eq!(DenyPolicy::parse(p.name()), Some(p));
         }
         assert_eq!(DenyPolicy::parse("loud"), None);
-    }
-
-    #[test]
-    fn fair_queue_interleaves_and_caps_a_hot_tenant_per_round() {
-        let mut q = FairQueue::new(2);
-        // Tenant 1 floods; tenants 2 and 3 trickle.
-        for i in 0..8 {
-            q.push(1, format!("hot-{i}"));
-        }
-        q.push(2, "a".to_string());
-        q.push(3, "b".to_string());
-        let round = q.next_round(16);
-        // Rotation 1 visits 1,2,3; rotation 2 has only tenant 1 left.
-        let tenants: Vec<u64> = round.iter().map(|(t, _)| *t).collect();
-        assert_eq!(tenants, vec![1, 2, 3, 1], "one per tenant per rotation, quota 2");
-        assert_eq!(round[0].1, "hot-0");
-        assert_eq!(round[3].1, "hot-1", "per-tenant FIFO order is preserved");
-        assert_eq!(tenants.iter().filter(|&&t| t == 1).count(), 2, "quota caps the flood");
-        assert_eq!(q.len(), 6, "the rest of the flood waits its turn");
-        // Capacity cuts mid-rotation without losing items.
-        let cut = q.next_round(1);
-        assert_eq!(cut.len(), 1);
-        assert_eq!(q.len(), 5);
-    }
-
-    #[test]
-    fn fair_queue_rounds_replay_bitwise() {
-        let build = || {
-            let mut q = FairQueue::new(3);
-            for i in 0..40u64 {
-                q.push(i % 5, i);
-            }
-            q
-        };
-        let drain = |mut q: FairQueue<u64>| {
-            let mut order = Vec::new();
-            while !q.is_empty() {
-                order.extend(q.next_round(7));
-            }
-            order
-        };
-        assert_eq!(drain(build()), drain(build()), "scheduling is pure queue state");
-    }
-
-    #[test]
-    fn fair_interleave_is_a_permutation_that_bounds_starvation() {
-        // Submission order: 12 from tenant 9, then one each from 1 and 2.
-        let mut tenants = vec![9u64; 12];
-        tenants.extend([1, 2]);
-        let order = fair_interleave(&tenants, 1);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..tenants.len()).collect::<Vec<_>>(), "permutation");
-        // With quota 1 the light tenants are served in the very first
-        // rotation, despite arriving last.
-        assert!(order[..3].contains(&12), "tenant 1's lone item is up front: {order:?}");
-        assert!(order[..3].contains(&13), "tenant 2's lone item is up front: {order:?}");
-        // Degenerate inputs stay total.
-        assert!(fair_interleave(&[], 4).is_empty());
-        assert_eq!(fair_interleave(&[5], 0).len(), 1, "quota clamps to 1");
-    }
-
-    #[test]
-    fn tenant_ledger_accounts_and_renders_canonically() {
-        let mut ledger = TenantLedger::new();
-        for t in [3u64, 1, 1, 2] {
-            ledger.note_submitted(t);
-        }
-        ledger.note_served(1, 1, true);
-        ledger.note_served(1, 5, false);
-        ledger.note_served(2, 2, false);
-        ledger.note_served(3, 1, true);
-        assert_eq!(ledger.len(), 3);
-        let t1 = ledger.get(1);
-        assert_eq!((t1.submitted, t1.served, t1.cache_hits, t1.computed), (2, 2, 1, 1));
-        assert_eq!(t1.max_latency_rounds, 5);
-        assert_eq!(t1.mean_latency_rounds(), 3.0);
-        assert_eq!(ledger.worst_latency_rounds(), 5);
-        let ids: Vec<u64> = ledger.iter().map(|(t, _)| t).collect();
-        assert_eq!(ids, vec![1, 2, 3], "iteration is ascending tenant id");
-        let table = ledger.render();
-        assert!(table.contains("t1"), "{table}");
-        assert!(table.contains("max-lat"), "{table}");
-        assert_eq!(ledger.get(99), TenantStats::default(), "unknown tenants read as zero");
-    }
-
-    #[test]
-    fn quantile_ceil_rank_never_undershoots_small_samples() {
-        assert_eq!(quantile_ceil_rank(&[], 0.99), 0);
-        assert_eq!(quantile_ceil_rank(&[7], 0.99), 7);
-
-        // n = 3: ceil rank is ceil(2.97) = 3 → the maximum. The truncating
-        // form (3 * 99) / 100 = 2 would index the *median* — the exact
-        // off-by-one this function exists to rule out.
-        let three = [1u64, 2, 3];
-        assert_eq!(quantile_ceil_rank(&three, 0.99), 3);
-        assert_eq!((three.len() * 99) / 100, 2, "the truncating rank lands on the median");
-
-        // n = 99: ceil(98.01) = 99 → still the maximum; truncation gives 98.
-        let n99: Vec<u64> = (1..=99).collect();
-        assert_eq!(quantile_ceil_rank(&n99, 0.99), 99);
-        assert_eq!((n99.len() * 99) / 100, 98);
-
-        // n = 100: ceil(99.0) = 99 → first index where the two agree.
-        let n100: Vec<u64> = (1..=100).collect();
-        assert_eq!(quantile_ceil_rank(&n100, 0.99), 99);
-        assert_eq!(quantile_ceil_rank(&n100, 0.50), 50);
-        assert_eq!(quantile_ceil_rank(&n100, 1.0), 100);
-        assert_eq!(quantile_ceil_rank(&n100, 0.0), 1, "rank clamps to at least 1");
-    }
-
-    #[test]
-    fn tenant_ledger_p99_is_ceil_rank_over_pooled_latencies() {
-        let mut ledger = TenantLedger::new();
-        assert_eq!(ledger.p99_latency_rounds(), 0, "empty ledger reads as zero");
-        // Three served submissions across two tenants: p99 must be the
-        // pooled maximum (9), not the median a truncating rank would pick.
-        ledger.note_served(1, 2, true);
-        ledger.note_served(2, 9, false);
-        ledger.note_served(1, 4, false);
-        assert_eq!(ledger.p99_latency_rounds(), 9);
-        assert_eq!(ledger.worst_latency_rounds(), 9);
     }
 
     #[test]

@@ -33,11 +33,15 @@
 //!   tracking.
 //! * [`sweep`] — parameter-grid sweeps with per-point derived seeds.
 //! * [`exec`] — the deterministic parallel executor: fans seeds, sweeps
-//!   and registry batches over self-scheduling scoped workers and merges
-//!   in canonical order, so results are bitwise-identical for every
-//!   `--jobs` value. Supervised variants catch panics, enforce per-run
-//!   deadlines and retry under a deterministic backoff, quarantining (not
-//!   aborting on) runs that exhaust their budget.
+//!   and batch tasks over self-scheduling scoped workers and merges in
+//!   canonical order, so results are bitwise-identical for every
+//!   `--jobs` value. Its supervisor catches panics, enforces per-run
+//!   deadlines and retries under a deterministic backoff, quarantining
+//!   (not aborting on) runs that exhaust their budget.
+//! * [`batch`] — the one registry batch pipeline: a run or verify
+//!   request becomes tasks, dispatched in-process or across `treu worker`
+//!   processes through the same task function, merged into one report
+//!   and one trace.
 //! * [`fault`] — seeded, content-addressed fault injection: a
 //!   [`fault::FaultPlan`] deterministically panics, delays, corrupts or
 //!   transiently fails runs by `(id, seed, attempt)`, so the supervisor's
@@ -68,6 +72,7 @@ pub mod aggregate;
 pub mod artifact;
 pub mod attest;
 pub mod badge;
+pub mod batch;
 pub mod cache;
 pub mod environment;
 pub mod exec;
@@ -83,6 +88,7 @@ pub mod sweep;
 pub mod trace;
 
 pub use attest::{AttestKey, AttestStore, ChainReport, Layout, Link, LinkDraft};
+pub use batch::{Batch, BatchOutcome, BatchReport, Dispatch, Mode};
 pub use cache::{CacheStats, RunCache};
 pub use exec::{
     DenyPolicy, ExecReport, Executor, FailureKind, RunFailure, RunOutcome, SupervisePolicy,

@@ -7,7 +7,6 @@
 //! The registry is also how the umbrella crate's examples expose "run
 //! everything the paper reports" as a single loop.
 
-use crate::exec::{Executor, VerifyReport};
 use crate::experiment::{run_once, Experiment, Params, RunRecord};
 use std::collections::BTreeMap;
 
@@ -107,19 +106,6 @@ impl ExperimentRegistry {
     pub fn run_with(&self, id: &str, seed: u64, params: Params) -> Option<RunRecord> {
         let e = self.entries.get(id)?;
         Some(run_once(e.runner.as_ref(), seed, params))
-    }
-
-    /// Runs every registered experiment at its defaults through `exec`,
-    /// returning `(id, record)` pairs in id order. Bitwise-identical for
-    /// every executor job count (see [`crate::exec`]).
-    pub fn run_all(&self, exec: &Executor, seed: u64) -> Vec<(String, RunRecord)> {
-        exec.run_all(self, seed)
-    }
-
-    /// Verifies every registered experiment through `exec`: each id runs
-    /// twice concurrently and the trails are cross-checked.
-    pub fn verify_all(&self, exec: &Executor, seed: u64) -> VerifyReport {
-        exec.verify_all(self, seed)
     }
 
     /// Renders the index as a plain-text table (id, location, description).

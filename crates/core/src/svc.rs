@@ -36,16 +36,14 @@ use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use crate::batch::{Batch, Dispatch, Mode};
 use crate::cache::{Lookup, RunCache};
-use crate::exec::{
-    ExecReport, FailureKind, RunFailure, RunOutcome, SupervisePolicy, VerifyOutcome, VerifyReport,
-};
+use crate::exec::{FailureKind, RunFailure, RunOutcome, SupervisePolicy, VerifyReport};
 use crate::experiment::{ParamValue, Params, RunRecord};
 use crate::fault::{backoff_millis, FaultKind, FaultPlan, KillPlan};
 use crate::provenance::Trail;
 use crate::registry::ExperimentRegistry;
 use crate::trace::{json_escape, json_unescape, RunTrace, TraceEvent};
-use treu_math::parallel::SchedStats;
 
 /// Wire protocol version spoken between coordinator and worker.
 pub const PROTO_VERSION: u32 = 1;
@@ -398,13 +396,14 @@ fn parse_done(payload: &str) -> Option<(usize, Vec<TaskOutput>)> {
 }
 
 // ---------------------------------------------------------------------------
-// Task execution (shared by worker processes and the degraded coordinator)
+// Task execution (shared by worker processes, the degraded coordinator and
+// in-process batches)
 // ---------------------------------------------------------------------------
 
 /// Execute one task deterministically. This is the same code path whether it
-/// runs inside a `treu worker` subprocess or in-process after degradation,
-/// which is what makes topology unable to change results or hashed trace
-/// content.
+/// runs inside a `treu worker` subprocess, in-process after degradation, or
+/// in an in-process [`Batch`], which is what makes topology unable to change
+/// results or hashed trace content.
 pub fn execute_task(
     reg: &ExperimentRegistry,
     t: &TaskSpec,
@@ -631,7 +630,7 @@ pub struct SvcConfig {
     pub kill_plan: Option<KillPlan>,
     /// Override the worker command line; empty means `current_exe worker`.
     pub worker_cmd: Vec<String>,
-    /// Cache directory workers should open (run mode only).
+    /// Cache directory workers should open (run batches set it).
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -693,7 +692,7 @@ impl SvcConfig {
         self
     }
 
-    /// Point run-mode workers at a shared cache directory.
+    /// Point workers at a shared cache directory.
     pub fn with_cache_dir(mut self, dir: PathBuf) -> Self {
         self.cache_dir = Some(dir);
         self
@@ -1170,28 +1169,14 @@ impl WorkerPool {
 }
 
 // ---------------------------------------------------------------------------
-// High-level entry points (verify / run across the pool)
+// Verification across the pool
 // ---------------------------------------------------------------------------
 
-fn empty_sched(workers: usize) -> SchedStats {
-    SchedStats {
-        workers,
-        chunk: 0,
-        busy_seconds: Vec::new(),
-        chunks_claimed: Vec::new(),
-        items: Vec::new(),
-    }
-}
-
-fn policy_deadline_us(policy: &SupervisePolicy) -> u64 {
-    policy.deadline.map(|d| d.as_micros() as u64).unwrap_or(0)
-}
-
-/// Registry-wide verification across the worker pool. Mirrors
-/// [`crate::exec::Executor::verify_all_supervised_with`] exactly: cache
-/// lookups, cross-checks, and verdicts happen coordinator-side; workers only
-/// compute the two fresh replicas per missed id. The resulting trace is
-/// bitwise-identical to the in-process path at every topology.
+/// Registry-wide verification across the worker pool — a single
+/// [`Batch`] of [`Mode::Verify`] under [`Dispatch::Sharded`]. Cache
+/// lookups, cross-checks and verdicts happen coordinator-side; workers
+/// only compute the two fresh replicas per missed id, so the report and
+/// trace are bitwise-identical to the in-process pass at every topology.
 pub fn verify_all_svc(
     reg: &ExperimentRegistry,
     seed: u64,
@@ -1201,205 +1186,10 @@ pub fn verify_all_svc(
     params: impl Fn(&str, Params) -> Params,
     cfg: SvcConfig,
 ) -> io::Result<(VerifyReport, SvcStats)> {
-    // treu-lint: allow(wall-clock, reason = "verification timing reported outside the fingerprint")
-    let start = Instant::now();
-    let tracing = cfg.tracing;
-    let jobs_total = cfg.workers * cfg.jobs;
-    let ids: Vec<(String, Params)> =
-        reg.iter().map(|(id, e)| (id.to_string(), params(id, e.defaults.clone()))).collect();
-    let mut traces: Vec<RunTrace> = ids.iter().map(|(id, _)| RunTrace::new(id, seed)).collect();
-    // Coordinator-side cache lookups, exactly as the in-process verifier.
-    let looked: Vec<Lookup> = ids
-        .iter()
-        .zip(traces.iter_mut())
-        .map(|((id, p), rt)| {
-            let found = match cache {
-                Some(c) => c.lookup_classified(id, seed, p),
-                None => Lookup::Miss,
-            };
-            if tracing && cache.is_some() {
-                rt.push(
-                    TraceEvent::Cache { result: crate::exec::cache_result(&found) },
-                    start.elapsed().as_secs_f64(),
-                );
-            }
-            found
-        })
-        .collect();
-    let misses: Vec<usize> =
-        (0..ids.len()).filter(|&i| !matches!(looked[i], Lookup::Hit(_))).collect();
-    // Both replicas of a missed id ship as independent tasks; replica = k % 2
-    // preserves the in-process Claim numbering.
-    let mut tasks: Vec<TaskSpec> = Vec::with_capacity(misses.len() * 2);
-    for (k, mi) in misses.iter().flat_map(|&i| [i, i]).enumerate() {
-        let (id, p) = &ids[mi];
-        tasks.push(TaskSpec {
-            index: k,
-            id: id.clone(),
-            seed,
-            replica: (k % 2) as u32,
-            params: p.clone(),
-            retries: policy.retries,
-            deadline_us: policy_deadline_us(policy),
-            cache: false,
-        });
-    }
-    let pool = WorkerPool::new(cfg);
-    let (outputs, svc_stats) = pool.run_tasks(reg, tasks, plan, None, seed)?;
-    // Rebuild per-replica traces and absorb them in (id, replica) order —
-    // identical to the in-process index-ordered merge.
-    let recomputed = misses.len();
-    let mut fresh = outputs.into_iter();
-    let outcomes: Vec<VerifyOutcome> = ids
-        .iter()
-        .zip(looked)
-        .enumerate()
-        .map(|(i, ((id, p), found))| match found {
-            Lookup::Hit(rec) => {
-                let outcome = VerifyOutcome {
-                    id: id.clone(),
-                    fingerprint: rec.fingerprint(),
-                    reproduced: true,
-                    cached: true,
-                    attempts: 1,
-                    healed_corruption: false,
-                    failure: None,
-                };
-                if tracing && cache.is_some() {
-                    traces[i].push(
-                        TraceEvent::Verdict {
-                            reproduced: true,
-                            cached: true,
-                            attempts: 1,
-                            fingerprint: outcome.fingerprint,
-                            failure: None,
-                        },
-                        start.elapsed().as_secs_f64(),
-                    );
-                }
-                outcome
-            }
-            not_hit => {
-                let was_corrupt = matches!(not_hit, Lookup::Corrupt);
-                let a = fresh.next().expect("two replicas per miss");
-                let b = fresh.next().expect("two replicas per miss");
-                for out in [&a, &b] {
-                    if tracing {
-                        let mut sub = RunTrace::new(id, seed);
-                        sub.dropped += out.dropped;
-                        for (ev, at) in &out.events {
-                            sub.push(ev.clone(), *at);
-                        }
-                        traces[i].absorb(sub);
-                    }
-                }
-                crate::exec::cross_check(
-                    id,
-                    seed,
-                    p,
-                    &[a.outcome, b.outcome],
-                    cache,
-                    was_corrupt,
-                    tracing.then_some((&mut traces[i], start)),
-                )
-            }
-        })
-        .collect();
-    let wall = start.elapsed().as_secs_f64();
-    let trace = crate::exec::batch_trace("verify", seed, traces, jobs_total, wall, &empty_sched(0));
-    let counters = trace.counters();
-    Ok((
-        VerifyReport {
-            jobs: jobs_total,
-            outcomes,
-            wall_seconds: wall,
-            recomputed,
-            trace,
-            counters,
-        },
-        svc_stats,
-    ))
-}
-
-/// What [`run_all_svc`] yields: per-experiment outcomes in registry
-/// order, the merged batch report, and the service-layer stats.
-pub type SvcRunAll = (Vec<(String, RunOutcome)>, ExecReport, SvcStats);
-
-/// Registry-wide run across the worker pool. Workers consult and populate
-/// the shared cache directly (atomic temp+rename keeps entries untorn);
-/// hit/miss stats land in per-process sidecars the coordinator merges at
-/// join, so concurrent writers never tear counts.
-pub fn run_all_svc(
-    reg: &ExperimentRegistry,
-    seed: u64,
-    cache: Option<&RunCache>,
-    policy: &SupervisePolicy,
-    plan: Option<&FaultPlan>,
-    mut cfg: SvcConfig,
-) -> io::Result<SvcRunAll> {
-    // treu-lint: allow(wall-clock, reason = "batch timing reported outside the fingerprint")
-    let start = Instant::now();
-    if let Some(cache) = cache {
-        cfg.cache_dir = Some(cache.dir().to_path_buf());
-    }
-    let tracing = cfg.tracing;
-    let jobs_total = cfg.workers * cfg.jobs;
-    let ids: Vec<(String, Params)> =
-        reg.iter().map(|(id, e)| (id.to_string(), e.defaults.clone())).collect();
-    let tasks: Vec<TaskSpec> = ids
-        .iter()
-        .enumerate()
-        .map(|(i, (id, p))| TaskSpec {
-            index: i,
-            id: id.clone(),
-            seed,
-            replica: 0,
-            params: p.clone(),
-            retries: policy.retries,
-            deadline_us: policy_deadline_us(policy),
-            cache: cache.is_some(),
-        })
-        .collect();
-    let pool = WorkerPool::new(cfg);
-    let (outputs, svc_stats) = pool.run_tasks(reg, tasks, plan, cache, seed)?;
-    if let Some(cache) = cache {
-        let _ = cache.merge_stats_sidecars();
-    }
-    let mut traces: Vec<RunTrace> = Vec::with_capacity(ids.len());
-    let mut pairs: Vec<(String, RunOutcome)> = Vec::with_capacity(ids.len());
-    let mut cached_count = 0usize;
-    for (out, (id, _)) in outputs.into_iter().zip(ids.iter()) {
-        let mut rt = RunTrace::new(id, seed);
-        if tracing {
-            rt.dropped += out.dropped;
-            for (ev, at) in &out.events {
-                rt.push(ev.clone(), *at);
-            }
-        }
-        traces.push(rt);
-        if out.cached {
-            cached_count += 1;
-        }
-        pairs.push((id.clone(), out.outcome));
-    }
-    let failed = pairs.iter().filter(|(_, o)| !matches!(o, RunOutcome::Ok { .. })).count();
-    let wall = start.elapsed().as_secs_f64();
-    let report = ExecReport::from_labelled(
-        jobs_total,
-        pairs.iter().filter_map(|(id, o)| o.record().map(|r| (id.clone(), r.wall_seconds))),
-        wall,
-    )
-    .with_cached(cached_count)
-    .with_failed(failed)
-    .with_trace(crate::exec::batch_trace(
-        "run",
-        seed,
-        traces,
-        jobs_total,
-        wall,
-        &empty_sched(0),
-    ));
-    Ok((pairs, report, svc_stats))
+    let batch =
+        Batch { cache, policy: *policy, plan, params: &params, ..Batch::new(Mode::Verify, seed) };
+    let out = batch.execute(reg, Dispatch::Sharded(cfg))?;
+    Ok((out.report.into_verify(), out.svc.expect("sharded batches report svc stats")))
 }
 
 #[cfg(test)]
@@ -1720,13 +1510,16 @@ mod tests {
             .with_respawn_budget(0)
             .with_hang_timeout(Duration::from_millis(150))
             .with_worker_cmd(vec!["/bin/true".into()]);
-        let policy = SupervisePolicy::new(0);
-        let (runs, report, stats) = run_all_svc(&reg, 31, None, &policy, None, cfg).unwrap();
+        let batch = Batch { policy: SupervisePolicy::new(0), ..Batch::new(Mode::Run, 31) };
+        let sharded = batch.execute(&reg, Dispatch::Sharded(cfg)).unwrap();
+        let stats = sharded.svc.unwrap();
+        let (runs, report) = sharded.report.into_run();
         assert!(stats.degraded);
         assert_eq!(runs.len(), reg.len());
         assert_eq!(report.failed_runs, 0);
         let exec = Executor::new(2).with_tracing(true);
-        let (base, base_report) = exec.run_all_supervised(&reg, 31, &policy, None);
+        let (base, base_report) =
+            batch.execute(&reg, Dispatch::InProcess(&exec)).unwrap().report.into_run();
         for ((id_a, out_a), (id_b, out_b)) in runs.iter().zip(base.iter()) {
             assert_eq!(id_a, id_b);
             let (RunOutcome::Ok { record: a, .. }, RunOutcome::Ok { record: b, .. }) =

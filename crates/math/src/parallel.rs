@@ -125,7 +125,7 @@ where
 /// schedule over skewed costs shows one hot worker and idle peers, a
 /// dynamic schedule shows near-equal entries. Timing is environment, not
 /// result — nothing here feeds fingerprints.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedStats {
     /// Workers actually spawned (≤ the requested thread count; never more
     /// than the number of chunks).

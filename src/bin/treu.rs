@@ -26,24 +26,31 @@
 //! id, seed, parameters and code+environment fingerprint all match.
 //! `--no-cache` disables the cache even when `--cache-dir` is given.
 //!
+//! `run`, `verify` and `chaos` each build one batch request — over the
+//! whole registry, or over one id when one is named — for the pipeline in
+//! [`treu::core::batch`], and share one tail: print, write the trace,
+//! seal the attestation link, apply the `--deny` gate. `--conformance`
+//! runs every id at its light conformance parameters, for `run` as for
+//! `verify`.
+//!
 //! `run`, `verify` and `chaos` also accept `--trace-out DIR`: the batch's
 //! span stream (claims, attempts, faults, backoffs, cache traffic,
-//! verdicts) is written content-addressed under DIR as
+//! outcomes, verdicts) is written content-addressed under DIR as
 //! `trace-<hash>.jsonl`, with timestamps in a `.times.jsonl` sidecar that
 //! is not part of the hash — the event stream is bitwise-identical for
-//! every `--jobs` count. `treu trace DIR` renders stored traces and
-//! `treu trace DIR --check` re-verifies them against their addresses.
+//! every `--jobs` count and `--workers` topology. `treu trace DIR`
+//! renders stored traces and `treu trace DIR --check` re-verifies them
+//! against their addresses.
 //!
-//! Registry-wide `run`, `verify`, `chaos` and `soak` accept `--workers
-//! N`: the batch is sharded across N supervised `treu worker`
-//! subprocesses speaking a length-prefixed frame protocol over
-//! stdin/stdout. `--kill-plan SEED` arms a seeded chaos monkey that
-//! SIGKILLs workers mid-shard (`--kill-rate F` tunes it),
-//! `--respawn-budget N` bounds respawns per worker slot before the
-//! coordinator degrades gracefully to in-process execution, and
-//! `--shard-size N` overrides the auto shard size. Results, fingerprints
-//! and trace addresses are bitwise-identical at every topology and kill
-//! schedule.
+//! `run`, `verify`, `chaos` and `soak` accept `--workers N`: the batch is
+//! sharded across N supervised `treu worker` subprocesses speaking a
+//! length-prefixed frame protocol over stdin/stdout. `--kill-plan SEED`
+//! arms a seeded chaos monkey that SIGKILLs workers mid-shard
+//! (`--kill-rate F` tunes it), `--respawn-budget N` bounds respawns per
+//! worker slot before the coordinator degrades gracefully to in-process
+//! execution, and `--shard-size N` overrides the auto shard size.
+//! Results, fingerprints and trace addresses are bitwise-identical at
+//! every topology and kill schedule.
 //!
 //! Registry-wide `run` and `verify` also accept `--attest-dir DIR` (and
 //! `--attest-key FILE`): after the batch completes, the coordinator
@@ -57,36 +64,113 @@
 //! coordinator-side only, so their bytes are identical at every
 //! `(workers, jobs)` topology.
 //!
-//! Supervision (run/verify): `--retries N` retries failed attempts under
-//! the deterministic backoff, `--deadline-secs F` arms a per-run
-//! watchdog, `--fault-seed S --fault-rate F` inject a seeded fault plan,
-//! `--fault-panic ID` makes one id fail permanently, and `--deny
-//! none|warn|error` decides what findings flip the exit code. Runs that
-//! exhaust their budget are quarantined with a taxonomy, never fatal to
-//! the batch.
+//! Every batch is supervised: `--retries N` retries failed attempts
+//! under the deterministic backoff, `--deadline-secs F` arms a per-run
+//! watchdog, `--fault-seed S --fault-rate F` inject a seeded fault plan
+//! (a faulted `run` never touches the cache), `--fault-panic ID` makes
+//! one id fail permanently, and `--deny none|warn|error` decides what
+//! findings flip the exit code. Runs that exhaust their budget are
+//! quarantined with a taxonomy, never fatal to the batch.
 
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 use treu::core::artifact::Artifact;
 use treu::core::attest::{
     hash_bytes, verify_chain, AttestKey, AttestStore, Layout, Link, LinkDraft, VerifyContext,
 };
 use treu::core::badge::{evaluate, Badge, ClaimCheck};
+use treu::core::batch::{Batch, BatchOutcome, BatchReport, Dispatch, Mode};
 use treu::core::cache::{run_entry_file, CacheBound, RunCache};
 use treu::core::environment::Environment;
-use treu::core::exec::{
-    run_supervised_traced, DenyPolicy, Executor, FailureKind, RunOutcome, SupervisePolicy,
-};
+use treu::core::exec::{DenyPolicy, Executor, RunOutcome, SupervisePolicy};
 use treu::core::experiment::Params;
 use treu::core::fault::{FaultPlan, KillPlan};
-use treu::core::svc::{run_all_svc, verify_all_svc, worker_loop, SvcConfig};
+use treu::core::svc::{worker_loop, SvcConfig};
 use treu::core::trace::{
     check_trace_file, parse_times, parse_trace, render_slowest, render_timeline,
-    render_worker_table, AttemptOutcome, BatchTrace, CacheResult, RunTrace, TraceEvent,
+    render_worker_table, BatchTrace,
 };
 use treu::core::ExperimentRegistry;
 use treu::lint::{DenyLevel, Lint, RuleId, Workspace};
 use treu::surveys::{analysis, Cohort};
+
+/// Prints `msg` and exits 2 — the usage-error exit every flag shares.
+fn usage_err(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// The one flag reader: removes every `FLAG V` and `FLAG=V` from `args`
+/// and returns the values in order. A trailing `FLAG` with no value is a
+/// usage error.
+fn take_all(args: &mut Vec<String>, flag: &str) -> Vec<String> {
+    let mut values = Vec::new();
+    let mut i = 0;
+    while i < args.len() {
+        if let Some(v) = args[i].strip_prefix(flag).and_then(|rest| rest.strip_prefix('=')) {
+            values.push(v.to_string());
+            args.remove(i);
+        } else if args[i] == flag {
+            if i + 1 >= args.len() {
+                usage_err(format!("{flag} requires a value"));
+            }
+            args.remove(i);
+            values.push(args.remove(i));
+        } else {
+            i += 1;
+        }
+    }
+    values
+}
+
+/// The last value of `flag` (see [`take_all`]).
+fn take(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    take_all(args, flag).pop()
+}
+
+/// [`take`], parsed as `T` and accepted by `ok`; anything else is the
+/// usage error `invalid FLAG value 'V' (WANT)`.
+fn take_parsed<T: FromStr>(
+    args: &mut Vec<String>,
+    flag: &str,
+    want: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Option<T> {
+    let v = take(args, flag)?;
+    let parsed = v.parse().ok().filter(|x| ok(x));
+    Some(parsed.unwrap_or_else(|| usage_err(format!("invalid {flag} value '{v}' ({want})"))))
+}
+
+/// Removes the boolean `flag` from `args`; true when it was present.
+fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
+    let before = args.len();
+    args.retain(|a| a != flag);
+    args.len() < before
+}
+
+/// The lone positional argument left once a subcommand's flags are
+/// taken: a leftover flag is unknown to `what`, a second positional is
+/// unexpected.
+fn positional(args: Vec<String>, what: &str) -> Option<String> {
+    let mut found = None;
+    for arg in args {
+        if arg.starts_with('-') {
+            usage_err(format!("unknown {what} flag '{arg}'"));
+        }
+        if found.is_some() {
+            usage_err(format!("unexpected argument '{arg}'"));
+        }
+        found = Some(arg);
+    }
+    found
+}
+
+/// [`positional`] as a seed.
+fn seed_positional(args: Vec<String>, what: &str) -> Option<u64> {
+    positional(args, what)
+        .map(|s| s.parse().unwrap_or_else(|_| usage_err(format!("unexpected argument '{s}'"))))
+}
 
 /// Supervision settings pulled from the shared command-line flags.
 #[derive(Default)]
@@ -103,6 +187,30 @@ struct Supervision {
 }
 
 impl Supervision {
+    /// Removes `--retries N`, `--deadline-secs F`, `--fault-seed S`,
+    /// `--fault-rate F` (alias `--rate F`), `--fault-panic ID`
+    /// (repeatable), `--deny none|warn|error`, and the switches
+    /// `--enforce`, `--full` and `--conformance` from `args`.
+    fn take(args: &mut Vec<String>) -> Self {
+        let rate = |r: &f64| (0.0..=1.0).contains(r);
+        let fault_rate = take_parsed(args, "--fault-rate", "want 0.0..=1.0", rate);
+        Supervision {
+            retries: take_parsed(args, "--retries", "want an integer", |_| true),
+            deadline_secs: take_parsed(args, "--deadline-secs", "want seconds", |_| true),
+            fault_seed: take_parsed(args, "--fault-seed", "want an integer", |_| true),
+            fault_rate: fault_rate.or(take_parsed(args, "--rate", "want 0.0..=1.0", rate)),
+            fault_panic: take_all(args, "--fault-panic"),
+            deny: take(args, "--deny").map(|v| {
+                DenyPolicy::parse(&v).unwrap_or_else(|| {
+                    usage_err(format!("invalid --deny '{v}' (want none|warn|error)"))
+                })
+            }),
+            enforce: take_switch(args, "--enforce"),
+            full: take_switch(args, "--full"),
+            conformance: take_switch(args, "--conformance"),
+        }
+    }
+
     /// The retry/deadline budget the flags ask for.
     fn policy(&self) -> SupervisePolicy {
         let p = SupervisePolicy::new(self.retries.unwrap_or(0));
@@ -128,11 +236,48 @@ impl Supervision {
     fn deny(&self) -> DenyPolicy {
         self.deny.unwrap_or(DenyPolicy::Error)
     }
+}
 
-    /// True when any supervision behaviour beyond "run it plain" is
-    /// requested — the plain paths stay bit-for-bit what they were.
-    fn active(&self) -> bool {
-        self.plan().is_some() || self.retries.is_some() || self.deadline_secs.is_some()
+/// The flags every subcommand shares, removed from the argument list.
+struct Opts {
+    jobs: usize,
+    cache: Option<RunCache>,
+    trace_out: Option<PathBuf>,
+    svc: Option<SvcOpts>,
+    attest: Option<AttestOpts>,
+    sup: Supervision,
+}
+
+impl Opts {
+    /// Takes the shared flags out of `args`. `lint` owns its own `--deny`,
+    /// so `supervision` is false for it and those flags stay in place.
+    fn take(args: &mut Vec<String>, supervision: bool) -> Self {
+        let jobs = take(args, "--jobs").or(take(args, "-j")).map_or_else(
+            treu::math::parallel::default_threads,
+            |v| {
+                v.parse().ok().filter(|&j| j >= 1).unwrap_or_else(|| {
+                    usage_err(format!("invalid --jobs value '{v}' (want a positive integer)"))
+                })
+            },
+        );
+        let no_cache = take_switch(args, "--no-cache");
+        let cache = take(args, "--cache-dir").filter(|_| !no_cache).map(|d| {
+            RunCache::open(Path::new(&d))
+                .unwrap_or_else(|e| usage_err(format!("cannot open cache dir '{d}': {e}")))
+        });
+        let trace_out = take(args, "--trace-out").map(PathBuf::from);
+        let svc = SvcOpts::take(args);
+        let attest = AttestOpts::take(args);
+        let sup = if supervision { Supervision::take(args) } else { Supervision::default() };
+        Opts { jobs, cache, trace_out, svc, attest, sup }
+    }
+
+    /// In-process on this executor, or sharded when `--workers` is given.
+    fn dispatch<'a>(&self, exec: &'a Executor) -> Dispatch<'a> {
+        match &self.svc {
+            Some(s) => Dispatch::Sharded(s.config(self.jobs, true)),
+            None => Dispatch::InProcess(exec),
+        }
     }
 }
 
@@ -153,360 +298,22 @@ fn main() {
         }
         return;
     }
-    let jobs = match extract_jobs(&mut args) {
-        Ok(j) => j,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let cache = match extract_cache(&mut args) {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let cache = cache.as_ref();
-    let trace_out = match extract_trace_out(&mut args) {
-        Ok(t) => t,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let trace_out = trace_out.as_deref();
-    let svc = match extract_svc(&mut args) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let svc = svc.as_ref();
-    let attest = match extract_attest(&mut args) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let attest = attest.as_ref();
-    // `lint` owns its own `--deny` flag; leave its arguments untouched.
-    let sup = if args.first().map(String::as_str) == Some("lint") {
-        Supervision::default()
-    } else {
-        match extract_supervision(&mut args) {
-            Ok(s) => s,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    };
-    let chaos = args.first().map(String::as_str) == Some("chaos");
-    let soak = args.first().map(String::as_str) == Some("soak");
-    if sup.plan().is_some() || chaos || soak {
+    let cmd = args.first().cloned().unwrap_or_default();
+    let o = Opts::take(&mut args, cmd != "lint");
+    if o.sup.plan().is_some() || cmd == "chaos" || cmd == "soak" {
         // Injected faults panic by design; the supervisor catches and
         // reports them, so the default per-panic stderr trace is noise.
         std::panic::set_hook(Box::new(|_| {}));
     }
-    let exec = Executor::new(jobs);
+    let exec = Executor::new(o.jobs);
     let reg = treu::full_registry();
-    let seed_arg = |i: usize| -> u64 { args.get(i).and_then(|s| s.parse().ok()).unwrap_or(2023) };
-    match args.first().map(String::as_str) {
-        Some("list") => print!("{}", reg.render_index()),
-        Some("run") => match args.get(1) {
-            Some(id) => {
-                let seed = seed_arg(2);
-                let Some(entry) = reg.get(id) else {
-                    eprintln!("unknown experiment id '{id}'; try `treu list`");
-                    std::process::exit(1);
-                };
-                if attest.is_some() {
-                    eprintln!(
-                        "attest: links attest whole-registry batches; \
-                         --attest-dir is ignored for a single-id run"
-                    );
-                }
-                if sup.active() {
-                    // treu-lint: allow(wall-clock, reason = "trace timestamps live in the non-hashed sidecar")
-                    let epoch = std::time::Instant::now();
-                    let mut rt = trace_out.map(|_| RunTrace::new(id, seed));
-                    if let Some(rt) = rt.as_mut() {
-                        rt.push(TraceEvent::Claim { replica: 0 }, 0.0);
-                    }
-                    // Supervised runs bypass the cache: a faulted trail
-                    // must never be stored as the experiment's record.
-                    let out = run_supervised_traced(
-                        entry.runner(),
-                        id,
-                        seed,
-                        &entry.defaults,
-                        &sup.policy(),
-                        sup.plan().as_ref(),
-                        0,
-                        rt.as_mut().map(|rt| (rt, epoch)),
-                    );
-                    let gate = match out {
-                        RunOutcome::Ok { record, attempts } => {
-                            println!(
-                                "{} (seed {}, {:.3}s, fingerprint {:#018x}){}",
-                                record.name,
-                                record.seed,
-                                record.wall_seconds,
-                                record.fingerprint(),
-                                if attempts > 1 {
-                                    format!(" [after {attempts} attempts]")
-                                } else {
-                                    String::new()
-                                }
-                            );
-                            print!("{}", record.trail.render());
-                            attempts > 1 && sup.deny() == DenyPolicy::Warn
-                        }
-                        RunOutcome::Failed(f) => {
-                            println!(
-                                "{id}: QUARANTINED({}) after {} attempt(s): {}",
-                                f.taxonomy.name(),
-                                f.attempts,
-                                f.last_error
-                            );
-                            sup.deny() != DenyPolicy::None
-                        }
-                    };
-                    if let (Some(dir), Some(rt)) = (trace_out, rt) {
-                        let mut trace = BatchTrace::empty("run", seed);
-                        trace.jobs = 1;
-                        trace.wall_seconds = epoch.elapsed().as_secs_f64();
-                        trace.runs.push(rt);
-                        write_trace(&trace, dir);
-                    }
-                    if gate {
-                        std::process::exit(1);
-                    }
-                    return;
-                }
-                // treu-lint: allow(wall-clock, reason = "trace timestamps live in the non-hashed sidecar")
-                let epoch = std::time::Instant::now();
-                let mut rt = trace_out.map(|_| RunTrace::new(id, seed));
-                let hit = cache.and_then(|c| c.lookup(id, seed, &entry.defaults));
-                let cached = hit.is_some();
-                if let (Some(rt), Some(_)) = (rt.as_mut(), cache) {
-                    let result = if cached { CacheResult::Hit } else { CacheResult::Miss };
-                    rt.push(TraceEvent::Cache { result }, epoch.elapsed().as_secs_f64());
-                }
-                let rec = match hit {
-                    Some(rec) => rec,
-                    None => {
-                        if let Some(rt) = rt.as_mut() {
-                            let at = epoch.elapsed().as_secs_f64();
-                            rt.push(TraceEvent::Claim { replica: 0 }, at);
-                            rt.push(TraceEvent::AttemptStart { replica: 0, attempt: 0 }, at);
-                        }
-                        let rec = reg.run(id, seed).expect("id checked above");
-                        if let Some(rt) = rt.as_mut() {
-                            rt.push(
-                                TraceEvent::AttemptEnd {
-                                    replica: 0,
-                                    attempt: 0,
-                                    outcome: AttemptOutcome::Ok,
-                                },
-                                epoch.elapsed().as_secs_f64(),
-                            );
-                        }
-                        if let Some(c) = cache {
-                            match c.store(id, seed, &entry.defaults, &rec) {
-                                Ok(()) => {
-                                    if let Some(rt) = rt.as_mut() {
-                                        rt.push(
-                                            TraceEvent::CacheStored,
-                                            epoch.elapsed().as_secs_f64(),
-                                        );
-                                    }
-                                }
-                                Err(e) => eprintln!("cache: store failed: {e}"),
-                            }
-                        }
-                        rec
-                    }
-                };
-                println!(
-                    "{} (seed {}, {:.3}s, fingerprint {:#018x}){}",
-                    rec.name,
-                    rec.seed,
-                    rec.wall_seconds,
-                    rec.fingerprint(),
-                    if cached { " [cached]" } else { "" }
-                );
-                print!("{}", rec.trail.render());
-                if let Some(c) = cache {
-                    print!("{}", c.render_stats());
-                }
-                if let (Some(dir), Some(rt)) = (trace_out, rt) {
-                    let mut trace = BatchTrace::empty("run", seed);
-                    trace.jobs = 1;
-                    trace.wall_seconds = epoch.elapsed().as_secs_f64();
-                    trace.runs.push(rt);
-                    write_trace(&trace, dir);
-                }
-            }
-            // No id: run the whole registry through the executor.
-            None => {
-                if let Some(svc) = svc {
-                    let (pairs, report, stats) = run_all_svc(
-                        &reg,
-                        seed_arg(1),
-                        cache,
-                        &sup.policy(),
-                        sup.plan().as_ref(),
-                        svc.config(jobs, true),
-                    )
-                    .unwrap_or_else(|e| {
-                        eprintln!("svc: {e}");
-                        std::process::exit(2);
-                    });
-                    for (id, out) in &pairs {
-                        match out {
-                            RunOutcome::Ok { record, attempts } => println!(
-                                "{:<10} {} (seed {}, fingerprint {:#018x}){}",
-                                id,
-                                record.name,
-                                record.seed,
-                                record.fingerprint(),
-                                if *attempts > 1 {
-                                    format!(" [after {attempts} attempts]")
-                                } else {
-                                    String::new()
-                                }
-                            ),
-                            RunOutcome::Failed(f) => println!(
-                                "{:<10} QUARANTINED({}) after {} attempt(s): {}",
-                                id,
-                                f.taxonomy.name(),
-                                f.attempts,
-                                f.last_error
-                            ),
-                        }
-                    }
-                    println!();
-                    print!("{}", report.render());
-                    println!("{}", stats.render());
-                    if let Some(c) = cache {
-                        print!("{}", c.render_stats());
-                    }
-                    if let Some(dir) = trace_out {
-                        write_trace(&report.trace, dir);
-                    }
-                    if let Some(at) = attest {
-                        // Coordinator-side only: workers never touch the chain.
-                        let mut d = LinkDraft::new("run", seed_arg(1));
-                        d.absorb_run_outcomes(&pairs);
-                        attest_emit(
-                            at,
-                            &reg,
-                            d,
-                            cache,
-                            &|_, p| p,
-                            trace_out.map(|_| &report.trace),
-                        );
-                    }
-                    let retried = pairs.iter().any(|(_, o)| o.is_ok() && o.attempts() > 1);
-                    let gated = match sup.deny() {
-                        DenyPolicy::None => false,
-                        DenyPolicy::Error => report.failed_runs > 0,
-                        DenyPolicy::Warn => report.failed_runs > 0 || retried,
-                    };
-                    if gated {
-                        std::process::exit(1);
-                    }
-                    return;
-                }
-                if sup.active() {
-                    let (pairs, report) = exec.run_all_supervised(
-                        &reg,
-                        seed_arg(1),
-                        &sup.policy(),
-                        sup.plan().as_ref(),
-                    );
-                    for (id, out) in &pairs {
-                        match out {
-                            RunOutcome::Ok { record, attempts } => println!(
-                                "{:<10} {} (seed {}, fingerprint {:#018x}){}",
-                                id,
-                                record.name,
-                                record.seed,
-                                record.fingerprint(),
-                                if *attempts > 1 {
-                                    format!(" [after {attempts} attempts]")
-                                } else {
-                                    String::new()
-                                }
-                            ),
-                            RunOutcome::Failed(f) => println!(
-                                "{:<10} QUARANTINED({}) after {} attempt(s): {}",
-                                id,
-                                f.taxonomy.name(),
-                                f.attempts,
-                                f.last_error
-                            ),
-                        }
-                    }
-                    println!();
-                    print!("{}", report.render());
-                    if let Some(dir) = trace_out {
-                        write_trace(&report.trace, dir);
-                    }
-                    if let Some(at) = attest {
-                        let mut d = LinkDraft::new("run", seed_arg(1));
-                        d.absorb_run_outcomes(&pairs);
-                        attest_emit(
-                            at,
-                            &reg,
-                            d,
-                            cache,
-                            &|_, p| p,
-                            trace_out.map(|_| &report.trace),
-                        );
-                    }
-                    let retried = pairs.iter().any(|(_, o)| o.is_ok() && o.attempts() > 1);
-                    let gated = match sup.deny() {
-                        DenyPolicy::None => false,
-                        DenyPolicy::Error => report.failed_runs > 0,
-                        DenyPolicy::Warn => report.failed_runs > 0 || retried,
-                    };
-                    if gated {
-                        std::process::exit(1);
-                    }
-                    return;
-                }
-                let (records, report) = exec.run_all_report_cached(&reg, seed_arg(1), cache);
-                for (id, rec) in &records {
-                    println!(
-                        "{:<10} {} (seed {}, fingerprint {:#018x})",
-                        id,
-                        rec.name,
-                        rec.seed,
-                        rec.fingerprint()
-                    );
-                }
-                println!();
-                print!("{}", report.render());
-                if let Some(c) = cache {
-                    print!("{}", c.render_stats());
-                }
-                if let Some(dir) = trace_out {
-                    write_trace(&report.trace, dir);
-                }
-                if let Some(at) = attest {
-                    let mut d = LinkDraft::new("run", seed_arg(1));
-                    d.absorb_run_records(&records);
-                    attest_emit(at, &reg, d, cache, &|_, p| p, trace_out.map(|_| &report.trace));
-                }
-            }
-        },
-        Some("tables") => {
-            let seed = seed_arg(1);
+    match cmd.as_str() {
+        "list" => print!("{}", reg.render_index()),
+        "run" => run_batch_cmd(&reg, &exec, &args, &o, Mode::Run),
+        "verify" => run_batch_cmd(&reg, &exec, &args, &o, Mode::Verify),
+        "tables" => {
+            let seed = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2023);
+            let cache = o.cache.as_ref();
             let tag = seed.to_string();
             let out = match cache.and_then(|c| c.lookup_blob("tables", &tag)) {
                 Some(blob) => blob,
@@ -537,302 +344,237 @@ fn main() {
                 print!("{}", c.render_stats());
             }
         }
-        Some("verify") => {
-            let seed = seed_arg(2);
-            match args.get(1) {
-                Some(id) => {
-                    let Some(entry) = reg.get(id) else {
-                        eprintln!("unknown experiment id '{id}'");
-                        std::process::exit(1);
-                    };
-                    if attest.is_some() {
-                        eprintln!(
-                            "attest: links attest whole-registry batches; \
-                             --attest-dir is ignored for a single-id verify"
-                        );
-                    }
-                    if sup.active() {
-                        let policy = sup.policy();
-                        let plan = sup.plan();
-                        // treu-lint: allow(wall-clock, reason = "trace timestamps live in the non-hashed sidecar")
-                        let epoch = std::time::Instant::now();
-                        let tracing = trace_out.is_some();
-                        let pairs = exec.map_indexed(2, |i| {
-                            let mut rt = tracing.then(|| RunTrace::new(id, seed));
-                            if let Some(rt) = rt.as_mut() {
-                                rt.push(
-                                    TraceEvent::Claim { replica: i as u32 },
-                                    epoch.elapsed().as_secs_f64(),
-                                );
-                            }
-                            let out = run_supervised_traced(
-                                entry.runner(),
-                                id,
-                                seed,
-                                &entry.defaults,
-                                &policy,
-                                plan.as_ref(),
-                                i as u32,
-                                rt.as_mut().map(|rt| (rt, epoch)),
-                            );
-                            (out, rt)
-                        });
-                        let (outs, rts): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
-                        let (gate, verdict) = match (&outs[0], &outs[1]) {
-                            (
-                                RunOutcome::Ok { record: a, attempts: aa },
-                                RunOutcome::Ok { record: b, attempts: ab },
-                            ) if a.trail == b.trail => {
-                                let attempts = (*aa).max(*ab);
-                                println!(
-                                    "{id}: REPRODUCED (fingerprint {:#018x}){}",
-                                    a.fingerprint(),
-                                    if attempts > 1 {
-                                        format!(" [after {attempts} attempts]")
-                                    } else {
-                                        String::new()
-                                    }
-                                );
-                                let gate = attempts > 1 && sup.deny() == DenyPolicy::Warn;
-                                (gate, (true, attempts, a.fingerprint(), None))
-                            }
-                            (
-                                RunOutcome::Ok { record: a, attempts: aa },
-                                RunOutcome::Ok { attempts: ab, .. },
-                            ) => {
-                                println!("{id}: MISMATCH — run is not deterministic");
-                                (
-                                    sup.deny() != DenyPolicy::None,
-                                    (
-                                        false,
-                                        (*aa).max(*ab),
-                                        a.fingerprint(),
-                                        Some(FailureKind::Nondeterministic.name()),
-                                    ),
-                                )
-                            }
-                            _ => {
-                                let f = outs
-                                    .iter()
-                                    .find_map(|o| match o {
-                                        RunOutcome::Failed(f) => Some(f),
-                                        RunOutcome::Ok { .. } => None,
-                                    })
-                                    .expect("a non-ok pair contains a failure");
-                                println!(
-                                    "{id}: QUARANTINED({}) after {} attempt(s): {}",
-                                    f.taxonomy.name(),
-                                    f.attempts,
-                                    f.last_error
-                                );
-                                (
-                                    sup.deny() != DenyPolicy::None,
-                                    (false, f.attempts, 0, Some(f.taxonomy.name())),
-                                )
-                            }
-                        };
-                        if let Some(dir) = trace_out {
-                            let mut merged = RunTrace::new(id, seed);
-                            for rt in rts.into_iter().flatten() {
-                                merged.absorb(rt);
-                            }
-                            let (reproduced, attempts, fingerprint, failure) = verdict;
-                            merged.push(
-                                TraceEvent::Verdict {
-                                    reproduced,
-                                    cached: false,
-                                    attempts,
-                                    fingerprint,
-                                    failure,
-                                },
-                                epoch.elapsed().as_secs_f64(),
-                            );
-                            let mut trace = BatchTrace::empty("verify", seed);
-                            trace.jobs = jobs;
-                            trace.wall_seconds = epoch.elapsed().as_secs_f64();
-                            trace.runs.push(merged);
-                            write_trace(&trace, dir);
-                        }
-                        if gate {
-                            std::process::exit(1);
-                        }
-                        return;
-                    }
-                    // treu-lint: allow(wall-clock, reason = "trace timestamps live in the non-hashed sidecar")
-                    let epoch = std::time::Instant::now();
-                    let mut rt = trace_out.map(|_| RunTrace::new(id, seed));
-                    let write_verify_trace = |rt: RunTrace, dir: &Path| {
-                        let mut trace = BatchTrace::empty("verify", seed);
-                        trace.jobs = jobs;
-                        trace.wall_seconds = epoch.elapsed().as_secs_f64();
-                        trace.runs.push(rt);
-                        write_trace(&trace, dir);
-                    };
-                    if let Some(rec) = cache.and_then(|c| c.lookup(id, seed, &entry.defaults)) {
-                        // A cached trail was produced by a verified run under
-                        // the same code+env fingerprint: reproduced by replay.
-                        println!(
-                            "{id}: REPRODUCED [cached] (fingerprint {:#018x})",
-                            rec.fingerprint()
-                        );
-                        if let Some(c) = cache {
-                            print!("{}", c.render_stats());
-                        }
-                        if let (Some(dir), Some(mut rt)) = (trace_out, rt) {
-                            let at = epoch.elapsed().as_secs_f64();
-                            rt.push(TraceEvent::Cache { result: CacheResult::Hit }, at);
-                            rt.push(
-                                TraceEvent::Verdict {
-                                    reproduced: true,
-                                    cached: true,
-                                    attempts: 1,
-                                    fingerprint: rec.fingerprint(),
-                                    failure: None,
-                                },
-                                at,
-                            );
-                            write_verify_trace(rt, dir);
-                        }
-                        return;
-                    }
-                    if let (Some(rt), Some(_)) = (rt.as_mut(), cache) {
-                        let at = epoch.elapsed().as_secs_f64();
-                        rt.push(TraceEvent::Cache { result: CacheResult::Miss }, at);
-                    }
-                    // Two concurrent replicas of the same run.
-                    let runs =
-                        exec.map_indexed(2, |_| reg.run(id, seed).expect("id checked above"));
-                    if let Some(rt) = rt.as_mut() {
-                        let at = epoch.elapsed().as_secs_f64();
-                        for replica in 0..2u32 {
-                            rt.push(TraceEvent::Claim { replica }, at);
-                            rt.push(TraceEvent::AttemptStart { replica, attempt: 0 }, at);
-                            rt.push(
-                                TraceEvent::AttemptEnd {
-                                    replica,
-                                    attempt: 0,
-                                    outcome: AttemptOutcome::Ok,
-                                },
-                                at,
-                            );
-                        }
-                    }
-                    let reproduced = runs[0].trail == runs[1].trail;
-                    if reproduced {
-                        if let Some(c) = cache {
-                            match c.store(id, seed, &entry.defaults, &runs[0]) {
-                                Ok(()) => {
-                                    if let Some(rt) = rt.as_mut() {
-                                        rt.push(
-                                            TraceEvent::CacheStored,
-                                            epoch.elapsed().as_secs_f64(),
-                                        );
-                                    }
-                                }
-                                Err(e) => eprintln!("cache: store failed: {e}"),
-                            }
-                        }
-                        println!("{id}: REPRODUCED (fingerprint {:#018x})", runs[0].fingerprint());
-                        if let Some(c) = cache {
-                            print!("{}", c.render_stats());
-                        }
-                    } else {
-                        println!("{id}: MISMATCH — run is not deterministic");
-                    }
-                    if let (Some(dir), Some(mut rt)) = (trace_out, rt.take()) {
-                        rt.push(
-                            TraceEvent::Verdict {
-                                reproduced,
-                                cached: false,
-                                attempts: 1,
-                                fingerprint: runs[0].fingerprint(),
-                                failure: (!reproduced)
-                                    .then(|| FailureKind::Nondeterministic.name()),
-                            },
-                            epoch.elapsed().as_secs_f64(),
-                        );
-                        write_verify_trace(rt, dir);
-                    }
-                    if !reproduced {
-                        std::process::exit(1);
-                    }
-                }
-                // No id: verify the whole registry under supervision
-                // (with default flags this is exactly the old behaviour).
-                None => {
-                    let params = |id: &str, d| {
-                        if sup.conformance {
-                            treu::conformance_params(id)
-                        } else {
-                            d
-                        }
-                    };
-                    let report = match svc {
-                        Some(svc) => {
-                            let (report, stats) = verify_all_svc(
-                                &reg,
-                                seed_arg(1),
-                                cache,
-                                &sup.policy(),
-                                sup.plan().as_ref(),
-                                params,
-                                svc.config(jobs, true),
-                            )
-                            .unwrap_or_else(|e| {
-                                eprintln!("svc: {e}");
-                                std::process::exit(2);
-                            });
-                            println!("{}", stats.render());
-                            report
-                        }
-                        None => exec.verify_all_supervised_with(
-                            &reg,
-                            seed_arg(1),
-                            cache,
-                            &sup.policy(),
-                            sup.plan().as_ref(),
-                            params,
-                        ),
-                    };
-                    print!("{}", report.render());
-                    if let Some(c) = cache {
-                        print!("{}", c.render_stats());
-                    }
-                    if let Some(dir) = trace_out {
-                        write_trace(&report.trace, dir);
-                    }
-                    if let Some(at) = attest {
-                        // Coordinator-side only: the svc workers never see
-                        // the chain, so link bytes are topology-invariant.
-                        let mut d = LinkDraft::new("verify", seed_arg(1));
-                        d.absorb_verify(&report);
-                        attest_emit(at, &reg, d, cache, &params, trace_out.map(|_| &report.trace));
-                    }
-                    if report.exceeds(sup.deny()) {
-                        std::process::exit(1);
-                    }
-                }
+        "env" => print!("{}", Environment::capture().render()),
+        "attest" => run_attest_cmd(&args[1..], &reg, &o),
+        "chaos" => run_chaos(&reg, &exec, &args, &o),
+        "soak" => run_soak_cmd(&reg, &args[1..], &o),
+        "trace" => run_trace(&args[1..]),
+        "lint" => run_lint(&args[1..], o.jobs),
+        "tune" => run_tune_cmd(&args[1..], &o),
+        _ => usage_err(
+            "usage: treu <list|run|tables|verify|chaos|trace|env|attest|lint|soak|tune|worker> \
+             [...] [--jobs N] [--cache-dir DIR] [--no-cache] [--trace-out DIR] \
+             [--attest-dir DIR] [--attest-key FILE] [--conformance] \
+             [--retries N] [--deadline-secs F] [--fault-seed S] \
+             [--fault-rate F] [--fault-panic ID] [--deny none|warn|error] \
+             [--workers N] [--kill-plan SEED] [--kill-rate F] \
+             [--respawn-budget N] [--shard-size N]",
+        ),
+    }
+}
+
+/// `treu run|verify [id] [seed]` — one batch request over the whole
+/// registry, or over `id` when one is named, then the shared tail. A
+/// single id prints its own line format (with the trail, for `run`); the
+/// registry prints one line per id plus the batch report.
+fn run_batch_cmd(reg: &ExperimentRegistry, exec: &Executor, args: &[String], o: &Opts, mode: Mode) {
+    let single = args.get(1).cloned();
+    if let Some(id) = single.as_deref().filter(|id| reg.get(id).is_none()) {
+        eprintln!("unknown experiment id '{id}'; try `treu list`");
+        std::process::exit(1);
+    }
+    let seed = args.get(if single.is_some() { 2 } else { 1 });
+    let params =
+        |id: &str, d: Params| if o.sup.conformance { treu::conformance_params(id) } else { d };
+    let plan = o.sup.plan();
+    let batch = Batch {
+        mode,
+        seed: seed.and_then(|s| s.parse().ok()).unwrap_or(2023),
+        ids: single.clone().map(|id| vec![id]),
+        params: &params,
+        cache: o.cache.as_ref(),
+        policy: o.sup.policy(),
+        plan: plan.as_ref(),
+    };
+    let out = execute(&batch, reg, o.dispatch(exec));
+    match &out.report {
+        BatchReport::Run { outcomes, report } => {
+            for (id, outcome) in outcomes {
+                print_run(id, outcome, single.is_some(), report.cached_runs > 0);
+            }
+            if single.is_none() {
+                println!();
+                print!("{}", report.render());
             }
         }
-        Some("env") => print!("{}", Environment::capture().render()),
-        Some("attest") => run_attest_cmd(&args[1..], &reg, attest, cache, trace_out, &sup),
-        Some("chaos") => run_chaos(&exec, &reg, seed_arg(1), &sup, trace_out, svc, jobs),
-        Some("soak") => run_soak_cmd(&reg, &args[1..], jobs, &sup, svc),
-        Some("trace") => run_trace(&args[1..]),
-        Some("lint") => run_lint(&args[1..], jobs),
-        Some("tune") => run_tune_cmd(&args[1..], cache, jobs, &sup),
-        _ => {
-            eprintln!(
-                "usage: treu <list|run|tables|verify|chaos|trace|env|attest|lint|soak|tune|worker> \
-                 [...] [--jobs N] [--cache-dir DIR] [--no-cache] [--trace-out DIR] \
-                 [--attest-dir DIR] [--attest-key FILE] \
-                 [--retries N] [--deadline-secs F] [--fault-seed S] \
-                 [--fault-rate F] [--fault-panic ID] [--deny none|warn|error] \
-                 [--workers N] [--kill-plan SEED] [--kill-rate F] \
-                 [--respawn-budget N] [--shard-size N]"
-            );
-            std::process::exit(2);
+        BatchReport::Verify(r) if single.is_some() => {
+            for v in &r.outcomes {
+                println!("{}: {}", v.id, v.status());
+            }
         }
+        BatchReport::Verify(r) => print!("{}", r.render()),
+    }
+    if o.attest.is_some() && single.is_some() {
+        eprintln!(
+            "attest: links attest whole-registry batches; --attest-dir is ignored for a \
+             single-id {}",
+            step(mode)
+        );
+    }
+    let attest = o.attest.as_ref().filter(|_| single.is_none());
+    if finish(&batch, &out, reg, o, attest, o.sup.deny()) {
+        std::process::exit(1);
+    }
+}
+
+/// The attestation step (and trace kind) of a batch mode.
+fn step(mode: Mode) -> &'static str {
+    match mode {
+        Mode::Run => "run",
+        Mode::Verify => "verify",
+    }
+}
+
+/// Runs `batch` through `dispatch`; a coordinator I/O failure exits 2.
+fn execute(batch: &Batch, reg: &ExperimentRegistry, dispatch: Dispatch) -> BatchOutcome {
+    batch.execute(reg, dispatch).unwrap_or_else(|e| usage_err(format!("svc: {e}")))
+}
+
+/// Prints one run outcome: `ID NAME (seed, fingerprint)` for a registry
+/// batch, or — for a single id — its provenance line and trail.
+fn print_run(id: &str, outcome: &RunOutcome, single: bool, cached: bool) {
+    let label = if single { format!("{id}:") } else { format!("{id:<10}") };
+    match outcome {
+        RunOutcome::Failed(f) => println!(
+            "{label} QUARANTINED({}) after {} attempt(s): {}",
+            f.taxonomy.name(),
+            f.attempts,
+            f.last_error
+        ),
+        RunOutcome::Ok { record: r, attempts } => {
+            let after =
+                if *attempts > 1 { format!(" [after {attempts} attempts]") } else { String::new() };
+            if single {
+                println!(
+                    "{} (seed {}, {:.3}s, fingerprint {:#018x}){}{after}",
+                    r.name,
+                    r.seed,
+                    r.wall_seconds,
+                    r.fingerprint(),
+                    if cached { " [cached]" } else { "" }
+                );
+                print!("{}", r.trail.render());
+            } else {
+                println!(
+                    "{label} {} (seed {}, fingerprint {:#018x}){after}",
+                    r.name,
+                    r.seed,
+                    r.fingerprint()
+                );
+            }
+        }
+    }
+}
+
+/// The one batch tail, after the command printed its lines: service
+/// stats, cache stats, the trace file, the attestation link when `attest`
+/// is given, then the `deny` gate — true when the exit code must flip.
+fn finish(
+    batch: &Batch,
+    out: &BatchOutcome,
+    reg: &ExperimentRegistry,
+    o: &Opts,
+    attest: Option<&AttestOpts>,
+    deny: DenyPolicy,
+) -> bool {
+    if let Some(stats) = &out.svc {
+        println!("{}", stats.render());
+    }
+    if let Some(c) = batch.cache {
+        print!("{}", c.render_stats());
+    }
+    let trace = out.report.trace();
+    if let Some(dir) = &o.trace_out {
+        write_trace(trace, dir);
+    }
+    if let Some(at) = attest {
+        // Coordinator-side only: workers never touch the chain, so link
+        // bytes are topology-invariant.
+        let mut d = LinkDraft::new(step(batch.mode), batch.seed);
+        match &out.report {
+            BatchReport::Run { outcomes, .. } => d.absorb_run_outcomes(outcomes),
+            BatchReport::Verify(r) => d.absorb_verify(r),
+        }
+        attest_emit(at, reg, d, batch.cache, batch.params, o.trace_out.as_ref().map(|_| trace));
+    }
+    out.report.exceeds(deny)
+}
+
+/// `treu chaos [seed] [--fault-seed S] [--rate F] [--retries N]
+/// [--deadline-secs F] [--enforce] [--full]` — the supervision
+/// conformance check: a fault-free `run` batch fixes every registered
+/// experiment's baseline fingerprint, then the whole registry is verified
+/// under a seeded *transient-only* fault plan with enough retries to
+/// outlast it. Every id must converge to its fault-free fingerprint;
+/// `--enforce` turns any divergence or quarantine into exit 1. Uses the
+/// fast conformance parameters unless `--full` asks for registry
+/// defaults.
+///
+/// With `--workers N` the chaos pass runs through the sharded
+/// coordinator/worker service instead of in-process threads, and
+/// `--kill-plan SEED` additionally arms the process-level chaos monkey
+/// that SIGKILLs workers mid-shard — the drill then proves that
+/// supervision, requeue and degradation still converge every id to its
+/// fault-free fingerprint.
+fn run_chaos(reg: &ExperimentRegistry, exec: &Executor, args: &[String], o: &Opts) {
+    let sup = &o.sup;
+    let seed = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2023);
+    let plan = FaultPlan::transient(sup.fault_seed.unwrap_or(7), sup.fault_rate.unwrap_or(0.2));
+    let retries = sup.retries.unwrap_or_else(|| plan.max_transient_attempts());
+    let mut policy = SupervisePolicy::new(retries);
+    if let Some(s) = sup.deadline_secs {
+        policy = policy.with_deadline_secs(s);
+    }
+    let params = |id: &str, d: Params| if sup.full { d } else { treu::conformance_params(id) };
+    let clean = Batch { params: &params, ..Batch::new(Mode::Run, seed) };
+    let (baseline, _) = execute(&clean, reg, Dispatch::InProcess(exec)).report.into_run();
+    let batch = Batch { mode: Mode::Verify, policy, plan: Some(&plan), ..clean };
+    let mut out = execute(&batch, reg, o.dispatch(exec));
+    let BatchReport::Verify(report) = &mut out.report else { unreachable!("a verify batch") };
+    report.trace.kind = "chaos".to_string();
+    let mut diverged = 0usize;
+    let mut quarantined = 0usize;
+    for (v, (_, base)) in report.outcomes.iter().zip(&baseline) {
+        let base = base.record().map_or(0, |r| r.fingerprint());
+        if let Some(f) = &v.failure {
+            quarantined += 1;
+            println!(
+                "{:<10} QUARANTINED({}) after {} attempt(s): {}",
+                v.id,
+                f.taxonomy.name(),
+                f.attempts,
+                f.last_error
+            );
+        } else if v.fingerprint != base {
+            diverged += 1;
+            println!(
+                "{:<10} DIVERGED: chaos fingerprint {:#018x} != fault-free {:#018x}",
+                v.id, v.fingerprint, base
+            );
+        } else {
+            println!(
+                "{:<10} CONVERGED (fingerprint {:#018x}{})",
+                v.id,
+                v.fingerprint,
+                if v.attempts > 1 { format!(", {} attempts", v.attempts) } else { String::new() }
+            );
+        }
+    }
+    println!(
+        "{}/{} converged to fault-free trails under fault plan (seed {}, rate {:.2}, {} retr{}) \
+         in {:.3}s with {} job(s)",
+        report.outcomes.len() - diverged - quarantined,
+        report.outcomes.len(),
+        plan.seed(),
+        plan.rate(),
+        retries,
+        if retries == 1 { "y" } else { "ies" },
+        report.wall_seconds,
+        report.jobs
+    );
+    let deny = if sup.enforce { DenyPolicy::Error } else { DenyPolicy::None };
+    if finish(&batch, &out, reg, o, None, deny) || (sup.enforce && diverged > 0) {
+        std::process::exit(1);
     }
 }
 
@@ -854,83 +596,48 @@ const SOAK_HIT_RATE_FLOOR: f64 = 0.25;
 /// addresses, eviction logs and final cache contents across all three,
 /// zero drift and zero quarantines, at least one eviction (the bound
 /// must actually bite), and a steady-state hit-rate above the floor.
-fn run_soak_cmd(
-    reg: &treu::core::ExperimentRegistry,
-    args: &[String],
-    jobs: usize,
-    sup: &Supervision,
-    svc: Option<&SvcOpts>,
-) {
+fn run_soak_cmd(reg: &ExperimentRegistry, args: &[String], o: &Opts) {
     use treu_bench::soak::{generate, run_soak, SoakConfig, SoakReport};
 
-    fn usage_err(msg: String) -> ! {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    }
-    if let Some(o) = svc {
-        run_svc_soak_cmd(reg, args, sup, o);
+    let sup = &o.sup;
+    if let Some(svc) = &o.svc {
+        run_svc_soak_cmd(reg, args, sup, svc);
         return;
     }
-    let mut cfg = if sup.full { SoakConfig::full(jobs) } else { SoakConfig::quick(jobs) };
+    let mut cfg = if sup.full { SoakConfig::full(o.jobs) } else { SoakConfig::quick(o.jobs) };
     if let Some(s) = sup.fault_seed {
         cfg.fault_seed = s;
     }
     if let Some(r) = sup.fault_rate {
         cfg.fault_rate = r;
     }
-    let mut out_path = "BENCH_soak.json".to_string();
-    let mut seed_pos: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let mut flag_value = |flag: &str| -> Option<String> {
-            if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-                return Some(v.to_string());
-            }
-            if arg == flag {
-                if i + 1 >= args.len() {
-                    usage_err(format!("{flag} requires a value"));
-                }
-                i += 1;
-                return Some(args[i].clone());
-            }
-            None
-        };
-        let parse_n = |flag: &str, v: &str| -> usize {
-            v.parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| usage_err(format!("invalid {flag} value '{v}'")))
-        };
-        if let Some(v) = flag_value("--tenants") {
-            cfg.tenants = parse_n("--tenants", &v);
-        } else if let Some(v) = flag_value("--epochs") {
-            cfg.epochs = parse_n("--epochs", &v) as u32;
-        } else if let Some(v) = flag_value("--per-epoch") {
-            cfg.submissions_per_epoch = parse_n("--per-epoch", &v);
-        } else if let Some(v) = flag_value("--cache-entries") {
-            cfg.bound = CacheBound::entries(parse_n("--cache-entries", &v));
-        } else if let Some(v) = flag_value("--cache-bytes") {
-            cfg.bound = CacheBound::bytes(parse_n("--cache-bytes", &v) as u64);
-        } else if let Some(v) = flag_value("--out") {
-            out_path = v;
-        } else if arg == "--quick" {
-            // The default shape; accepted so scripts can say what they mean.
-        } else if arg.starts_with('-') {
-            usage_err(format!("unknown soak flag '{arg}'"));
-        } else if seed_pos.is_none() && arg.parse::<u64>().is_ok() {
-            seed_pos = Some(arg.parse().expect("checked above"));
-        } else {
-            usage_err(format!("unexpected argument '{arg}'"));
-        }
-        i += 1;
+    let mut args = args.to_vec();
+    let want = "want a positive integer";
+    let positive = |n: &usize| *n >= 1;
+    if let Some(n) = take_parsed(&mut args, "--tenants", want, positive) {
+        cfg.tenants = n;
     }
-    if let Some(s) = seed_pos {
+    if let Some(n) = take_parsed(&mut args, "--epochs", want, positive) {
+        cfg.epochs = n as u32;
+    }
+    if let Some(n) = take_parsed(&mut args, "--per-epoch", want, positive) {
+        cfg.submissions_per_epoch = n;
+    }
+    if let Some(n) = take_parsed(&mut args, "--cache-entries", want, positive) {
+        cfg.bound = CacheBound::entries(n);
+    }
+    if let Some(n) = take_parsed(&mut args, "--cache-bytes", want, positive) {
+        cfg.bound = CacheBound::bytes(n as u64);
+    }
+    let out_path = take(&mut args, "--out").unwrap_or_else(|| "BENCH_soak.json".to_string());
+    // The default shape; accepted so scripts can say what they mean.
+    take_switch(&mut args, "--quick");
+    if let Some(s) = seed_positional(args, "soak") {
         cfg.seed = s;
     }
     // Conformance parameters keep every submission fast — the soak's
     // stress is volume and churn, not per-run cost.
-    let params_of = |id: &str, _d: treu::core::experiment::Params| treu::conformance_params(id);
+    let params_of = |id: &str, _d: Params| treu::conformance_params(id);
 
     // Each soak run gets a fresh bounded cache in scratch space; the
     // report is what survives, not the directory.
@@ -953,7 +660,7 @@ fn run_soak_cmd(
     // traffic for the configured tenant population.
     let ids: Vec<String> = reg.iter().map(|(id, _)| id.to_string()).collect();
     if generate(&cfg, &ids).is_empty() {
-        usage_err("soak: empty submission stream (check --epochs/--per-epoch)".into());
+        usage_err("soak: empty submission stream (check --epochs/--per-epoch)");
     }
 
     let primary = run_once("primary", &cfg);
@@ -1050,61 +757,24 @@ fn run_soak_cmd(
 /// baseline's trace address and fingerprint digest; throughput per
 /// topology is written to `BENCH_svc.json` (or `--out`). `--enforce`
 /// turns any divergence into exit 1.
-fn run_svc_soak_cmd(
-    reg: &treu::core::ExperimentRegistry,
-    args: &[String],
-    sup: &Supervision,
-    o: &SvcOpts,
-) {
+fn run_svc_soak_cmd(reg: &ExperimentRegistry, args: &[String], sup: &Supervision, o: &SvcOpts) {
     use treu_bench::svc::{run_svc_soak, SvcSoakConfig};
 
-    fn usage_err(msg: String) -> ! {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    }
     let mut cfg = SvcSoakConfig::new(o.workers);
     cfg.kill_seed = o.kill_seed;
     cfg.kill_rate = o.kill_rate;
     cfg.respawn_budget = o.respawn_budget;
-    let mut out_path = "BENCH_svc.json".to_string();
-    let mut seed_pos: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let mut flag_value = |flag: &str| -> Option<String> {
-            if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-                return Some(v.to_string());
-            }
-            if arg == flag {
-                if i + 1 >= args.len() {
-                    usage_err(format!("{flag} requires a value"));
-                }
-                i += 1;
-                return Some(args[i].clone());
-            }
-            None
-        };
-        if let Some(v) = flag_value("--passes") {
-            cfg.passes = v.parse::<u32>().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                usage_err(format!("invalid --passes value '{v}' (want a positive integer)"))
-            });
-        } else if let Some(v) = flag_value("--out") {
-            out_path = v;
-        } else if arg.starts_with('-') {
-            usage_err(format!("unknown svc soak flag '{arg}'"));
-        } else if seed_pos.is_none() && arg.parse::<u64>().is_ok() {
-            seed_pos = Some(arg.parse().expect("checked above"));
-        } else {
-            usage_err(format!("unexpected argument '{arg}'"));
-        }
-        i += 1;
+    let mut args = args.to_vec();
+    if let Some(n) = take_parsed(&mut args, "--passes", "want a positive integer", |&n| n >= 1) {
+        cfg.passes = n;
     }
-    if let Some(s) = seed_pos {
+    let out_path = take(&mut args, "--out").unwrap_or_else(|| "BENCH_svc.json".to_string());
+    if let Some(s) = seed_positional(args, "svc soak") {
         cfg.seed = s;
     }
     // Conformance parameters, as in the multi-tenant soak: the stress is
     // process churn and shard traffic, not per-run cost.
-    let params_of = |id: &str, _d: treu::core::experiment::Params| treu::conformance_params(id);
+    let params_of = |id: &str, _d: Params| treu::conformance_params(id);
     let report = run_svc_soak(reg, &params_of, &cfg).unwrap_or_else(|e| {
         eprintln!("svc soak: {e}");
         std::process::exit(2);
@@ -1123,119 +793,6 @@ fn run_svc_soak_cmd(
     }
 }
 
-/// `treu chaos [seed] [--fault-seed S] [--rate F] [--retries N]
-/// [--deadline-secs F] [--enforce] [--full]` — the supervision
-/// conformance check: every registered experiment runs fault-free once
-/// (the baseline), then the whole registry is verified under a seeded
-/// *transient-only* fault plan with enough retries to outlast it. Every
-/// id must converge to its fault-free fingerprint; `--enforce` turns any
-/// divergence or quarantine into exit 1. Uses the fast conformance
-/// parameters unless `--full` asks for registry defaults.
-///
-/// With `--workers N` the chaos pass runs through the sharded
-/// coordinator/worker service instead of in-process threads, and
-/// `--kill-plan SEED` additionally arms the process-level chaos monkey
-/// that SIGKILLs workers mid-shard — the drill then proves that
-/// supervision, requeue and degradation still converge every id to its
-/// fault-free fingerprint.
-fn run_chaos(
-    exec: &Executor,
-    reg: &treu::core::ExperimentRegistry,
-    seed: u64,
-    sup: &Supervision,
-    trace_out: Option<&Path>,
-    svc: Option<&SvcOpts>,
-    jobs: usize,
-) {
-    let plan = FaultPlan::transient(sup.fault_seed.unwrap_or(7), sup.fault_rate.unwrap_or(0.2));
-    let retries = sup.retries.unwrap_or_else(|| plan.max_transient_attempts());
-    let mut policy = SupervisePolicy::new(retries);
-    if let Some(s) = sup.deadline_secs {
-        policy = policy.with_deadline_secs(s);
-    }
-    let params = |id: &str, d: treu::core::experiment::Params| {
-        if sup.full {
-            d
-        } else {
-            treu::conformance_params(id)
-        }
-    };
-    // Fault-free baseline: one clean run per id, in parallel.
-    let ids: Vec<(&str, treu::core::experiment::Params)> =
-        reg.iter().map(|(id, e)| (id, params(id, e.defaults.clone()))).collect();
-    let baseline = exec.map_indexed(ids.len(), |i| {
-        let (id, p) = &ids[i];
-        reg.run_with(id, seed, p.clone())
-            .expect("id from the registry's own iterator")
-            .fingerprint()
-    });
-    // The same registry under injected transient chaos — through the
-    // sharded service when --workers is given, in-process otherwise.
-    let mut svc_stats = None;
-    let mut report = match svc {
-        Some(o) => {
-            let (r, stats) =
-                verify_all_svc(reg, seed, None, &policy, Some(&plan), params, o.config(jobs, true))
-                    .unwrap_or_else(|e| {
-                        eprintln!("svc: {e}");
-                        std::process::exit(2);
-                    });
-            svc_stats = Some(stats);
-            r
-        }
-        None => exec.verify_all_supervised_with(reg, seed, None, &policy, Some(&plan), params),
-    };
-    let mut diverged = 0usize;
-    let mut quarantined = 0usize;
-    for (o, base) in report.outcomes.iter().zip(&baseline) {
-        if let Some(f) = &o.failure {
-            quarantined += 1;
-            println!(
-                "{:<10} QUARANTINED({}) after {} attempt(s): {}",
-                o.id,
-                f.taxonomy.name(),
-                f.attempts,
-                f.last_error
-            );
-        } else if o.fingerprint != *base {
-            diverged += 1;
-            println!(
-                "{:<10} DIVERGED: chaos fingerprint {:#018x} != fault-free {:#018x}",
-                o.id, o.fingerprint, base
-            );
-        } else {
-            println!(
-                "{:<10} CONVERGED (fingerprint {:#018x}{})",
-                o.id,
-                o.fingerprint,
-                if o.attempts > 1 { format!(", {} attempts", o.attempts) } else { String::new() }
-            );
-        }
-    }
-    println!(
-        "{}/{} converged to fault-free trails under fault plan (seed {}, rate {:.2}, {} retr{}) \
-         in {:.3}s with {} job(s)",
-        report.outcomes.len() - diverged - quarantined,
-        report.outcomes.len(),
-        plan.seed(),
-        plan.rate(),
-        retries,
-        if retries == 1 { "y" } else { "ies" },
-        report.wall_seconds,
-        report.jobs
-    );
-    if let Some(stats) = &svc_stats {
-        println!("{}", stats.render());
-    }
-    if let Some(dir) = trace_out {
-        report.trace.kind = "chaos".to_string();
-        write_trace(&report.trace, dir);
-    }
-    if sup.enforce && (diverged > 0 || quarantined > 0) {
-        std::process::exit(1);
-    }
-}
-
 /// `treu lint [path] [--format human|json] [--deny none|warn|error]
 /// [--rules R1,wall-clock,...] [--flow|--no-flow] [--baseline FILE]
 /// [--write-baseline FILE]` — static reproducibility analysis over a
@@ -1245,64 +802,28 @@ fn run_chaos(
 /// findings. Exits 1 when findings reach the deny level, 2 on usage or
 /// I/O errors.
 fn run_lint(args: &[String], jobs: usize) {
-    fn usage_err(msg: String) -> ! {
-        eprintln!("{msg}");
-        std::process::exit(2);
+    let mut args = args.to_vec();
+    let format = take(&mut args, "--format").unwrap_or_else(|| "human".to_string());
+    if format != "human" && format != "json" {
+        usage_err(format!("invalid --format '{format}' (want human|json)"));
     }
-    let mut format = "human".to_string();
-    let mut deny = DenyLevel::Warn;
-    let mut rules: Option<Vec<RuleId>> = None;
-    let mut root: Option<String> = None;
-    let mut flow = true;
-    let mut baseline_path: Option<String> = None;
-    let mut write_baseline: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let mut flag_value = |flag: &str| -> Option<String> {
-            if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-                return Some(v.to_string());
-            }
-            if arg == flag {
-                if i + 1 >= args.len() {
-                    usage_err(format!("{flag} requires a value"));
-                }
-                i += 1;
-                return Some(args[i].clone());
-            }
-            None
-        };
-        if let Some(v) = flag_value("--format") {
-            if v != "human" && v != "json" {
-                usage_err(format!("invalid --format '{v}' (want human|json)"));
-            }
-            format = v;
-        } else if let Some(v) = flag_value("--deny") {
-            deny = DenyLevel::parse(&v).unwrap_or_else(|| {
-                usage_err(format!("invalid --deny '{v}' (want none|warn|error)"))
-            });
-        } else if let Some(v) = flag_value("--rules") {
-            let parsed: Option<Vec<RuleId>> = v.split(',').map(RuleId::parse).collect();
-            rules = Some(parsed.unwrap_or_else(|| {
-                usage_err(format!("invalid --rules '{v}' (want codes R1..R12 or rule names)"))
-            }));
-        } else if let Some(v) = flag_value("--baseline") {
-            baseline_path = Some(v);
-        } else if let Some(v) = flag_value("--write-baseline") {
-            write_baseline = Some(v);
-        } else if arg == "--flow" {
-            flow = true;
-        } else if arg == "--no-flow" {
-            flow = false;
-        } else if arg.starts_with('-') {
-            usage_err(format!("unknown lint flag '{arg}'"));
-        } else if root.is_none() {
-            root = Some(arg.clone());
-        } else {
-            usage_err(format!("unexpected argument '{arg}'"));
-        }
-        i += 1;
-    }
+    let deny = take(&mut args, "--deny").map_or(DenyLevel::Warn, |v| {
+        DenyLevel::parse(&v)
+            .unwrap_or_else(|| usage_err(format!("invalid --deny '{v}' (want none|warn|error)")))
+    });
+    let rules: Option<Vec<RuleId>> = take(&mut args, "--rules").map(|v| {
+        v.split(',').map(RuleId::parse).collect::<Option<_>>().unwrap_or_else(|| {
+            usage_err(format!("invalid --rules '{v}' (want codes R1..R12 or rule names)"))
+        })
+    });
+    let baseline_path = take(&mut args, "--baseline");
+    let write_baseline = take(&mut args, "--write-baseline");
+    // The later of `--flow` / `--no-flow` wins; the flow pass is the default.
+    let last = |args: &[String], flag: &str| args.iter().rposition(|a| a == flag);
+    let flow = last(&args, "--flow") >= last(&args, "--no-flow");
+    take_switch(&mut args, "--flow");
+    take_switch(&mut args, "--no-flow");
+    let root = positional(args, "lint");
     let root = root.unwrap_or_else(|| ".".to_string());
     let ws = Workspace::discover(std::path::Path::new(&root)).unwrap_or_else(|e| {
         eprintln!("lint: cannot walk '{root}': {e}");
@@ -1348,79 +869,6 @@ fn run_lint(args: &[String], jobs: usize) {
     }
 }
 
-/// Removes the supervision flags from `args`: `--retries N`,
-/// `--deadline-secs F`, `--fault-seed S`, `--fault-rate F` (alias
-/// `--rate F`), `--fault-panic ID` (repeatable), `--deny
-/// none|warn|error`, and the boolean `--enforce` / `--full` /
-/// `--conformance`.
-fn extract_supervision(args: &mut Vec<String>) -> Result<Supervision, String> {
-    let mut sup = Supervision::default();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        let mut take = |flag: &str| -> Result<Option<String>, String> {
-            if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-                args.remove(i);
-                return Ok(Some(v.to_string()));
-            }
-            if arg == flag {
-                if i + 1 >= args.len() {
-                    return Err(format!("{flag} requires a value"));
-                }
-                let v = args.remove(i + 1);
-                args.remove(i);
-                return Ok(Some(v));
-            }
-            Ok(None)
-        };
-        if let Some(v) = take("--retries")? {
-            sup.retries = Some(
-                v.parse::<u32>()
-                    .map_err(|_| format!("invalid --retries value '{v}' (want an integer)"))?,
-            );
-        } else if let Some(v) = take("--deadline-secs")? {
-            sup.deadline_secs = Some(
-                v.parse::<f64>()
-                    .map_err(|_| format!("invalid --deadline-secs value '{v}' (want seconds)"))?,
-            );
-        } else if let Some(v) = take("--fault-seed")? {
-            sup.fault_seed = Some(
-                v.parse::<u64>()
-                    .map_err(|_| format!("invalid --fault-seed value '{v}' (want an integer)"))?,
-            );
-        } else if let Some(v) = match take("--fault-rate")? {
-            Some(v) => Some(v),
-            None => take("--rate")?,
-        } {
-            let rate = v
-                .parse::<f64>()
-                .ok()
-                .filter(|r| (0.0..=1.0).contains(r))
-                .ok_or_else(|| format!("invalid fault rate '{v}' (want 0.0..=1.0)"))?;
-            sup.fault_rate = Some(rate);
-        } else if let Some(v) = take("--fault-panic")? {
-            sup.fault_panic.push(v);
-        } else if let Some(v) = take("--deny")? {
-            sup.deny = Some(
-                DenyPolicy::parse(&v)
-                    .ok_or_else(|| format!("invalid --deny '{v}' (want none|warn|error)"))?,
-            );
-        } else if arg == "--enforce" {
-            sup.enforce = true;
-            args.remove(i);
-        } else if arg == "--full" {
-            sup.full = true;
-            args.remove(i);
-        } else if arg == "--conformance" {
-            sup.conformance = true;
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    Ok(sup)
-}
-
 /// Sharded-service settings pulled from the shared command-line flags.
 struct SvcOpts {
     workers: usize,
@@ -1431,6 +879,35 @@ struct SvcOpts {
 }
 
 impl SvcOpts {
+    /// Removes the sharded-service flags from `args`: `--workers N` routes
+    /// run/verify/chaos/soak through the coordinator/worker service;
+    /// `--kill-plan SEED` arms the seeded chaos-monkey that SIGKILLs
+    /// workers mid-shard, `--kill-rate F` tunes its aggression,
+    /// `--respawn-budget N` bounds respawns per slot before degradation,
+    /// and `--shard-size N` overrides the auto shard size.
+    fn take(args: &mut Vec<String>) -> Option<Self> {
+        let positive = "want a positive integer";
+        let workers = take_parsed(args, "--workers", positive, |&w| w >= 1);
+        let kill_seed = take_parsed(args, "--kill-plan", "want a seed", |_| true);
+        let kill_rate =
+            take_parsed(args, "--kill-rate", "want 0.0..=1.0", |r| (0.0..=1.0).contains(r));
+        let respawn_budget = take_parsed(args, "--respawn-budget", "want an integer", |_| true);
+        let shard_size = take_parsed(args, "--shard-size", positive, |&s| s >= 1);
+        let Some(workers) = workers else {
+            if kill_seed.is_some()
+                || kill_rate.is_some()
+                || respawn_budget.is_some()
+                || shard_size.is_some()
+            {
+                usage_err(
+                    "--kill-plan/--kill-rate/--respawn-budget/--shard-size require --workers N",
+                );
+            }
+            return None;
+        };
+        Some(SvcOpts { workers, kill_seed, kill_rate, respawn_budget, shard_size })
+    }
+
     /// The pool configuration these flags ask for. `jobs` is the
     /// *per-worker* thread count (the shared `--jobs` flag).
     fn config(&self, jobs: usize, tracing: bool) -> SvcConfig {
@@ -1452,81 +929,6 @@ impl SvcOpts {
     }
 }
 
-/// Removes the sharded-service flags from `args`: `--workers N` routes
-/// registry-wide run/verify/chaos/soak through the coordinator/worker
-/// service; `--kill-plan SEED` arms the seeded chaos-monkey that SIGKILLs
-/// workers mid-shard, `--kill-rate F` tunes its aggression,
-/// `--respawn-budget N` bounds respawns per slot before degradation, and
-/// `--shard-size N` overrides the auto shard size.
-fn extract_svc(args: &mut Vec<String>) -> Result<Option<SvcOpts>, String> {
-    let mut workers: Option<usize> = None;
-    let mut kill_seed: Option<u64> = None;
-    let mut kill_rate: Option<f64> = None;
-    let mut respawn_budget: Option<u32> = None;
-    let mut shard_size: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        let mut take = |flag: &str| -> Result<Option<String>, String> {
-            if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-                args.remove(i);
-                return Ok(Some(v.to_string()));
-            }
-            if arg == flag {
-                if i + 1 >= args.len() {
-                    return Err(format!("{flag} requires a value"));
-                }
-                let v = args.remove(i + 1);
-                args.remove(i);
-                return Ok(Some(v));
-            }
-            Ok(None)
-        };
-        if let Some(v) = take("--workers")? {
-            workers = Some(v.parse::<usize>().ok().filter(|&w| w >= 1).ok_or_else(|| {
-                format!("invalid --workers value '{v}' (want a positive integer)")
-            })?);
-        } else if let Some(v) = take("--kill-plan")? {
-            kill_seed = Some(
-                v.parse::<u64>()
-                    .map_err(|_| format!("invalid --kill-plan value '{v}' (want a seed)"))?,
-            );
-        } else if let Some(v) = take("--kill-rate")? {
-            kill_rate = Some(
-                v.parse::<f64>()
-                    .ok()
-                    .filter(|r| (0.0..=1.0).contains(r))
-                    .ok_or_else(|| format!("invalid --kill-rate value '{v}' (want 0.0..=1.0)"))?,
-            );
-        } else if let Some(v) = take("--respawn-budget")? {
-            respawn_budget =
-                Some(v.parse::<u32>().map_err(|_| {
-                    format!("invalid --respawn-budget value '{v}' (want an integer)")
-                })?);
-        } else if let Some(v) = take("--shard-size")? {
-            shard_size = Some(v.parse::<usize>().ok().filter(|&s| s >= 1).ok_or_else(|| {
-                format!("invalid --shard-size value '{v}' (want a positive integer)")
-            })?);
-        } else {
-            i += 1;
-        }
-    }
-    let Some(workers) = workers else {
-        if kill_seed.is_some()
-            || kill_rate.is_some()
-            || respawn_budget.is_some()
-            || shard_size.is_some()
-        {
-            return Err(
-                "--kill-plan/--kill-rate/--respawn-budget/--shard-size require --workers N"
-                    .to_string(),
-            );
-        }
-        return Ok(None);
-    };
-    Ok(Some(SvcOpts { workers, kill_seed, kill_rate, respawn_budget, shard_size }))
-}
-
 /// `treu trace <DIR|FILE> [--check] [--top N]` — inspects stored traces.
 /// A directory argument selects every `trace-*.jsonl` under it (sidecars
 /// excluded), in name order. `--check` re-verifies each file against its
@@ -1535,46 +937,11 @@ fn extract_svc(args: &mut Vec<String>) -> Result<Option<SvcOpts>, String> {
 /// per-worker utilization table and the top-N slowest attempt spans
 /// (default 5).
 fn run_trace(args: &[String]) {
-    fn usage_err(msg: String) -> ! {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    }
-    let mut check = false;
-    let mut top = 5usize;
-    let mut target: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let mut flag_value = |flag: &str| -> Option<String> {
-            if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-                return Some(v.to_string());
-            }
-            if arg == flag {
-                if i + 1 >= args.len() {
-                    usage_err(format!("{flag} requires a value"));
-                }
-                i += 1;
-                return Some(args[i].clone());
-            }
-            None
-        };
-        if let Some(v) = flag_value("--top") {
-            top = v.parse::<usize>().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                usage_err(format!("invalid --top value '{v}' (want a positive integer)"))
-            });
-        } else if arg == "--check" {
-            check = true;
-        } else if arg.starts_with('-') {
-            usage_err(format!("unknown trace flag '{arg}'"));
-        } else if target.is_none() {
-            target = Some(arg.clone());
-        } else {
-            usage_err(format!("unexpected argument '{arg}'"));
-        }
-        i += 1;
-    }
-    let target = target
-        .unwrap_or_else(|| usage_err("usage: treu trace <DIR|FILE> [--check] [--top N]".into()));
+    let mut args = args.to_vec();
+    let top = take_parsed(&mut args, "--top", "want a positive integer", |&n| n >= 1).unwrap_or(5);
+    let check = take_switch(&mut args, "--check");
+    let target = positional(args, "trace")
+        .unwrap_or_else(|| usage_err("usage: treu trace <DIR|FILE> [--check] [--top N]"));
     let path = Path::new(&target);
     let files: Vec<PathBuf> = if path.is_dir() {
         let mut files: Vec<PathBuf> = match std::fs::read_dir(path) {
@@ -1676,6 +1043,18 @@ struct AttestOpts {
 }
 
 impl AttestOpts {
+    /// Removes `--attest-dir DIR` and `--attest-key FILE` from `args`.
+    /// `--attest-key` alone is a usage error — the key names no chain
+    /// without a directory.
+    fn take(args: &mut Vec<String>) -> Option<Self> {
+        let dir = take(args, "--attest-dir").map(PathBuf::from);
+        let key = take(args, "--attest-key").map(PathBuf::from);
+        if dir.is_none() && key.is_some() {
+            usage_err("--attest-key requires --attest-dir");
+        }
+        Some(AttestOpts { dir: dir?, key })
+    }
+
     fn store(&self) -> AttestStore {
         AttestStore::open(&self.dir)
     }
@@ -1738,44 +1117,6 @@ impl AttestOpts {
     }
 }
 
-/// Removes `--attest-dir DIR` and `--attest-key FILE` (or the `=`-joined
-/// forms) from `args`. `--attest-key` alone is a usage error — the key
-/// names no chain without a directory.
-fn extract_attest(args: &mut Vec<String>) -> Result<Option<AttestOpts>, String> {
-    let mut dir: Option<PathBuf> = None;
-    let mut key: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        if arg == "--attest-dir" {
-            if i + 1 >= args.len() {
-                return Err("--attest-dir requires a value".to_string());
-            }
-            dir = Some(PathBuf::from(args.remove(i + 1)));
-            args.remove(i);
-        } else if let Some(v) = arg.strip_prefix("--attest-dir=") {
-            dir = Some(PathBuf::from(v));
-            args.remove(i);
-        } else if arg == "--attest-key" {
-            if i + 1 >= args.len() {
-                return Err("--attest-key requires a value".to_string());
-            }
-            key = Some(PathBuf::from(args.remove(i + 1)));
-            args.remove(i);
-        } else if let Some(v) = arg.strip_prefix("--attest-key=") {
-            key = Some(PathBuf::from(v));
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    match (dir, key) {
-        (Some(dir), key) => Ok(Some(AttestOpts { dir, key })),
-        (None, Some(_)) => Err("--attest-key requires --attest-dir".to_string()),
-        (None, None) => Ok(None),
-    }
-}
-
 /// Seals one pipeline step's link onto the chain: the draft's run
 /// products plus root materials (registry index, environment), the
 /// cache entry behind every attested run, and the trace stream when one
@@ -1835,22 +1176,14 @@ fn attest_emit(
 /// the chain, `verify` walks it (exit 1 names the first broken step),
 /// and `badge` turns a verified chain into an ACM-style badge
 /// evaluation, appending the result as the final link.
-fn run_attest_cmd(
-    args: &[String],
-    reg: &ExperimentRegistry,
-    attest: Option<&AttestOpts>,
-    cache: Option<&RunCache>,
-    trace_out: Option<&Path>,
-    sup: &Supervision,
-) {
+fn run_attest_cmd(args: &[String], reg: &ExperimentRegistry, o: &Opts) {
     fn usage() -> ! {
-        eprintln!(
+        usage_err(
             "usage: treu attest <init|show|verify|badge> --attest-dir DIR \
-             [--attest-key FILE] [--cache-dir DIR] [--trace-out DIR] [--enforce] [seed]"
-        );
-        std::process::exit(2);
+             [--attest-key FILE] [--cache-dir DIR] [--trace-out DIR] [--enforce] [seed]",
+        )
     }
-    let Some(at) = attest else {
+    let Some(at) = &o.attest else {
         eprintln!("attest: --attest-dir DIR is required");
         usage();
     };
@@ -1862,8 +1195,8 @@ fn run_attest_cmd(
     // The re-hash context: current registry/environment values always,
     // artifact directories when the caller names them.
     let ctx = VerifyContext {
-        cache_dir: cache.map(|c| c.dir()),
-        trace_dir: trace_out,
+        cache_dir: o.cache.as_ref().map(|c| c.dir()),
+        trace_dir: o.trace_out.as_deref(),
         registry_index_hash: Some(hash_bytes(reg.render_index().as_bytes())),
         env_fingerprint: Some(Environment::capture().fingerprint()),
     };
@@ -1917,7 +1250,7 @@ fn run_attest_cmd(
             if !report.ok() {
                 std::process::exit(1);
             }
-            if sup.enforce && report.links() == 0 {
+            if o.sup.enforce && report.links() == 0 {
                 eprintln!("attest: --enforce requires a non-empty chain (nothing was attested)");
                 std::process::exit(1);
             }
@@ -1974,103 +1307,13 @@ fn run_attest_cmd(
                 ),
                 Err(e) => exit_on(e),
             }
-            if sup.enforce && !eval.has(Badge::ResultsReproduced) {
+            if o.sup.enforce && !eval.has(Badge::ResultsReproduced) {
                 eprintln!("attest: --enforce requires the ResultsReproduced badge");
                 std::process::exit(1);
             }
         }
         _ => usage(),
     }
-}
-
-/// Removes `--trace-out DIR` (or `--trace-out=DIR`) from `args`; when
-/// present, run/verify/chaos write their span stream under DIR.
-fn extract_trace_out(args: &mut Vec<String>) -> Result<Option<PathBuf>, String> {
-    let mut dir: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        if arg == "--trace-out" {
-            if i + 1 >= args.len() {
-                return Err("--trace-out requires a value".to_string());
-            }
-            dir = Some(PathBuf::from(args.remove(i + 1)));
-            args.remove(i);
-        } else if let Some(v) = arg.strip_prefix("--trace-out=") {
-            dir = Some(PathBuf::from(v));
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    Ok(dir)
-}
-
-/// Removes `--cache-dir DIR` (or `--cache-dir=DIR`) and `--no-cache` from
-/// `args` and returns the opened run cache. The cache is opt-in: with no
-/// `--cache-dir` there is nothing to read or write, and `--no-cache`
-/// disables a `--cache-dir` that is also present (useful for forcing a
-/// recomputation without editing scripts).
-fn extract_cache(args: &mut Vec<String>) -> Result<Option<RunCache>, String> {
-    let mut dir: Option<String> = None;
-    let mut disabled = false;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        if arg == "--no-cache" {
-            disabled = true;
-            args.remove(i);
-        } else if arg == "--cache-dir" {
-            if i + 1 >= args.len() {
-                return Err("--cache-dir requires a value".to_string());
-            }
-            dir = Some(args.remove(i + 1));
-            args.remove(i);
-        } else if let Some(v) = arg.strip_prefix("--cache-dir=") {
-            dir = Some(v.to_string());
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    if disabled {
-        return Ok(None);
-    }
-    match dir {
-        None => Ok(None),
-        Some(d) => RunCache::open(std::path::Path::new(&d))
-            .map(Some)
-            .map_err(|e| format!("cannot open cache dir '{d}': {e}")),
-    }
-}
-
-/// Removes `--jobs N` / `-j N` (or `--jobs=N`) from `args` and returns the
-/// worker count, defaulting to the hardware thread count.
-fn extract_jobs(args: &mut Vec<String>) -> Result<usize, String> {
-    let mut jobs = treu::math::parallel::default_threads();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        let value = if arg == "--jobs" || arg == "-j" {
-            if i + 1 >= args.len() {
-                return Err(format!("{arg} requires a value"));
-            }
-            let v = args.remove(i + 1);
-            args.remove(i);
-            v
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            args.remove(i);
-            v.to_string()
-        } else {
-            i += 1;
-            continue;
-        };
-        jobs =
-            value.parse::<usize>().ok().filter(|&j| j >= 1).ok_or_else(|| {
-                format!("invalid --jobs value '{value}' (want a positive integer)")
-            })?;
-    }
-    Ok(jobs)
 }
 
 /// `treu tune [seed] [--quick|--full] [--shapes MxKxN,...] [--repeats N]`
@@ -2080,14 +1323,10 @@ fn extract_jobs(args: &mut Vec<String>) -> Result<usize, String> {
 /// admitted, the parallel spawn-overhead crossover is measured at the
 /// current `--jobs`, and the resulting schedule book is persisted
 /// through the content-addressed run cache when `--cache-dir` is given.
-fn run_tune_cmd(args: &[String], cache: Option<&RunCache>, jobs: usize, sup: &Supervision) {
+fn run_tune_cmd(args: &[String], o: &Opts) {
     use treu::autotune::tuner::GaParams;
     use treu::autotune::ScheduleBook;
 
-    fn usage_err(msg: String) -> ! {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    }
     fn parse_shape(text: &str) -> Option<(usize, usize, usize)> {
         let mut dims = text.split('x').map(|p| p.parse::<usize>().ok().filter(|&d| d >= 1));
         let (m, k, n) = (dims.next()??, dims.next()??, dims.next()??);
@@ -2096,46 +1335,18 @@ fn run_tune_cmd(args: &[String], cache: Option<&RunCache>, jobs: usize, sup: &Su
         }
         Some((m, k, n))
     }
-    let mut shapes: Option<Vec<(usize, usize, usize)>> = None;
-    let mut repeats: Option<usize> = None;
-    let mut seed_pos: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let mut flag_value = |flag: &str| -> Option<String> {
-            if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-                return Some(v.to_string());
-            }
-            if arg == flag {
-                if i + 1 >= args.len() {
-                    usage_err(format!("{flag} requires a value"));
-                }
-                i += 1;
-                return Some(args[i].clone());
-            }
-            None
-        };
-        if let Some(v) = flag_value("--shapes") {
-            let parsed: Option<Vec<_>> = v.split(',').map(parse_shape).collect();
-            shapes = Some(parsed.unwrap_or_else(|| {
-                usage_err(format!("invalid --shapes '{v}' (want MxKxN[,MxKxN...])"))
-            }));
-        } else if let Some(v) = flag_value("--repeats") {
-            repeats = Some(v.parse::<usize>().ok().filter(|&r| r >= 1).unwrap_or_else(|| {
-                usage_err(format!("invalid --repeats value '{v}' (want a positive integer)"))
-            }));
-        } else if arg == "--quick" {
-            // The default shape; accepted so scripts can say what they mean.
-        } else if arg.starts_with('-') {
-            usage_err(format!("unknown tune flag '{arg}'"));
-        } else if seed_pos.is_none() && arg.parse::<u64>().is_ok() {
-            seed_pos = Some(arg.parse().expect("checked above"));
-        } else {
-            usage_err(format!("unexpected argument '{arg}'"));
-        }
-        i += 1;
-    }
-    let seed = seed_pos.unwrap_or(2023);
+    let (cache, jobs, sup) = (o.cache.as_ref(), o.jobs, &o.sup);
+    let mut args = args.to_vec();
+    let shapes: Option<Vec<(usize, usize, usize)>> = take(&mut args, "--shapes").map(|v| {
+        v.split(',')
+            .map(parse_shape)
+            .collect::<Option<_>>()
+            .unwrap_or_else(|| usage_err(format!("invalid --shapes '{v}' (want MxKxN[,MxKxN...])")))
+    });
+    let repeats = take_parsed(&mut args, "--repeats", "want a positive integer", |&r| r >= 1);
+    // The default shape; accepted so scripts can say what they mean.
+    take_switch(&mut args, "--quick");
+    let seed = seed_positional(args, "tune").unwrap_or(2023);
     // Quick keeps CI latency low; --full runs the registry-default GA.
     let ga = if sup.full {
         GaParams::default()

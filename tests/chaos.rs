@@ -80,7 +80,14 @@ fn check_transient_convergence(fault_seed: u64, rate: f64, run_seed: u64) {
     let reg = synthetic_registry();
     let plan = FaultPlan::transient(fault_seed, rate);
     let policy = SupervisePolicy::new(plan.max_transient_attempts());
-    let clean = Executor::sequential().verify_all(&reg, run_seed);
+    let clean = Executor::sequential().verify_all_supervised_with(
+        &reg,
+        run_seed,
+        None,
+        &SupervisePolicy::default(),
+        None,
+        |_, d| d,
+    );
     prop_assert!(clean.all_reproduced());
     for jobs in [1usize, 4] {
         let chaotic = Executor::new(jobs).verify_all_supervised_with(
@@ -117,7 +124,14 @@ fn check_fails_closed(fault_seed: u64) {
     let reg = synthetic_registry();
     let plan = FaultPlan::transient(fault_seed, 0.5);
     let policy = SupervisePolicy::new(0); // no retries at all
-    let clean = Executor::sequential().verify_all(&reg, 7);
+    let clean = Executor::sequential().verify_all_supervised_with(
+        &reg,
+        7,
+        None,
+        &SupervisePolicy::default(),
+        None,
+        |_, d| d,
+    );
     let chaotic =
         Executor::new(2).verify_all_supervised_with(&reg, 7, None, &policy, Some(&plan), |_, d| d);
     for (c, f) in clean.outcomes.iter().zip(chaotic.outcomes.iter()) {
@@ -161,8 +175,14 @@ fn full_registry_transient_chaos_is_bitwise_invisible() {
     let reg = treu::full_registry();
     let plan = FaultPlan::transient(7, 0.2);
     let policy = SupervisePolicy::new(plan.max_transient_attempts());
-    let clean =
-        Executor::sequential().verify_all_with(&reg, 77, |id, _| treu::conformance_params(id));
+    let clean = Executor::sequential().verify_all_supervised_with(
+        &reg,
+        77,
+        None,
+        &SupervisePolicy::default(),
+        None,
+        |id, _| treu::conformance_params(id),
+    );
     assert!(clean.all_reproduced(), "{:?}", clean.violations());
     for jobs in [1usize, 4] {
         let chaotic = Executor::new(jobs).verify_all_supervised_with(

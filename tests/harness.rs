@@ -9,7 +9,7 @@
 //! determinism is a property of the code path, not of the workload size.
 
 use treu::conformance_params as light_params;
-use treu::core::exec::Executor;
+use treu::core::exec::{Executor, SupervisePolicy};
 use treu::core::experiment::Params;
 use treu::math::hash::fnv64_parts;
 
@@ -34,7 +34,14 @@ fn conformance_every_id_reproduces_at_every_job_count() {
     let reg = treu::full_registry();
     let mut baseline: Option<Vec<(String, u64)>> = None;
     for jobs in [1usize, 2, 8] {
-        let report = Executor::new(jobs).verify_all_with(&reg, 77, |id, _| light_params(id));
+        let report = Executor::new(jobs).verify_all_supervised_with(
+            &reg,
+            77,
+            None,
+            &SupervisePolicy::default(),
+            None,
+            |id, _| light_params(id),
+        );
         assert_eq!(report.outcomes.len(), reg.len(), "jobs={jobs}");
         assert!(
             report.all_reproduced(),
@@ -83,7 +90,14 @@ const PINNED_2023: [(&str, u64); 21] = [
 #[test]
 fn conformance_fingerprints_match_the_pinned_table() {
     let reg = treu::full_registry();
-    let report = Executor::new(2).verify_all_with(&reg, 2023, |id, _| light_params(id));
+    let report = Executor::new(2).verify_all_supervised_with(
+        &reg,
+        2023,
+        None,
+        &SupervisePolicy::default(),
+        None,
+        |id, _| light_params(id),
+    );
     assert!(report.all_reproduced(), "{:?}", report.violations());
     let got: Vec<(&str, u64)> =
         report.outcomes.iter().map(|o| (o.id.as_str(), o.fingerprint)).collect();
@@ -132,7 +146,14 @@ fn conformance_warm_cache_verify_recomputes_nothing() {
     let exec = Executor::new(4);
 
     let cold_cache = RunCache::open(&dir).expect("cache dir");
-    let cold = exec.verify_all_cached_with(&reg, 77, Some(&cold_cache), |id, _| light_params(id));
+    let cold = exec.verify_all_supervised_with(
+        &reg,
+        77,
+        Some(&cold_cache),
+        &SupervisePolicy::default(),
+        None,
+        |id, _| light_params(id),
+    );
     assert!(cold.all_reproduced(), "cold pass: {:?}", cold.violations());
     assert_eq!(cold.recomputed, reg.len(), "cold cache verifies everything the hard way");
     assert_eq!(cold_cache.stats().misses, reg.len() as u64);
@@ -141,7 +162,14 @@ fn conformance_warm_cache_verify_recomputes_nothing() {
     // A fresh handle on the same directory, so the stats below are purely
     // the warm pass's.
     let warm_cache = RunCache::open(&dir).expect("cache dir");
-    let warm = exec.verify_all_cached_with(&reg, 77, Some(&warm_cache), |id, _| light_params(id));
+    let warm = exec.verify_all_supervised_with(
+        &reg,
+        77,
+        Some(&warm_cache),
+        &SupervisePolicy::default(),
+        None,
+        |id, _| light_params(id),
+    );
     assert!(warm.all_reproduced());
     assert_eq!(warm.recomputed, 0, "warm cache must recompute zero experiments");
     assert_eq!(warm.cached_count(), reg.len());
@@ -158,8 +186,14 @@ fn conformance_warm_cache_verify_recomputes_nothing() {
     // (Param sensitivity is covered by the cache unit tests; re-running
     // the registry at default params here would be needlessly slow.)
     let seed_cache = RunCache::open(&dir).expect("cache dir");
-    let reseeded =
-        exec.verify_all_cached_with(&reg, 78, Some(&seed_cache), |id, _| light_params(id));
+    let reseeded = exec.verify_all_supervised_with(
+        &reg,
+        78,
+        Some(&seed_cache),
+        &SupervisePolicy::default(),
+        None,
+        |id, _| light_params(id),
+    );
     assert!(reseeded.all_reproduced());
     assert_eq!(seed_cache.stats().hits, 0, "seed is part of the cache address");
     assert_eq!(reseeded.recomputed, reg.len());
@@ -170,10 +204,16 @@ fn conformance_warm_cache_verify_recomputes_nothing() {
 #[test]
 fn executor_report_accounts_for_every_registry_run() {
     let reg = treu::full_registry();
-    // Two light survey ids through run_all on a restricted registry is not
-    // possible (run_all uses defaults), so check the report plumbing on
-    // verify_all_with instead: per-id outcomes plus positive wall time.
-    let report = Executor::new(4).verify_all_with(&reg, 5, |id, _| light_params(id));
+    // The report plumbing of a light registry verify: per-id outcomes
+    // plus positive wall time.
+    let report = Executor::new(4).verify_all_supervised_with(
+        &reg,
+        5,
+        None,
+        &SupervisePolicy::default(),
+        None,
+        |id, _| light_params(id),
+    );
     assert_eq!(report.jobs, 4);
     assert!(report.wall_seconds > 0.0);
     let rendered = report.render();

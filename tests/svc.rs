@@ -40,33 +40,41 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn sharded_verify_writes_the_in_process_trace_bit_for_bit() {
-    let base = temp_dir("base");
-    let svc = temp_dir("svc");
+    // Both batch modes go through one pipeline, so `run` traces are as
+    // topology-invariant as `verify` traces.
+    for cmd in ["verify", "run"] {
+        let base = temp_dir(&format!("{cmd}-base"));
+        let svc = temp_dir(&format!("{cmd}-svc"));
 
-    let a = treu(&["verify", "--conformance", "--trace-out", base.to_str().expect("utf8 path")]);
-    assert!(a.status.success(), "baseline verify failed: {}", String::from_utf8_lossy(&a.stderr));
+        let a = treu(&[cmd, "--conformance", "--trace-out", base.to_str().expect("utf8 path")]);
+        assert!(
+            a.status.success(),
+            "baseline {cmd} failed: {}",
+            String::from_utf8_lossy(&a.stderr)
+        );
 
-    let b = treu(&[
-        "verify",
-        "--workers",
-        "2",
-        "--conformance",
-        "--trace-out",
-        svc.to_str().expect("utf8 path"),
-    ]);
-    assert!(b.status.success(), "sharded verify failed: {}", String::from_utf8_lossy(&b.stderr));
-    let stdout = String::from_utf8(b.stdout).expect("utf8");
-    assert!(stdout.contains("svc: workers=2"), "missing svc stats line:\n{stdout}");
+        let b = treu(&[
+            cmd,
+            "--workers",
+            "2",
+            "--conformance",
+            "--trace-out",
+            svc.to_str().expect("utf8 path"),
+        ]);
+        assert!(b.status.success(), "sharded {cmd} failed: {}", String::from_utf8_lossy(&b.stderr));
+        let stdout = String::from_utf8(b.stdout).expect("utf8");
+        assert!(stdout.contains("svc: workers=2"), "missing svc stats line:\n{stdout}");
 
-    // Content-addressed file names: equal names ⇒ equal bytes.
-    let base_name = trace_file_name(&base);
-    assert_eq!(base_name, trace_file_name(&svc), "sharded trace diverged from baseline");
-    let ab = std::fs::read(base.join(&base_name)).expect("baseline trace");
-    let bb = std::fs::read(svc.join(&base_name)).expect("sharded trace");
-    assert_eq!(ab, bb, "same name but different bytes — content addressing is broken");
+        // Content-addressed file names: equal names ⇒ equal bytes.
+        let base_name = trace_file_name(&base);
+        assert_eq!(base_name, trace_file_name(&svc), "sharded {cmd} trace diverged from baseline");
+        let ab = std::fs::read(base.join(&base_name)).expect("baseline trace");
+        let bb = std::fs::read(svc.join(&base_name)).expect("sharded trace");
+        assert_eq!(ab, bb, "same name but different bytes — content addressing is broken");
 
-    let _ = std::fs::remove_dir_all(&base);
-    let _ = std::fs::remove_dir_all(&svc);
+        let _ = std::fs::remove_dir_all(&base);
+        let _ = std::fs::remove_dir_all(&svc);
+    }
 }
 
 #[test]

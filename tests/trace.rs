@@ -11,8 +11,9 @@
 //!    fault, the deterministic backoff, and the retry attempt in order,
 //!    and the counters folded from the stream agree with the report.
 
-use treu::core::exec::{Executor, SupervisePolicy};
-use treu::core::experiment::{Experiment, Params, RunContext};
+use treu::core::batch::{Batch, Dispatch, Mode};
+use treu::core::exec::{ExecReport, Executor, SupervisePolicy};
+use treu::core::experiment::{Experiment, Params, RunContext, RunRecord};
 use treu::core::fault::FaultPlan;
 use treu::core::trace::{check_trace_file, parse_times, parse_trace, TraceEvent};
 use treu::core::ExperimentRegistry;
@@ -52,6 +53,20 @@ impl Experiment for Synthetic {
     }
 }
 
+/// A registry-wide run batch in-process: `(id, record)` pairs plus the
+/// batch report.
+fn run_all(
+    exec: &Executor,
+    reg: &ExperimentRegistry,
+    seed: u64,
+) -> (Vec<(String, RunRecord)>, ExecReport) {
+    let batch = Batch::new(Mode::Run, seed);
+    let (outcomes, report) =
+        batch.execute(reg, Dispatch::InProcess(exec)).expect("in-process").report.into_run();
+    let records = outcomes.into_iter().map(|(id, o)| (id, o.record().expect("runs").clone()));
+    (records.collect(), report)
+}
+
 fn synthetic_registry() -> ExperimentRegistry {
     let mut reg = ExperimentRegistry::new();
     for (id, n) in [("S1", 8), ("S2", 16), ("S3", 24), ("S4", 4), ("S5", 12)] {
@@ -71,10 +86,10 @@ fn synthetic_registry() -> ExperimentRegistry {
 #[test]
 fn plain_batch_trace_is_schedule_independent() {
     let reg = synthetic_registry();
-    let (_, base) = Executor::sequential().run_all_report(&reg, 42);
+    let (_, base) = run_all(&Executor::sequential(), &reg, 42);
     assert!(base.counters.events > 0, "tracing is on by default");
     for jobs in [2usize, 4, 7] {
-        let (_, report) = Executor::new(jobs).run_all_report(&reg, 42);
+        let (_, report) = run_all(&Executor::new(jobs), &reg, 42);
         assert_eq!(
             base.trace.render_events(),
             report.trace.render_events(),
@@ -200,7 +215,7 @@ fn counters_agree_with_outcomes() {
 #[test]
 fn written_traces_round_trip_and_self_verify() {
     let reg = synthetic_registry();
-    let (_, report) = Executor::new(2).run_all_report(&reg, 17);
+    let (_, report) = run_all(&Executor::new(2), &reg, 17);
     let dir = std::env::temp_dir().join(format!("treu-trace-rt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let path = report.trace.write(&dir).expect("write trace");
@@ -230,8 +245,8 @@ fn written_traces_round_trip_and_self_verify() {
 #[test]
 fn tracing_off_produces_identical_results_and_empty_stream() {
     let reg = synthetic_registry();
-    let (on_recs, on) = Executor::new(2).run_all_report(&reg, 23);
-    let (off_recs, off) = Executor::new(2).with_tracing(false).run_all_report(&reg, 23);
+    let (on_recs, on) = run_all(&Executor::new(2), &reg, 23);
+    let (off_recs, off) = run_all(&Executor::new(2).with_tracing(false), &reg, 23);
     assert_eq!(on_recs.len(), off_recs.len());
     for ((ia, ra), (ib, rb)) in on_recs.iter().zip(off_recs.iter()) {
         assert_eq!(ia, ib);
