@@ -469,13 +469,16 @@ mod tests {
         // The trace's failure events sum to the metric's failure count —
         // the report-equals-trace property, simulator edition.
         let parsed = treu_core::trace::parse_trace(&trace.render_events()).unwrap();
-        let traced_failures: u64 = parsed
-            .events
+        let traced_failures: usize = parsed
+            .runs
             .iter()
-            .filter(|e| e.ev == "sim-failures")
-            .filter_map(|e| e.field_u64("failures"))
+            .flat_map(|r| r.events())
+            .filter_map(|(_, e, _)| match e {
+                treu_core::TraceEvent::SimFailures { failures } => Some(*failures),
+                _ => None,
+            })
             .sum();
-        assert_eq!(traced_failures as usize, traced.failures);
+        assert_eq!(traced_failures, traced.failures);
         // Same inputs ⇒ same content address; different seed ⇒ different.
         let (_, again) =
             c.simulate_faulty_traced(&jobs, Scheduler::Backfill, &fm, RecoveryPolicy::Restage);

@@ -45,10 +45,10 @@
 //! coordinator-side only, after the merged report is assembled, so
 //! workers never race on the chain.
 
-use crate::cache::{run_entry_body, RunCache};
+use crate::cache::{RunCache, RunEntry};
+use crate::codec::{self, Cursor, Esc};
 use crate::exec::{RunOutcome, VerifyReport};
 use crate::hash::fnv64_parts;
-use crate::provenance::{escape_key, unescape, Trail};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -69,14 +69,6 @@ pub const KEY_FILE: &str = "attest.key";
 /// single canonical hash).
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
     fnv64_parts(&[bytes])
-}
-
-fn parse_hex64(s: &str) -> Option<u64> {
-    let hex = s.strip_prefix("0x")?;
-    if hex.is_empty() || hex.len() > 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
 }
 
 /// Atomic write local to the attestation directory: temp name + rename,
@@ -121,38 +113,35 @@ impl AttestKey {
         Self { bytes }
     }
 
-    /// Parses the key-file text form.
-    pub fn parse(text: &str) -> Option<Self> {
-        let rest = text.strip_prefix(KEY_MAGIC)?.strip_prefix('\n')?;
-        let hex = rest.trim_end();
-        if hex.is_empty() || hex.len() % 2 != 0 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return None;
+    /// Exact inverse of [`AttestKey::render`], except that an empty key
+    /// (a blanked or truncated key file) is an error: it would seal under
+    /// an all-zero MAC block anyone can compute.
+    pub fn parse(text: &str) -> Result<Self, codec::Error> {
+        let mut c = Cursor::new(text);
+        c.tag(KEY_MAGIC)?;
+        c.tag("\n")?;
+        let hex = c.until("\n")?;
+        if hex.text.is_empty() {
+            return Err(codec::Error::new(hex.at, "empty key"));
         }
-        let bytes = (0..hex.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).ok())
-            .collect::<Option<Vec<u8>>>()?;
-        Some(Self { bytes })
+        let key = Self { bytes: hex.hex_bytes()? };
+        codec::canonical(text, &key.render())?;
+        Ok(key)
     }
 
-    /// Renders the key-file text form.
+    /// Renders the key-file text form: the magic line, then the key bytes
+    /// as lowercase hex.
     pub fn render(&self) -> String {
-        let mut out = String::from(KEY_MAGIC);
-        out.push('\n');
-        for b in &self.bytes {
-            out.push_str(&format!("{b:02x}"));
-        }
-        out.push('\n');
-        out
+        format!("{KEY_MAGIC}\n{}\n", codec::hex_bytes(&self.bytes))
     }
 
     /// Loads a key file from disk.
     pub fn load(path: &Path) -> io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
-        Self::parse(&text).ok_or_else(|| {
+        Self::parse(&text).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("'{}' is not a treu attest key file", path.display()),
+                format!("'{}' is not a treu attest key file: {}", path.display(), e.locate(&text)),
             )
         })
     }
@@ -213,14 +202,16 @@ impl Link {
     pub fn body(&self) -> String {
         let mut out = String::from(LINK_MAGIC);
         out.push('\n');
-        out.push_str(&format!("step {}\n", escape_key(&self.step)));
+        out.push_str(&format!("step {}\n", codec::escape(&self.step, Esc::Key)));
         out.push_str(&format!("seed {}\n", self.seed));
-        out.push_str(&format!("prev {:#018x}\n", self.prev));
+        out.push_str(&format!("prev {}\n", codec::hex64(self.prev)));
         for (name, addr) in &self.materials {
-            out.push_str(&format!("material {} {addr:#018x}\n", escape_key(name)));
+            let name = codec::escape(name, Esc::Key);
+            out.push_str(&format!("material {name} {}\n", codec::hex64(*addr)));
         }
         for (name, addr) in &self.products {
-            out.push_str(&format!("product {} {addr:#018x}\n", escape_key(name)));
+            let name = codec::escape(name, Esc::Key);
+            out.push_str(&format!("product {name} {}\n", codec::hex64(*addr)));
         }
         out
     }
@@ -232,48 +223,49 @@ impl Link {
     }
 
     /// True when the stored MAC matches a recomputation under `key`.
+    /// [`Link::decode`] accepts only the bytes [`Link::render`] writes, so
+    /// the recomputed body is the body on disk.
     pub fn mac_ok(&self, key: &AttestKey) -> bool {
         self.mac == key.mac(&[self.body().as_bytes()])
     }
 
     /// Full file text: body plus the `mac` line.
     pub fn render(&self) -> String {
-        format!("{}mac {:#018x}\n", self.body(), self.mac)
+        format!("{}mac {}\n", self.body(), codec::hex64(self.mac))
     }
 
-    /// Exact inverse of [`Link::render`]. `None` on any malformed line,
-    /// duplicate artifact name, or misordered section.
+    /// [`Link::decode`], with the reason dropped.
     pub fn parse(text: &str) -> Option<Link> {
-        let mut lines = text.lines();
-        if lines.next()? != LINK_MAGIC {
-            return None;
-        }
-        let step = unescape(lines.next()?.strip_prefix("step ")?)?;
-        let seed: u64 = lines.next()?.strip_prefix("seed ")?.parse().ok()?;
-        let prev = parse_hex64(lines.next()?.strip_prefix("prev ")?)?;
+        Self::decode(text).ok()
+    }
+
+    /// Exact inverse of [`Link::render`]: a duplicate or misordered
+    /// artifact, a second `mac` line, a sign, an upper-case digit, a CR or
+    /// an extra space is an error at its byte.
+    pub fn decode(text: &str) -> Result<Link, codec::Error> {
+        let mut c = Cursor::new(text);
+        c.tag(LINK_MAGIC)?;
+        c.tag("\nstep ")?;
+        let step = c.until("\n")?.unescape(Esc::Key)?;
+        c.tag("seed ")?;
+        let seed = c.until("\n")?.value()?;
+        c.tag("prev ")?;
+        let prev = c.until("\n")?.hex64()?;
         let mut materials = BTreeMap::new();
-        let mut products = BTreeMap::new();
-        let mut mac = None;
-        for line in lines {
-            if let Some(rest) = line.strip_prefix("material ") {
-                let (name, addr) = rest.rsplit_once(' ')?;
-                if materials.insert(unescape(name)?, parse_hex64(addr)?).is_some() {
-                    return None;
-                }
-            } else if let Some(rest) = line.strip_prefix("product ") {
-                let (name, addr) = rest.rsplit_once(' ')?;
-                if products.insert(unescape(name)?, parse_hex64(addr)?).is_some() {
-                    return None;
-                }
-            } else if let Some(rest) = line.strip_prefix("mac ") {
-                if mac.replace(parse_hex64(rest)?).is_some() {
-                    return None;
-                }
-            } else {
-                return None;
-            }
+        while c.eat("material ") {
+            let name = c.until_last(" ")?.unescape(Esc::Key)?;
+            materials.insert(name, c.until("\n")?.hex64()?);
         }
-        Some(Link { step, seed, prev, materials, products, mac: mac? })
+        let mut products = BTreeMap::new();
+        while c.eat("product ") {
+            let name = c.until_last(" ")?.unescape(Esc::Key)?;
+            products.insert(name, c.until("\n")?.hex64()?);
+        }
+        c.tag("mac ")?;
+        let mac = c.until("\n")?.hex64()?;
+        let link = Link { step, seed, prev, materials, products, mac };
+        codec::canonical(text, &link.render())?;
+        Ok(link)
     }
 
     /// File name for the `index`-th link in a chain. The zero-padded
@@ -344,8 +336,8 @@ impl LinkDraft {
     /// current format (nothing to attest).
     pub fn absorb_cache_entry(&mut self, cache: &RunCache, id: &str, file: &str) {
         if let Ok(text) = std::fs::read_to_string(cache.dir().join(file)) {
-            if let Some(body) = run_entry_body(&text) {
-                self.product(format!("cache:{id}/{file}"), hash_bytes(body.as_bytes()));
+            if let Ok(entry) = RunEntry::parse(&text) {
+                self.product(format!("cache:{id}/{file}"), hash_bytes(entry.body.as_bytes()));
             }
         }
     }
@@ -406,9 +398,9 @@ impl Layout {
     pub fn body(&self) -> String {
         let mut out = String::from(LAYOUT_MAGIC);
         out.push('\n');
-        out.push_str(&format!("keyfp {:#018x}\n", self.key_fingerprint));
+        out.push_str(&format!("keyfp {}\n", codec::hex64(self.key_fingerprint)));
         for s in &self.steps {
-            out.push_str(&format!("step {}\n", escape_key(&s.name)));
+            out.push_str(&format!("step {}\n", codec::escape(&s.name, Esc::Key)));
             out.push_str(&format!("  consumes {}\n", s.consumes.join(" ")));
             out.push_str(&format!("  produces {}\n", s.produces.join(" ")));
         }
@@ -428,38 +420,29 @@ impl Layout {
 
     /// Full file text: body plus the `mac` line.
     pub fn render(&self) -> String {
-        format!("{}mac {:#018x}\n", self.body(), self.mac)
+        format!("{}mac {}\n", self.body(), codec::hex64(self.mac))
     }
 
     /// Exact inverse of [`Layout::render`].
-    pub fn parse(text: &str) -> Option<Layout> {
-        let mut lines = text.lines();
-        if lines.next()? != LAYOUT_MAGIC {
-            return None;
+    pub fn parse(text: &str) -> Result<Layout, codec::Error> {
+        let mut c = Cursor::new(text);
+        c.tag(LAYOUT_MAGIC)?;
+        c.tag("\nkeyfp ")?;
+        let key_fingerprint = c.until("\n")?.hex64()?;
+        let mut steps = Vec::new();
+        while c.eat("step ") {
+            let name = c.until("\n")?.unescape(Esc::Key)?;
+            c.tag("  consumes ")?;
+            let consumes = c.until("\n")?.text.split_whitespace().map(str::to_string).collect();
+            c.tag("  produces ")?;
+            let produces = c.until("\n")?.text.split_whitespace().map(str::to_string).collect();
+            steps.push(StepRule { name, consumes, produces });
         }
-        let key_fingerprint = parse_hex64(lines.next()?.strip_prefix("keyfp ")?)?;
-        let mut steps: Vec<StepRule> = Vec::new();
-        let mut mac = None;
-        for line in lines {
-            if let Some(rest) = line.strip_prefix("step ") {
-                steps.push(StepRule {
-                    name: unescape(rest)?,
-                    consumes: Vec::new(),
-                    produces: Vec::new(),
-                });
-            } else if let Some(rest) = line.strip_prefix("  consumes") {
-                steps.last_mut()?.consumes = rest.split_whitespace().map(str::to_string).collect();
-            } else if let Some(rest) = line.strip_prefix("  produces") {
-                steps.last_mut()?.produces = rest.split_whitespace().map(str::to_string).collect();
-            } else if let Some(rest) = line.strip_prefix("mac ") {
-                if mac.replace(parse_hex64(rest)?).is_some() {
-                    return None;
-                }
-            } else {
-                return None;
-            }
-        }
-        Some(Layout { steps, key_fingerprint, mac: mac? })
+        c.tag("mac ")?;
+        let mac = c.until("\n")?.hex64()?;
+        let layout = Layout { steps, key_fingerprint, mac };
+        codec::canonical(text, &layout.render())?;
+        Ok(layout)
     }
 
     /// Position of `step` in the pipeline, if declared.
@@ -522,10 +505,10 @@ impl AttestStore {
     pub fn load_layout(&self) -> io::Result<Layout> {
         let path = self.layout_path();
         let text = std::fs::read_to_string(&path)?;
-        Layout::parse(&text).ok_or_else(|| {
+        Layout::parse(&text).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("'{}' is not a treu layout file", path.display()),
+                format!("'{}' is not a treu layout file: {}", path.display(), e.locate(&text)),
             )
         })
     }
@@ -751,14 +734,14 @@ pub fn verify_chain(store: &AttestStore, key: &AttestKey, ctx: &VerifyContext) -
     let mut last_position = 0usize;
 
     for (file, text) in &files {
-        let link = match Link::parse(text) {
-            Some(l) => l,
-            None => {
+        let link = match Link::decode(text) {
+            Ok(l) => l,
+            Err(e) => {
                 report.failures.push(fail(
                     "unknown",
                     file,
                     "<link>",
-                    "link file unparseable — truncated or tampered".to_string(),
+                    format!("link file unparseable — truncated or tampered at {}", e.locate(text)),
                 ));
                 break; // nothing downstream can be attributed once the chain is unreadable
             }
@@ -770,7 +753,9 @@ pub fn verify_chain(store: &AttestStore, key: &AttestKey, ctx: &VerifyContext) -
             link.products.len()
         ));
 
-        // 2. MAC: any flipped byte in the body (or a wrong key) lands here.
+        // 2. MAC: the link parsed, so its body is exactly the bytes on
+        //    disk; a flipped byte that still parses (or a wrong key) lands
+        //    here.
         if !link.mac_ok(key) {
             report.failures.push(fail(
                 &link.step,
@@ -927,16 +912,22 @@ pub fn verify_chain(store: &AttestStore, key: &AttestKey, ctx: &VerifyContext) -
                         continue;
                     }
                 };
-                let Some(body) = run_entry_body(&text) else {
-                    report.failures.push(fail(
-                        &link.step,
-                        file,
-                        name,
-                        "cache entry no longer parses as a run entry — header tampered or format torn".to_string(),
-                    ));
-                    continue;
+                let entry = match RunEntry::parse(&text) {
+                    Ok(entry) => entry,
+                    Err(e) => {
+                        report.failures.push(fail(
+                            &link.step,
+                            file,
+                            name,
+                            format!(
+                                "cache entry no longer parses as a run entry — header tampered or format torn at {}",
+                                e.locate(&text)
+                            ),
+                        ));
+                        continue;
+                    }
                 };
-                let current = hash_bytes(body.as_bytes());
+                let current = hash_bytes(entry.body.as_bytes());
                 if current != *addr {
                     report.failures.push(fail(
                         &link.step,
@@ -948,31 +939,34 @@ pub fn verify_chain(store: &AttestStore, key: &AttestKey, ctx: &VerifyContext) -
                     ));
                     continue;
                 }
-                // Belt and braces: the trail inside the entry must still
-                // fingerprint to the attested run:<id> product, so a
-                // rewrite that fixes the entry checksum is still caught.
-                if let Some(expect_fp) = link.products.get(&format!("run:{id}")) {
-                    match Trail::parse(body) {
-                        Some(trail) if trail.fingerprint() == *expect_fp => {}
-                        Some(trail) => {
-                            report.failures.push(fail(
-                                &link.step,
-                                file,
-                                name,
-                                format!(
-                                    "trail fingerprint is {:#018x} but the link attests run:{id} as {expect_fp:#018x}",
-                                    trail.fingerprint()
-                                ),
-                            ));
+                // Belt and braces: the entry must still be one the cache
+                // would serve (its checksum vouches for the body, which
+                // decodes as a trail), and the trail must still fingerprint
+                // to the attested run:<id> product, so a rewrite that fixes
+                // the entry checksum is still caught.
+                match entry.record() {
+                    Ok(rec) => {
+                        if let Some(expect_fp) = link.products.get(&format!("run:{id}")) {
+                            if rec.trail.fingerprint() != *expect_fp {
+                                report.failures.push(fail(
+                                    &link.step,
+                                    file,
+                                    name,
+                                    format!(
+                                        "trail fingerprint is {:#018x} but the link attests run:{id} as {expect_fp:#018x}",
+                                        rec.trail.fingerprint()
+                                    ),
+                                ));
+                            }
                         }
-                        None => {
-                            report.failures.push(fail(
-                                &link.step,
-                                file,
-                                name,
-                                "trail body no longer parses".to_string(),
-                            ));
-                        }
+                    }
+                    Err(e) => {
+                        report.failures.push(fail(
+                            &link.step,
+                            file,
+                            name,
+                            format!("cache entry no longer verifies at {}", e.locate(&text)),
+                        ));
                     }
                 }
             } else if let Some(trace_file) = name.strip_prefix("trace:") {
@@ -1055,8 +1049,10 @@ mod tests {
         assert_eq!(parsed, k);
         assert_eq!(parsed.fingerprint(), k.fingerprint());
         assert_ne!(k.fingerprint(), AttestKey::derive(2024).fingerprint());
-        assert_eq!(AttestKey::parse("garbage"), None);
-        assert_eq!(AttestKey::parse(&format!("{KEY_MAGIC}\nzz\n")), None);
+        assert_eq!(AttestKey::parse("garbage").ok(), None);
+        assert_eq!(AttestKey::parse(&format!("{KEY_MAGIC}\nzz\n")).ok(), None);
+        let blank = AttestKey::parse(&format!("{KEY_MAGIC}\n\n")).unwrap_err();
+        assert_eq!(blank.offset, KEY_MAGIC.len() + 1, "{blank}");
     }
 
     #[test]
@@ -1127,13 +1123,17 @@ mod tests {
     fn link_parse_rejects_malformed() {
         assert_eq!(Link::parse("nonsense"), None);
         assert_eq!(Link::parse(&format!("{LINK_MAGIC}\nstep run\nseed 1\nprev 0xzz\n")), None);
-        // Duplicate artifact names and missing mac are malformed.
-        let no_mac = format!("{LINK_MAGIC}\nstep run\nseed 1\nprev 0x01\n");
-        assert_eq!(Link::parse(&no_mac), None);
-        let dup = format!(
-            "{LINK_MAGIC}\nstep run\nseed 1\nprev 0x01\nproduct a 0x01\nproduct a 0x02\nmac 0x01\n"
-        );
-        assert_eq!(Link::parse(&dup), None);
+        // Duplicate artifact names and missing mac are malformed. Every
+        // other line is rendered form, so each error lands on the defect.
+        let head = format!("{LINK_MAGIC}\nstep run\nseed 1\nprev 0x0000000000000001\n");
+        assert_eq!(Link::decode(&head).unwrap_err().offset, head.len(), "missing mac");
+        let product = "product a 0x0000000000000001\n";
+        let mac = "mac 0x0000000000000001\n";
+        let dup = format!("{head}{product}{product}{mac}");
+        assert_eq!(Link::decode(&dup).unwrap_err().offset, head.len() + product.len());
+        let redefined = format!("{head}{product}product a 0x0000000000000002\n{mac}");
+        assert_eq!(Link::parse(&redefined), None);
+        assert!(Link::parse(&format!("{head}{product}{mac}")).is_some());
     }
 
     #[test]

@@ -27,10 +27,13 @@
 //! surfaced by the CLI after every cached command.
 //!
 //! **Integrity.** Every entry carries a checksum of its trail body that is
-//! verified at read time: an entry whose bytes no longer hash to what was
-//! stored (bit rot, a torn write from a killed process, tampering) is
-//! classified as **corrupt** ([`Lookup::Corrupt`]), deleted on the spot
-//! and recomputed by the caller — the cache self-heals instead of serving
+//! verified at read time, and every entry is read through [`RunEntry`],
+//! whose parser accepts only the bytes `store` writes
+//! ([`crate::codec`]): an entry whose bytes no longer hash to what was
+//! stored (bit rot, a torn write from a killed process, tampering) or are
+//! no longer canonical (a CRLF checkout, an edited header) is classified
+//! as **corrupt** ([`Lookup::Corrupt`]), deleted on the spot and
+//! recomputed by the caller — the cache self-heals instead of serving
 //! damaged provenance. Writes are atomic (temp file + rename) so a crash
 //! mid-store can never leave a truncated entry at an addressable path.
 //!
@@ -46,6 +49,7 @@
 //! share a tick) schedule-independent. Unbounded handles skip the index
 //! entirely, preserving the original grow-forever fast path.
 
+use crate::codec::{self, Cursor, Esc};
 use crate::environment::Environment;
 use crate::experiment::{Params, RunRecord};
 use crate::provenance::Trail;
@@ -508,8 +512,8 @@ impl RunCache {
                 return Lookup::Miss;
             }
         };
-        match parse_run_entry(&text, self.fingerprint, seed) {
-            EntryParse::Ok(rec) => {
+        match self.classify(&text, seed) {
+            Lookup::Hit(rec) => {
                 self.note_lookup(&path, Some(text.len() as u64));
                 self.bump(|s| {
                     s.lookups += 1;
@@ -517,7 +521,7 @@ impl RunCache {
                 });
                 Lookup::Hit(rec)
             }
-            EntryParse::Stale => {
+            Lookup::Stale => {
                 // Still resident (the caller will overwrite it): refresh
                 // recency so the imminent store doesn't race an eviction.
                 self.note_lookup(&path, Some(text.len() as u64));
@@ -527,7 +531,7 @@ impl RunCache {
                 });
                 Lookup::Stale
             }
-            EntryParse::Corrupt => {
+            Lookup::Corrupt | Lookup::Miss => {
                 // Auto-invalidate: a damaged entry must never be consulted
                 // again, even by a handle that skips checksum verification.
                 let _ = std::fs::remove_file(&path);
@@ -541,21 +545,31 @@ impl RunCache {
         }
     }
 
+    /// Classifies the text of a run entry found at the address of
+    /// `(_, seed, _)` as a hit, stale or corrupt (never a miss). Stale:
+    /// not this format at all (no current magic), or a canonical entry
+    /// sealed under another code+env fingerprint. Corrupt: anything else
+    /// that is not exactly the entry this handle would have stored — a
+    /// non-canonical byte anywhere (a CRLF checkout, an upper-cased
+    /// digit), a body that fails its checksum or its trail grammar, or a
+    /// seed that is not the one addressed.
+    fn classify(&self, text: &str, seed: u64) -> Lookup {
+        match RunEntry::parse(text) {
+            Ok(entry) if entry.fingerprint != self.fingerprint => Lookup::Stale,
+            Ok(entry) => match entry.record() {
+                Ok(rec) if rec.seed == seed => Lookup::Hit(rec),
+                _ => Lookup::Corrupt,
+            },
+            Err(_) if !text.starts_with(MAGIC) => Lookup::Stale,
+            Err(_) => Lookup::Corrupt,
+        }
+    }
+
     /// Persists a completed record under `(id, seed, params)`, stamped
     /// with this handle's code+env fingerprint and a checksum of the
     /// trail body for read-time verification.
     pub fn store(&self, id: &str, seed: u64, params: &Params, rec: &RunRecord) -> io::Result<()> {
-        let body = rec.trail.render();
-        let mut out = String::new();
-        out.push_str(MAGIC);
-        out.push('\n');
-        out.push_str(&format!("fingerprint {:#018x}\n", self.fingerprint));
-        out.push_str(&format!("name {}\n", rec.name));
-        out.push_str(&format!("seed {}\n", rec.seed));
-        out.push_str(&format!("wall {}\n", rec.wall_seconds));
-        out.push_str(&format!("checksum {:#018x}\n", fnv64_parts(&[body.as_bytes()])));
-        out.push_str("trail\n");
-        out.push_str(&body);
+        let out = RunEntry::render(self.fingerprint, rec);
         let path = self.run_path(id, seed, params);
         let bytes = out.len() as u64;
         self.write_atomic(&path, &out)?;
@@ -597,16 +611,16 @@ impl RunCache {
                 return None;
             }
         };
-        match parse_blob_entry(&text, self.fingerprint) {
-            Some(payload) => {
+        match parse_blob_entry(&text) {
+            Ok((fingerprint, payload)) if fingerprint == self.fingerprint => {
                 self.note_lookup(&path, Some(text.len() as u64));
                 self.bump(|s| {
                     s.blob_lookups += 1;
                     s.blob_hits += 1;
                 });
-                Some(payload)
+                Some(payload.to_string())
             }
-            None => {
+            _ => {
                 self.note_lookup(&path, Some(text.len() as u64));
                 self.bump(|s| {
                     s.blob_lookups += 1;
@@ -619,12 +633,7 @@ impl RunCache {
 
     /// Persists a text artifact under `(kind, tag)`.
     pub fn store_blob(&self, kind: &str, tag: &str, payload: &str) -> io::Result<()> {
-        let mut out = String::new();
-        out.push_str(MAGIC);
-        out.push('\n');
-        out.push_str(&format!("fingerprint {:#018x}\n", self.fingerprint));
-        out.push_str("payload\n");
-        out.push_str(payload);
+        let out = render_blob_entry(self.fingerprint, payload);
         let path = self.blob_path(kind, tag);
         let bytes = out.len() as u64;
         self.write_atomic(&path, &out)?;
@@ -701,7 +710,7 @@ const STATS_MAGIC: &str = "treu-cache-stats v1";
 
 /// Renders a [`CacheStats`] snapshot in the sidecar format: one
 /// `field value` line per counter, fixed order.
-fn render_stats_file(s: &CacheStats) -> String {
+pub(crate) fn render_stats_file(s: &CacheStats) -> String {
     format!(
         "{STATS_MAGIC}\nlookups {}\nhits {}\nmisses {}\ninvalidations {}\ncorruptions {}\nstores {}\nblob_lookups {}\nblob_hits {}\nblob_misses {}\nblob_invalidations {}\nblob_stores {}\nevictions {}\n",
         s.lookups,
@@ -719,16 +728,17 @@ fn render_stats_file(s: &CacheStats) -> String {
     )
 }
 
-/// Parses a sidecar written by [`render_stats_file`].
-fn parse_stats_file(text: &str) -> Option<CacheStats> {
-    let mut lines = text.lines();
-    if lines.next()? != STATS_MAGIC {
-        return None;
-    }
-    let mut field = |name: &str| -> Option<u64> {
-        lines.next()?.strip_prefix(name)?.strip_prefix(' ')?.parse().ok()
+/// Exact inverse of [`render_stats_file`].
+pub(crate) fn parse_stats_file(text: &str) -> Result<CacheStats, codec::Error> {
+    let mut c = Cursor::new(text);
+    c.tag(STATS_MAGIC)?;
+    c.tag("\n")?;
+    let mut field = |name: &str| -> Result<u64, codec::Error> {
+        c.tag(name)?;
+        c.tag(" ")?;
+        c.until("\n")?.value()
     };
-    Some(CacheStats {
+    let stats = CacheStats {
         lookups: field("lookups")?,
         hits: field("hits")?,
         misses: field("misses")?,
@@ -741,7 +751,9 @@ fn parse_stats_file(text: &str) -> Option<CacheStats> {
         blob_invalidations: field("blob_invalidations")?,
         blob_stores: field("blob_stores")?,
         evictions: field("evictions")?,
-    })
+    };
+    codec::canonical(text, &render_stats_file(&stats))?;
+    Ok(stats)
 }
 
 impl CacheStats {
@@ -793,7 +805,7 @@ impl RunCache {
         names.sort();
         for path in names {
             let Ok(text) = std::fs::read_to_string(&path) else { continue };
-            let Some(s) = parse_stats_file(&text) else { continue };
+            let Ok(s) = parse_stats_file(&text) else { continue };
             self.bump(|mine| mine.merge(&s));
             let _ = std::fs::remove_file(&path);
             merged += 1;
@@ -802,55 +814,88 @@ impl RunCache {
     }
 }
 
-/// Result of parsing a `.run` entry.
-enum EntryParse {
-    /// Valid entry under the expected fingerprint.
-    Ok(RunRecord),
-    /// Wrong magic or a foreign/unreadable fingerprint header — written
-    /// by another harness build or machine, not damaged.
-    Stale,
-    /// The header names this very fingerprint but the body fails its
-    /// checksum (or no longer parses): the entry was damaged after being
-    /// written.
-    Corrupt,
+/// A `.run` entry read through its one parser: the header fields, with
+/// the rendered trail body still text. The cache's lookups and the
+/// attestation walk ([`crate::attest`]) both read entries through
+/// [`RunEntry::parse`], so the two can never disagree on what an entry
+/// says.
+#[derive(Debug, Clone)]
+pub struct RunEntry<'a> {
+    /// Code+env fingerprint the entry was stored under.
+    pub fingerprint: u64,
+    /// Record name.
+    pub name: String,
+    /// Record seed.
+    pub seed: u64,
+    /// Record wall seconds: the one header value that varies between
+    /// otherwise identical runs, so content addresses cover the body only.
+    pub wall_seconds: f64,
+    /// Checksum of the body the header claims.
+    pub checksum: u64,
+    /// The rendered trail: every byte after the `trail` line.
+    pub body: &'a str,
+    body_at: usize,
 }
 
-fn parse_run_entry(text: &str, expect_fingerprint: u64, expect_seed: u64) -> EntryParse {
-    fn header(text: &str, expect_fingerprint: u64) -> Option<bool> {
-        let mut lines = text.lines();
-        if lines.next()? != MAGIC {
-            return None;
-        }
-        let fp_line = lines.next()?.strip_prefix("fingerprint 0x")?;
-        Some(u64::from_str_radix(fp_line, 16).ok()? == expect_fingerprint)
+impl<'a> RunEntry<'a> {
+    /// The header lines, up to and including `trail`.
+    fn header(fingerprint: u64, name: &str, seed: u64, wall: f64, checksum: u64) -> String {
+        format!(
+            "{MAGIC}\nfingerprint {}\nname {}\nseed {seed}\nwall {}\nchecksum {}\ntrail\n",
+            codec::hex64(fingerprint),
+            codec::escape(name, Esc::Value),
+            codec::f64_text(wall),
+            codec::hex64(checksum)
+        )
     }
-    match header(text, expect_fingerprint) {
-        None | Some(false) => return EntryParse::Stale,
-        Some(true) => {}
+
+    /// The entry text for `rec` stored under `fingerprint`.
+    pub fn render(fingerprint: u64, rec: &RunRecord) -> String {
+        let body = rec.trail.render();
+        let checksum = fnv64_parts(&[body.as_bytes()]);
+        Self::header(fingerprint, &rec.name, rec.seed, rec.wall_seconds, checksum) + &body
     }
-    fn body(text: &str, expect_seed: u64) -> Option<RunRecord> {
-        let mut lines = text.lines().skip(2);
-        let name = lines.next()?.strip_prefix("name ")?.to_string();
-        let seed: u64 = lines.next()?.strip_prefix("seed ")?.parse().ok()?;
-        if seed != expect_seed {
-            return None;
-        }
-        let wall_seconds: f64 = lines.next()?.strip_prefix("wall ")?.parse().ok()?;
-        let checksum_line = lines.next()?.strip_prefix("checksum 0x")?;
-        let checksum = u64::from_str_radix(checksum_line, 16).ok()?;
-        if lines.next()? != "trail" {
-            return None;
-        }
-        let body: String = lines.map(|l| format!("{l}\n")).collect();
-        if fnv64_parts(&[body.as_bytes()]) != checksum {
-            return None;
-        }
-        let trail = Trail::parse(&body)?;
-        Some(RunRecord { name, seed, trail, wall_seconds })
+
+    /// Reads the header of an entry; [`RunEntry::record`] checks the body.
+    pub fn parse(text: &'a str) -> Result<Self, codec::Error> {
+        let mut c = Cursor::new(text);
+        c.tag(MAGIC)?;
+        c.tag("\nfingerprint ")?;
+        let fingerprint = c.until("\n")?.hex64()?;
+        c.tag("name ")?;
+        let name = c.until("\n")?.unescape(Esc::Value)?;
+        c.tag("seed ")?;
+        let seed = c.until("\n")?.value()?;
+        c.tag("wall ")?;
+        let wall_seconds = c.until("\n")?.f64()?;
+        c.tag("checksum ")?;
+        let checksum = c.until("\n")?.hex64()?;
+        c.tag("trail\n")?;
+        let body_at = c.pos();
+        let header = Self::header(fingerprint, &name, seed, wall_seconds, checksum);
+        codec::canonical(&text[..body_at], &header)?;
+        Ok(Self { fingerprint, name, seed, wall_seconds, checksum, body: c.rest(), body_at })
     }
-    match body(text, expect_seed) {
-        Some(rec) => EntryParse::Ok(rec),
-        None => EntryParse::Corrupt,
+
+    /// The stored record: the body must match the header's checksum and
+    /// decode as a trail. Error offsets count from the start of the entry.
+    pub fn record(&self) -> Result<RunRecord, codec::Error> {
+        let sum = fnv64_parts(&[self.body.as_bytes()]);
+        if sum != self.checksum {
+            let why = format!(
+                "body hashes to {} but the checksum line says {}",
+                codec::hex64(sum),
+                codec::hex64(self.checksum)
+            );
+            return Err(codec::Error::new(self.body_at, why));
+        }
+        let trail = Trail::decode(self.body).map_err(|e| e.shift(self.body_at))?;
+        Ok(RunRecord {
+            name: self.name.clone(),
+            seed: self.seed,
+            trail,
+            wall_seconds: self.wall_seconds,
+        })
     }
 }
 
@@ -874,36 +919,21 @@ pub fn blob_entry_file(kind: &str, tag: &str) -> String {
     format!("{key:016x}.txt")
 }
 
-/// The topology-stable portion of a run entry's text: the rendered trail
-/// body after the `trail` header line. The header's `wall` line varies
-/// between otherwise identical runs, so content addresses over entries
-/// must hash only the body. `None` when the text is not a current-format
-/// run entry.
-pub fn run_entry_body(text: &str) -> Option<&str> {
-    let mut rest = text.strip_prefix(MAGIC)?.strip_prefix('\n')?;
-    for prefix in ["fingerprint ", "name ", "seed ", "wall ", "checksum "] {
-        rest = rest.strip_prefix(prefix)?.split_once('\n')?.1;
-    }
-    rest.strip_prefix("trail\n")
+/// The blob entry text for `payload` stored under `fingerprint`.
+pub(crate) fn render_blob_entry(fingerprint: u64, payload: &str) -> String {
+    format!("{MAGIC}\nfingerprint {}\npayload\n{payload}", codec::hex64(fingerprint))
 }
 
-/// The payload of a blob entry, ignoring the fingerprint header. `None`
-/// when the text is not a current-format blob entry.
-pub fn blob_entry_payload(text: &str) -> Option<&str> {
-    let rest = text.strip_prefix(MAGIC)?.strip_prefix('\n')?;
-    let rest = rest.strip_prefix("fingerprint ")?.split_once('\n')?.1;
-    rest.strip_prefix("payload\n")
-}
-
-/// Parses a `.txt` blob entry; `None` means stale or malformed.
-fn parse_blob_entry(text: &str, expect_fingerprint: u64) -> Option<String> {
-    let rest = text.strip_prefix(MAGIC)?.strip_prefix('\n')?;
-    let rest = rest.strip_prefix("fingerprint 0x")?;
-    let (fp, rest) = rest.split_once('\n')?;
-    if u64::from_str_radix(fp, 16).ok()? != expect_fingerprint {
-        return None;
-    }
-    rest.strip_prefix("payload\n").map(str::to_string)
+/// Exact inverse of [`render_blob_entry`]: the fingerprint and payload.
+pub(crate) fn parse_blob_entry(text: &str) -> Result<(u64, &str), codec::Error> {
+    let mut c = Cursor::new(text);
+    c.tag(MAGIC)?;
+    c.tag("\nfingerprint ")?;
+    let fingerprint = c.until("\n")?.hex64()?;
+    c.tag("payload\n")?;
+    let payload = c.rest();
+    codec::canonical(text, &render_blob_entry(fingerprint, payload))?;
+    Ok((fingerprint, payload))
 }
 
 #[cfg(test)]
@@ -1041,6 +1071,60 @@ mod tests {
         let healed = cache.lookup("E", 1, &p).expect("healed entry serves again");
         assert_eq!(healed.trail, rec.trail);
         assert!(cache.render_stats().contains("1 corrupt (self-healed)"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An entry that is not byte for byte what `store` writes — a CRLF
+    /// checkout, upper-cased hex, a signed seed, a non-canonical wall — is
+    /// Corrupt for the lookup and breaks the attestation walk alike: both
+    /// read it through [`RunEntry::parse`].
+    #[test]
+    fn non_canonical_entries_are_corrupt_for_lookup_and_the_attestation_walk() {
+        use crate::attest::{
+            verify_chain, AttestKey, AttestStore, Layout, LinkDraft, VerifyContext,
+        };
+        let dir = tmp_dir("canonical");
+        let cache_dir = dir.join("cache");
+        let cache = RunCache::open_with_fingerprint(&cache_dir, 0xABCD).unwrap();
+        let p = Params::new();
+        let rec = run_once(&Noisy, 2023, p.clone());
+        cache.store("E", 2023, &p, &rec).unwrap();
+        let file = run_entry_file("E", 2023, &p);
+        let path = cache_dir.join(&file);
+        let clean = std::fs::read_to_string(&path).unwrap();
+
+        let store = AttestStore::open(&dir.join("at"));
+        let key = AttestKey::derive(7);
+        store.write_layout(&Layout::default_pipeline(&key)).unwrap();
+        let mut draft = LinkDraft::new("verify", 2023);
+        draft.product("run:E", rec.fingerprint());
+        draft.absorb_cache_entry(&cache, "E", &file);
+        store.append(&key, draft).unwrap();
+        let ctx = VerifyContext { cache_dir: Some(&cache_dir), ..VerifyContext::default() };
+        assert!(verify_chain(&store, &key, &ctx).ok());
+
+        let upper = |prefix: &str| {
+            let start = clean.find(prefix).unwrap() + prefix.len();
+            let end = start + clean[start..].find('\n').unwrap();
+            format!("{}{}{}", &clean[..start], clean[start..end].to_uppercase(), &clean[end..])
+        };
+        let wall_at = clean.find("\nwall ").unwrap() + 1;
+        let wall_end = wall_at + clean[wall_at..].find('\n').unwrap();
+        let edits = [
+            ("CRLF", clean.replace('\n', "\r\n")),
+            ("upper-case fingerprint", upper("fingerprint 0x")),
+            ("upper-case checksum", upper("checksum 0x")),
+            ("signed seed", clean.replacen("seed 2023", "seed +2023", 1)),
+            ("wall -1e300", format!("{}wall -1e300{}", &clean[..wall_at], &clean[wall_end..])),
+        ];
+        for (what, edited) in &edits {
+            assert_ne!(edited, &clean, "{what}: fixture must change the entry");
+            std::fs::write(&path, edited).unwrap();
+            assert!(!verify_chain(&store, &key, &ctx).ok(), "{what}: the walk must fail");
+            assert!(matches!(cache.lookup_classified("E", 2023, &p), Lookup::Corrupt), "{what}");
+            assert!(!path.exists(), "{what}: a corrupt entry is deleted on sight");
+        }
+        assert_eq!(cache.stats().corruptions, edits.len() as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1414,8 +1498,8 @@ mod tests {
             blob_stores: 1,
             evictions: 9,
         };
-        assert_eq!(parse_stats_file(&render_stats_file(&s)), Some(s));
-        assert_eq!(parse_stats_file("not a sidecar"), None);
-        assert_eq!(parse_stats_file(&format!("{STATS_MAGIC}\nlookups nope\n")), None);
+        assert_eq!(parse_stats_file(&render_stats_file(&s)).ok(), Some(s));
+        assert_eq!(parse_stats_file("not a sidecar").ok(), None);
+        assert_eq!(parse_stats_file(&format!("{STATS_MAGIC}\nlookups nope\n")).ok(), None);
     }
 }

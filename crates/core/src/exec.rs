@@ -287,6 +287,10 @@ pub enum FailureKind {
 }
 
 impl FailureKind {
+    /// Every kind, for reading a label back.
+    pub(crate) const ALL: [Self; 4] =
+        [Self::Panicked, Self::TimedOut, Self::Nondeterministic, Self::CorruptCache];
+
     /// Stable taxonomy label, as rendered in `QUARANTINED(..)` lines.
     pub fn name(self) -> &'static str {
         match self {

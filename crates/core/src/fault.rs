@@ -66,6 +66,15 @@ impl FaultKind {
         }
     }
 
+    /// Exact inverse of [`FaultKind::label`]: the kind whose label is
+    /// `label`, trying every kind with the label's digits as argument.
+    pub(crate) fn from_label(label: &str) -> Option<Self> {
+        let arg = label.trim_matches(|c: char| !c.is_ascii_digit());
+        let kinds = [Self::Panic, Self::CorruptTrail];
+        let with_arg = [arg.parse().map(Self::Delay), arg.parse().map(Self::TransientErr)];
+        kinds.into_iter().chain(with_arg.into_iter().flatten()).find(|k| k.label() == label)
+    }
+
     /// True when a sufficient retry budget recovers the fault-free result.
     pub fn is_transient(self) -> bool {
         matches!(self, FaultKind::TransientErr(_) | FaultKind::Delay(_))

@@ -60,6 +60,11 @@
 //!   exactly-once shard requeue, seeded respawn backoff and graceful
 //!   degradation to in-process execution — with fingerprints and trace
 //!   addresses bitwise-identical at every topology and kill schedule.
+//! * [`codec`] — the one text codec every persisted and wire format
+//!   above is written and strictly read with: three escape tables,
+//!   `hex64`, strict decimals, a payload-exact `f64` form, a flat-JSON
+//!   reader, and the canonical rule (a parser accepts only the bytes its
+//!   renderer writes, else an error with a byte offset and a reason).
 //! * [`aggregate`] — multi-seed metric summaries (the distributional view
 //!   reliability claims need).
 //! * [`report`] — plain-text table rendering shared by the survey crate and
@@ -74,10 +79,13 @@ pub mod attest;
 pub mod badge;
 pub mod batch;
 pub mod cache;
+pub mod codec;
 pub mod environment;
 pub mod exec;
 pub mod experiment;
 pub mod fault;
+#[cfg(test)]
+mod fuzz;
 pub mod hash;
 pub mod provenance;
 pub mod registry;

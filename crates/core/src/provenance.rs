@@ -12,105 +12,17 @@
 //! fingerprint is sensitive to any numeric difference, including ones far
 //! below printing precision.
 //!
-//! The rendered text form escapes structural characters (backslash,
-//! newline, carriage return, and — in key position — `=` and `<`) so that
-//! [`Trail::parse`] is the exact inverse of [`Trail::render`] for *any*
-//! event content: a parameter key containing `" = "` or a note containing
-//! an embedded newline can no longer forge extra lines or re-split into
-//! different events. This matters beyond cosmetics: the attestation layer
+//! The rendered text form escapes structural characters with the
+//! [`crate::codec`] line tables (backslash, newline, carriage return, and
+//! — in key position — `=` and `<`) so that [`Trail::decode`] is the
+//! exact inverse of [`Trail::render`] for *any* event content: a
+//! parameter key containing `" = "` or a note containing an embedded
+//! newline can no longer forge extra lines or re-split into different
+//! events. This matters beyond cosmetics: the attestation layer
 //! ([`crate::attest`]) content-addresses rendered trail text, so the
 //! text form must be injective.
 
-/// Escapes a string for value position in a rendered line: `\` → `\\`,
-/// newline → `\n`, carriage return → `\r`. Keeps every line one line.
-pub fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Escapes a string for key position (left of a ` = ` or ` <- `
-/// separator): everything [`escape_text`] escapes, plus `=` → `\=` and
-/// `<` → `\<`, so the first unescaped separator in a line is always the
-/// real one.
-pub fn escape_key(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '=' => out.push_str("\\="),
-            '<' => out.push_str("\\<"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Exact inverse of [`escape_text`]/[`escape_key`]. Fails closed: an
-/// unknown escape sequence or a dangling trailing backslash returns
-/// `None` instead of guessing.
-pub fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            '=' => out.push('='),
-            '<' => out.push('<'),
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Renders an `f64` so that parsing the text recovers the exact bit
-/// pattern. Finite values use Rust's shortest-round-trip formatting;
-/// non-canonical NaNs (any payload other than `f64::NAN`) carry their
-/// bits explicitly as `NaN#<16 hex digits>`.
-fn render_f64(v: f64) -> String {
-    if v.is_nan() && v.to_bits() != f64::NAN.to_bits() {
-        format!("NaN#{:016x}", v.to_bits())
-    } else {
-        format!("{v}")
-    }
-}
-
-/// Exact inverse of [`render_f64`]; also accepts any standard float
-/// literal Rust's `f64::from_str` does.
-fn parse_f64(s: &str) -> Option<f64> {
-    if let Some(hex) = s.strip_prefix("NaN#") {
-        let v = f64::from_bits(u64::from_str_radix(hex, 16).ok()?);
-        return v.is_nan().then_some(v);
-    }
-    s.parse().ok()
-}
-
-/// Parses a rendered seed of the form `0x<1..=16 hex digits>`. Exactly
-/// one `0x` prefix is stripped — `0x0x2a` is malformed, not `0x2a` — and
-/// every remaining character must be a hex digit (so `from_str_radix`
-/// leniencies like a leading `+` are rejected too).
-fn parse_seed(s: &str) -> Option<u64> {
-    let hex = s.strip_prefix("0x")?;
-    if hex.is_empty() || hex.len() > 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
-}
+use crate::codec::{self, escape, Cursor, Esc};
 
 /// One provenance event.
 #[derive(Debug, Clone, PartialEq)]
@@ -252,38 +164,37 @@ impl Trail {
         h
     }
 
-    /// Parses a trail back from its [`Trail::render`] text, enabling
-    /// plain-text archival of run provenance alongside an artifact.
-    ///
+    /// Parses a trail back from its [`Trail::render`] text; `None` when
+    /// [`Trail::decode`] rejects it.
+    pub fn parse(text: &str) -> Option<Trail> {
+        Self::decode(text).ok()
+    }
+
     /// Exact inverse of [`Trail::render`]: keys and values are unescaped
     /// after splitting on the first unescaped separator, metric values
-    /// round-trip bitwise (including non-canonical NaN payloads via the
-    /// `NaN#<bits>` form), and seeds must carry exactly one `0x` prefix.
-    /// Returns `None` on any malformed line, unknown escape, or bad seed.
-    pub fn parse(text: &str) -> Option<Trail> {
+    /// round-trip bitwise (non-canonical NaN payloads included), and any
+    /// text `render` would not write back byte for byte is an error.
+    pub fn decode(text: &str) -> Result<Trail, codec::Error> {
         let mut t = Trail::new();
-        for line in text.lines() {
-            let line = line.trim_start();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("param  ") {
-                let (k, v) = rest.split_once(" = ")?;
-                t.param(&unescape(k)?, unescape(v)?);
-            } else if let Some(rest) = line.strip_prefix("rng    ") {
-                let (tag, seed) = rest.split_once(" <- ")?;
-                let seed = parse_seed(seed.trim())?;
-                t.rng_stream(&unescape(tag)?, seed);
-            } else if let Some(rest) = line.strip_prefix("metric ") {
-                let (name, v) = rest.split_once(" = ")?;
-                t.metric(&unescape(name)?, parse_f64(v.trim())?);
-            } else if let Some(rest) = line.strip_prefix("note   ") {
-                t.note(unescape(rest)?);
+        let mut c = Cursor::new(text);
+        while !c.done() {
+            if c.eat("  param  ") {
+                let key = c.until(" = ")?.unescape(Esc::Key)?;
+                t.param(&key, c.until("\n")?.unescape(Esc::Value)?);
+            } else if c.eat("  rng    ") {
+                let tag = c.until(" <- ")?.unescape(Esc::Key)?;
+                t.rng_stream(&tag, c.until("\n")?.hex64()?);
+            } else if c.eat("  metric ") {
+                let name = c.until(" = ")?.unescape(Esc::Key)?;
+                t.metric(&name, c.until("\n")?.f64()?);
+            } else if c.eat("  note   ") {
+                t.note(c.until("\n")?.unescape(Esc::Value)?);
             } else {
-                return None;
+                return Err(c.err("expected a param, rng, metric or note line"));
             }
         }
-        Some(t)
+        codec::canonical(text, &t.render())?;
+        Ok(t)
     }
 
     /// Renders the trail as indented plain text for reports and debugging.
@@ -294,22 +205,18 @@ impl Trail {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            match e {
-                Event::Param { key, value } => out.push_str(&format!(
-                    "  param  {} = {}\n",
-                    escape_key(key),
-                    escape_text(value)
-                )),
-                Event::RngStream { tag, seed } => {
-                    out.push_str(&format!("  rng    {} <- {seed:#018x}\n", escape_key(tag)))
+            out.push_str(&match e {
+                Event::Param { key, value } => {
+                    format!("  param  {} = {}\n", escape(key, Esc::Key), escape(value, Esc::Value))
                 }
-                Event::Metric { name, value } => out.push_str(&format!(
-                    "  metric {} = {}\n",
-                    escape_key(name),
-                    render_f64(*value)
-                )),
-                Event::Note(text) => out.push_str(&format!("  note   {}\n", escape_text(text))),
-            }
+                Event::RngStream { tag, seed } => {
+                    format!("  rng    {} <- {}\n", escape(tag, Esc::Key), codec::hex64(*seed))
+                }
+                Event::Metric { name, value } => {
+                    format!("  metric {} = {}\n", escape(name, Esc::Key), codec::f64_text(*value))
+                }
+                Event::Note(text) => format!("  note   {}\n", escape(text, Esc::Value)),
+            });
         }
         out
     }
@@ -406,25 +313,36 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert_eq!(Trail::parse("nonsense line"), None);
-        assert_eq!(Trail::parse("metric broken"), None);
-        assert_eq!(Trail::parse("rng    x <- zz"), None);
+        assert_eq!(Trail::parse("  metric broken\n"), None);
+        assert_eq!(Trail::decode("  rng    x <- zz\n").unwrap_err().offset, 14);
         // Empty text parses to the empty trail.
         assert_eq!(Trail::parse(""), Some(Trail::new()));
     }
 
     #[test]
     fn parse_rejects_malformed_seeds() {
+        // Each line is a rendered rng line but for its seed, so the error
+        // must land on the seed, which starts at byte 14.
+        let seed_error = |seed: &str| {
+            let line = format!("  rng    x <- {seed}\n");
+            let err = Trail::decode(&line).unwrap_err();
+            assert!((14..14 + seed.len()).contains(&err.offset), "{seed}: {err}");
+        };
         // Exactly one 0x prefix: the old trim_start_matches("0x") accepted
         // a repeated prefix, silently reading 0x0x2a as 0x2a.
-        assert_eq!(Trail::parse("rng    x <- 0x0x2a"), None);
+        seed_error("0x0x2a");
         // from_str_radix's leading-sign leniency must not leak through.
-        assert_eq!(Trail::parse("rng    x <- 0x+2a"), None);
-        // The prefix is mandatory and the digits non-empty, <= 16.
-        assert_eq!(Trail::parse("rng    x <- 2a"), None);
-        assert_eq!(Trail::parse("rng    x <- 0x"), None);
-        assert_eq!(Trail::parse("rng    x <- 0x00000000000000001"), None);
-        // A well-formed seed still parses.
-        let t = Trail::parse("rng    x <- 0x2a").expect("valid seed");
+        seed_error("0x+2a");
+        // The prefix is mandatory and the digits exactly 16, lowercase.
+        seed_error("2a");
+        seed_error("0x");
+        seed_error("0x00000000000000001");
+        seed_error("0x2a");
+        seed_error("0x000000000000002A");
+        // Only the rendered form parses: this line is unindented,
+        // unterminated and its seed is short, so it is rejected too.
+        assert_eq!(Trail::parse("rng    x <- 0x2a"), None);
+        let t = Trail::parse("  rng    x <- 0x000000000000002a\n").expect("valid seed");
         assert_eq!(t.events()[0], Event::RngStream { tag: "x".into(), seed: 0x2a });
     }
 
@@ -464,9 +382,12 @@ mod tests {
 
     #[test]
     fn unescape_fails_closed() {
-        assert_eq!(unescape("trailing\\"), None);
-        assert_eq!(unescape("unknown \\q escape"), None);
-        assert_eq!(unescape("fine \\\\ \\n \\r \\= \\<"), Some("fine \\ \n \r = <".into()));
+        assert_eq!(codec::unescape("trailing\\", Esc::Key).ok(), None);
+        assert_eq!(codec::unescape("unknown \\q escape", Esc::Key).ok(), None);
+        assert_eq!(
+            codec::unescape("fine \\\\ \\n \\r \\= \\<", Esc::Key).ok(),
+            Some("fine \\ \n \r = <".into())
+        );
     }
 
     #[test]
@@ -478,8 +399,10 @@ mod tests {
         assert!(rendered.contains("NaN#7ff800000000beef"), "{rendered}");
         let parsed = Trail::parse(&rendered).expect("parses");
         assert_eq!(parsed.fingerprint(), t.fingerprint(), "bitwise NaN payload roundtrip");
-        // A NaN# form whose bits are not actually a NaN is malformed.
-        assert_eq!(Trail::parse("metric x = NaN#0000000000000001"), None);
+        // A NaN# form whose bits are not actually a NaN is malformed: the
+        // error lands on the value, which starts at byte 13.
+        let err = Trail::decode("  metric x = NaN#0000000000000001\n").unwrap_err();
+        assert_eq!(err.offset, 13, "{err}");
     }
 
     #[test]

@@ -38,15 +38,16 @@ use std::time::{Duration, Instant};
 
 use crate::batch::{Batch, Dispatch, Mode};
 use crate::cache::{Lookup, RunCache};
+use crate::codec::{self, Cursor, Esc, Token};
 use crate::exec::{FailureKind, RunFailure, RunOutcome, SupervisePolicy, VerifyReport};
 use crate::experiment::{ParamValue, Params, RunRecord};
 use crate::fault::{backoff_millis, FaultKind, FaultPlan, KillPlan};
 use crate::provenance::Trail;
 use crate::registry::ExperimentRegistry;
-use crate::trace::{json_escape, json_unescape, RunTrace, TraceEvent};
+use crate::trace::{RunTrace, TraceEvent};
 
 /// Wire protocol version spoken between coordinator and worker.
-pub const PROTO_VERSION: u32 = 1;
+pub const PROTO_VERSION: u32 = 2;
 
 /// How often an in-flight shard emits a keepalive beat when no task has
 /// completed — a fraction of any sane hang timeout, so slow-but-alive
@@ -70,109 +71,24 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
 }
 
 /// Read one length-prefixed frame. Returns `Ok(None)` on clean EOF before
-/// the length line; truncation or a malformed length mid-stream is an error.
+/// the length line; a length line that is not exactly what
+/// [`write_frame`] writes, or truncation mid-stream, is an error.
 pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<String>> {
+    let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
     let mut header = String::new();
     if r.read_line(&mut header)? == 0 {
         return Ok(None);
     }
-    let len: usize = header
-        .trim_end()
-        .parse()
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad frame length"))?;
+    let len = Token { at: 0, text: header.trim_end_matches('\n') }
+        .value::<usize>()
+        .and_then(|len| codec::canonical(&header, &format!("{len}\n")).map(|()| len))
+        .map_err(|e| invalid(format!("bad frame length: {e}")))?;
     if len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
+        return Err(invalid("frame too large".into()));
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    String::from_utf8(payload)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame not UTF-8"))
-}
-
-// ---------------------------------------------------------------------------
-// Wire encoding helpers
-// ---------------------------------------------------------------------------
-
-/// Minimal field extractor for this module's own flat JSON objects: finds
-/// `"key":` and returns the raw value token (string values come back
-/// *escaped*, without their quotes).
-fn jfield<'a>(payload: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = payload.find(&pat)? + pat.len();
-    let rest = &payload[at..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        let bytes = stripped.as_bytes();
-        let mut end = 0;
-        while end < bytes.len() {
-            match bytes[end] {
-                b'\\' => end += 2,
-                b'"' => return Some(&stripped[..end]),
-                _ => end += 1,
-            }
-        }
-        None
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(&rest[..end])
-    }
-}
-
-fn encode_menu(menu: &[FaultKind]) -> String {
-    menu.iter()
-        .map(|k| match k {
-            FaultKind::Panic => "p".to_string(),
-            FaultKind::Delay(ms) => format!("d{ms}"),
-            FaultKind::CorruptTrail => "c".to_string(),
-            FaultKind::TransientErr(n) => format!("e{n}"),
-        })
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn decode_menu(s: &str) -> Option<Vec<FaultKind>> {
-    if s.is_empty() {
-        return Some(Vec::new());
-    }
-    s.split(',')
-        .map(|tok| match tok.as_bytes().first()? {
-            b'p' => Some(FaultKind::Panic),
-            b'c' => Some(FaultKind::CorruptTrail),
-            b'd' => tok[1..].parse().ok().map(FaultKind::Delay),
-            b'e' => tok[1..].parse().ok().map(FaultKind::TransientErr),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Encode a [`FaultPlan`] for the wire such that the worker reconstructs a
-/// bitwise-identical plan: same fingerprint, same fault on every
-/// `(id, seed, attempt)`.
-pub fn encode_plan(plan: &FaultPlan) -> String {
-    let targets = plan.targets().iter().map(|t| json_escape(t)).collect::<Vec<_>>().join("\u{1f}");
-    format!(
-        "{:x}:{:x}:{}:{}",
-        plan.seed(),
-        plan.rate().to_bits(),
-        encode_menu(plan.menu()),
-        targets
-    )
-}
-
-/// Decode the wire form produced by [`encode_plan`].
-pub fn decode_plan(s: &str) -> Option<FaultPlan> {
-    let mut it = s.splitn(4, ':');
-    let seed = u64::from_str_radix(it.next()?, 16).ok()?;
-    let rate = f64::from_bits(u64::from_str_radix(it.next()?, 16).ok()?);
-    let menu = decode_menu(it.next()?)?;
-    let targets = it.next()?;
-    let mut plan = FaultPlan::with_menu(seed, rate, menu);
-    if !targets.is_empty() {
-        for t in targets.split('\u{1f}') {
-            plan = plan.and_panic_on(&json_unescape(t));
-        }
-    }
-    Some(plan)
+    String::from_utf8(payload).map(Some).map_err(|_| invalid("frame not UTF-8".into()))
 }
 
 // ---------------------------------------------------------------------------
@@ -216,183 +132,306 @@ pub struct TaskOutput {
     pub events: Vec<(TraceEvent, f64)>,
 }
 
-fn encode_param(v: &ParamValue) -> (char, String) {
-    match v {
-        ParamValue::Int(i) => ('i', i.to_string()),
-        ParamValue::Float(f) => ('f', format!("{:016x}", f.to_bits())),
-        ParamValue::Text(t) => ('t', json_escape(t)),
-        ParamValue::Bool(b) => ('b', b.to_string()),
-    }
+/// One protocol frame. Its payload is flat JSON lines, each
+/// `\n`-terminated; the first names the kind in `msg`. A worker's trace
+/// events travel as their trace-stream objects and floats in the
+/// [`codec::f64_text`] form, so every value crosses the wire bitwise.
+#[derive(Debug, Clone)]
+pub enum Frame {
+    /// Coordinator → worker: the settings every shard runs under.
+    Hello {
+        /// Threads per worker.
+        jobs: usize,
+        /// Whether to record trace events.
+        tracing: bool,
+        /// Fault plan to run under.
+        plan: Option<FaultPlan>,
+        /// Cache directory to open.
+        cache_dir: Option<String>,
+    },
+    /// Worker → coordinator: ready for shards.
+    Ready {
+        /// The worker's process id.
+        pid: u32,
+    },
+    /// Coordinator → worker: tasks to execute.
+    Shard {
+        /// Shard number.
+        shard: usize,
+        /// The shard's tasks, in index order.
+        tasks: Vec<TaskSpec>,
+    },
+    /// Worker → coordinator: progress on a shard.
+    Beat {
+        /// Shard number.
+        shard: usize,
+        /// Tasks completed so far.
+        done: usize,
+    },
+    /// Worker → coordinator: a shard's outputs.
+    Done {
+        /// Shard number.
+        shard: usize,
+        /// One output per task, in index order.
+        outputs: Vec<TaskOutput>,
+    },
+    /// Coordinator → worker: flush stats and exit.
+    Shutdown,
+    /// Worker → coordinator: exiting.
+    Bye,
 }
 
-fn render_shard(shard: usize, tasks: &[TaskSpec]) -> String {
-    let mut out = format!("{{\"msg\":\"shard\",\"shard\":{shard},\"tasks\":{}}}", tasks.len());
-    for t in tasks {
-        out.push_str(&format!(
-            "\ntask\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            t.index,
-            json_escape(&t.id),
-            t.seed,
-            t.replica,
-            t.retries,
-            t.deadline_us,
-            u8::from(t.cache)
-        ));
-        for (k, v) in t.params.iter() {
-            let (tag, val) = encode_param(v);
-            out.push_str(&format!("\nparam\t{}\t{}\t{tag}\t{val}", t.index, json_escape(k)));
-        }
-    }
-    out
-}
-
-fn parse_shard(payload: &str) -> Option<(usize, Vec<TaskSpec>)> {
-    let mut lines = payload.lines();
-    let shard: usize = jfield(lines.next()?, "shard")?.parse().ok()?;
-    let mut tasks: Vec<TaskSpec> = Vec::new();
-    for line in lines {
-        let mut f = line.split('\t');
-        match f.next()? {
-            "task" => tasks.push(TaskSpec {
-                index: f.next()?.parse().ok()?,
-                id: json_unescape(f.next()?),
-                seed: f.next()?.parse().ok()?,
-                replica: f.next()?.parse().ok()?,
-                params: Params::new(),
-                retries: f.next()?.parse().ok()?,
-                deadline_us: f.next()?.parse().ok()?,
-                cache: f.next()? == "1",
-            }),
-            "param" => {
-                let index: usize = f.next()?.parse().ok()?;
-                let key = json_unescape(f.next()?);
-                let tag = f.next()?;
-                let val = f.next()?;
-                let t = tasks.iter_mut().rfind(|t| t.index == index)?;
-                let params = std::mem::take(&mut t.params);
-                t.params = match tag {
-                    "i" => params.with_int(&key, val.parse().ok()?),
-                    "f" => {
-                        params.with_float(&key, f64::from_bits(u64::from_str_radix(val, 16).ok()?))
+impl Frame {
+    /// The frame's payload text.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        match self {
+            Frame::Hello { jobs, tracing, plan, cache_dir } => {
+                out.push_str(&format!(
+                    "{{\"msg\":\"hello\",\"proto\":{PROTO_VERSION},\"jobs\":{jobs},\"tracing\":{tracing}"
+                ));
+                if let Some(dir) = cache_dir {
+                    out.push(',');
+                    codec::json_field(&mut out, "cache_dir", dir);
+                }
+                out.push_str("}\n");
+                out.push_str(&plan.as_ref().map(encode_plan).unwrap_or_default());
+            }
+            Frame::Ready { pid } => out.push_str(&format!("{{\"msg\":\"ready\",\"pid\":{pid}}}\n")),
+            Frame::Shard { shard, tasks } => {
+                out.push_str(&format!("{{\"msg\":\"shard\",\"shard\":{shard}}}\n"));
+                for t in tasks {
+                    let id = codec::escape(&t.id, Esc::Json);
+                    out.push_str(&format!(
+                        "{{\"task\":{},\"id\":\"{id}\",\"seed\":{},\"replica\":{},\"retries\":{},\"deadline_us\":{},\"cache\":{}}}\n",
+                        t.index, t.seed, t.replica, t.retries, t.deadline_us, t.cache
+                    ));
+                    for (k, v) in t.params.iter() {
+                        out.push('{');
+                        codec::json_field(&mut out, "param", k);
+                        out.push_str(&match v {
+                            ParamValue::Int(i) => format!(",\"int\":{i}"),
+                            ParamValue::Float(f) => {
+                                format!(",\"float\":\"{}\"", codec::f64_text(*f))
+                            }
+                            ParamValue::Text(s) => {
+                                format!(",\"text\":\"{}\"", codec::escape(s, Esc::Json))
+                            }
+                            ParamValue::Bool(b) => format!(",\"bool\":{b}"),
+                        });
+                        out.push_str("}\n");
                     }
-                    "t" => params.with_text(&key, &json_unescape(val)),
-                    "b" => params.with_bool(&key, val.parse().ok()?),
-                    _ => return None,
-                };
-            }
-            _ => return None,
-        }
-    }
-    Some((shard, tasks))
-}
-
-fn render_done(shard: usize, outputs: &[TaskOutput]) -> String {
-    let mut out = format!("{{\"msg\":\"done\",\"shard\":{shard},\"results\":{}}}", outputs.len());
-    for o in outputs {
-        match &o.outcome {
-            RunOutcome::Ok { record, attempts } => {
-                out.push_str(&format!(
-                    "\nok\t{}\t{attempts}\t{}\t{}\t{}\t{}\t{:016x}",
-                    o.index,
-                    u8::from(o.cached),
-                    o.dropped,
-                    json_escape(&record.name),
-                    record.seed,
-                    record.wall_seconds.to_bits()
-                ));
-                out.push_str(&format!(
-                    "\ntrail\t{}\t{}",
-                    o.index,
-                    json_escape(&record.trail.render())
-                ));
-            }
-            RunOutcome::Failed(fail) => {
-                out.push_str(&format!(
-                    "\nfail\t{}\t{}\t{}\t{}\t{}",
-                    o.index,
-                    fail.taxonomy.name(),
-                    fail.attempts,
-                    o.dropped,
-                    json_escape(&fail.last_error)
-                ));
-            }
-        }
-        for (ev, at) in &o.events {
-            out.push_str(&format!(
-                "\nev\t{}\t{:016x}\t{}",
-                o.index,
-                at.to_bits(),
-                json_escape(&ev.render_json())
-            ));
-        }
-    }
-    out
-}
-
-fn parse_done(payload: &str) -> Option<(usize, Vec<TaskOutput>)> {
-    let mut lines = payload.lines();
-    let shard: usize = jfield(lines.next()?, "shard")?.parse().ok()?;
-    let mut outputs: Vec<TaskOutput> = Vec::new();
-    for line in lines {
-        let mut f = line.split('\t');
-        match f.next()? {
-            "ok" => {
-                let index: usize = f.next()?.parse().ok()?;
-                let attempts: u32 = f.next()?.parse().ok()?;
-                let cached = f.next()? == "1";
-                let dropped: u64 = f.next()?.parse().ok()?;
-                let name = json_unescape(f.next()?);
-                let seed: u64 = f.next()?.parse().ok()?;
-                let wall = f64::from_bits(u64::from_str_radix(f.next()?, 16).ok()?);
-                outputs.push(TaskOutput {
-                    index,
-                    outcome: RunOutcome::Ok {
-                        record: RunRecord { name, seed, trail: Trail::new(), wall_seconds: wall },
-                        attempts,
-                    },
-                    cached,
-                    dropped,
-                    events: Vec::new(),
-                });
-            }
-            "trail" => {
-                let index: usize = f.next()?.parse().ok()?;
-                let rendered = json_unescape(f.next()?);
-                let o = outputs.iter_mut().rfind(|o| o.index == index)?;
-                if let RunOutcome::Ok { record, .. } = &mut o.outcome {
-                    record.trail = Trail::parse(&rendered)?;
                 }
             }
-            "fail" => {
-                let index: usize = f.next()?.parse().ok()?;
-                let taxonomy = match f.next()? {
-                    "Panicked" => FailureKind::Panicked,
-                    "TimedOut" => FailureKind::TimedOut,
-                    "Nondeterministic" => FailureKind::Nondeterministic,
-                    "CorruptCache" => FailureKind::CorruptCache,
-                    _ => return None,
-                };
-                let attempts: u32 = f.next()?.parse().ok()?;
-                let dropped: u64 = f.next()?.parse().ok()?;
-                let last_error = json_unescape(f.next()?);
-                outputs.push(TaskOutput {
-                    index,
-                    outcome: RunOutcome::Failed(RunFailure { taxonomy, attempts, last_error }),
-                    cached: false,
-                    dropped,
-                    events: Vec::new(),
-                });
+            Frame::Beat { shard, done } => {
+                out.push_str(&format!("{{\"msg\":\"beat\",\"shard\":{shard},\"done\":{done}}}\n"));
             }
-            "ev" => {
-                let index: usize = f.next()?.parse().ok()?;
-                let at = f64::from_bits(u64::from_str_radix(f.next()?, 16).ok()?);
-                let ev = TraceEvent::parse_json(&json_unescape(f.next()?))?;
-                outputs.iter_mut().rfind(|o| o.index == index)?.events.push((ev, at));
+            Frame::Done { shard, outputs } => {
+                out.push_str(&format!("{{\"msg\":\"done\",\"shard\":{shard}}}\n"));
+                for o in outputs {
+                    let attempts = match &o.outcome {
+                        RunOutcome::Ok { attempts, .. } => *attempts,
+                        RunOutcome::Failed(fail) => fail.attempts,
+                    };
+                    out.push_str(&format!(
+                        "{{\"task\":{},\"attempts\":{attempts},\"dropped\":{},",
+                        o.index, o.dropped
+                    ));
+                    match &o.outcome {
+                        RunOutcome::Ok { record, .. } => {
+                            let name = codec::escape(&record.name, Esc::Json);
+                            let wall = codec::f64_text(record.wall_seconds);
+                            out.push_str(&format!(
+                                "\"cached\":{},\"name\":\"{name}\",\"seed\":{},\"wall\":\"{wall}\",",
+                                o.cached, record.seed
+                            ));
+                            codec::json_field(&mut out, "trail", &record.trail.render());
+                        }
+                        RunOutcome::Failed(fail) => {
+                            out.push_str(&format!("\"taxonomy\":\"{}\",", fail.taxonomy.name()));
+                            codec::json_field(&mut out, "error", &fail.last_error);
+                        }
+                    }
+                    out.push_str("}\n");
+                    for (ev, at) in &o.events {
+                        out.push_str(&format!("{{\"at\":\"{}\",", codec::f64_text(*at)));
+                        ev.render_into(&mut out);
+                        out.push_str("}\n");
+                    }
+                }
             }
-            _ => return None,
+            Frame::Shutdown => out.push_str("{\"msg\":\"shutdown\"}\n"),
+            Frame::Bye => out.push_str("{\"msg\":\"bye\"}\n"),
         }
+        out
     }
-    Some((shard, outputs))
+
+    /// Exact inverse of [`Frame::render`]: a payload it would not write
+    /// back byte for byte is an error at its first differing byte. A hello
+    /// naming another protocol version fails as a protocol mismatch.
+    pub fn parse(payload: &str) -> Result<Frame, codec::Error> {
+        let mut c = Cursor::new(payload);
+        c.open()?;
+        let at = c.pos();
+        let frame = match c.str("msg")?.as_str() {
+            "hello" => {
+                let proto: u32 = c.value("proto")?;
+                if proto != PROTO_VERSION {
+                    let why =
+                        format!("protocol mismatch: coordinator v{proto}, worker v{PROTO_VERSION}");
+                    return Err(codec::Error::new(at, why));
+                }
+                let jobs = c.value("jobs")?;
+                let tracing = c.value("tracing")?;
+                let cache_dir = match c.peek_key() {
+                    Some("cache_dir") => Some(c.str("cache_dir")?),
+                    _ => None,
+                };
+                c.close()?;
+                let plan = if c.done() { None } else { Some(read_plan(&mut c)?) };
+                Frame::Hello { jobs, tracing, plan, cache_dir }
+            }
+            "ready" => Frame::Ready { pid: c.value("pid")? },
+            "shard" => {
+                let shard = c.value("shard")?;
+                let mut tasks: Vec<TaskSpec> = Vec::new();
+                loop {
+                    c.close()?;
+                    if c.done() {
+                        break;
+                    }
+                    c.open()?;
+                    if c.peek_key() == Some("task") {
+                        tasks.push(TaskSpec {
+                            index: c.value("task")?,
+                            id: c.str("id")?,
+                            seed: c.value("seed")?,
+                            replica: c.value("replica")?,
+                            params: Params::new(),
+                            retries: c.value("retries")?,
+                            deadline_us: c.value("deadline_us")?,
+                            cache: c.value("cache")?,
+                        });
+                        continue;
+                    }
+                    let key = c.str("param")?;
+                    let task = tasks.last_mut().ok_or_else(|| c.err("param before any task"))?;
+                    let params = std::mem::take(&mut task.params);
+                    task.params = match c.peek_key() {
+                        Some("int") => params.with_int(&key, c.value("int")?),
+                        Some("float") => params.with_float(&key, c.str_as("float", |t| t.f64())?),
+                        Some("text") => params.with_text(&key, &c.str("text")?),
+                        _ => params.with_bool(&key, c.value("bool")?),
+                    };
+                }
+                Frame::Shard { shard, tasks }
+            }
+            "beat" => Frame::Beat { shard: c.value("shard")?, done: c.value("done")? },
+            "done" => {
+                let shard = c.value("shard")?;
+                let mut outputs: Vec<TaskOutput> = Vec::new();
+                loop {
+                    c.close()?;
+                    if c.done() {
+                        break;
+                    }
+                    c.open()?;
+                    outputs.push(match c.peek_key() {
+                        Some("at") => {
+                            let at = c.str_as("at", |t| t.f64())?;
+                            let ev = TraceEvent::read(&mut c)?;
+                            let o = outputs
+                                .last_mut()
+                                .ok_or_else(|| c.err("event before any output"))?;
+                            o.events.push((ev, at));
+                            continue;
+                        }
+                        _ => {
+                            let index = c.value("task")?;
+                            let attempts = c.value("attempts")?;
+                            let dropped = c.value("dropped")?;
+                            let (outcome, cached) = if c.peek_key() == Some("taxonomy") {
+                                let taxonomy =
+                                    c.label("taxonomy", &FailureKind::ALL, FailureKind::name)?;
+                                let last_error = c.str("error")?;
+                                (
+                                    RunOutcome::Failed(RunFailure {
+                                        taxonomy,
+                                        attempts,
+                                        last_error,
+                                    }),
+                                    false,
+                                )
+                            } else {
+                                let cached = c.value("cached")?;
+                                let name = c.str("name")?;
+                                let seed = c.value("seed")?;
+                                let wall_seconds = c.str_as("wall", |t| t.f64())?;
+                                let trail = c.str_as("trail", |t| {
+                                    Trail::decode(t.text).map_err(|e| e.shift(t.at))
+                                })?;
+                                let record = RunRecord { name, seed, trail, wall_seconds };
+                                (RunOutcome::Ok { record, attempts }, cached)
+                            };
+                            TaskOutput { index, outcome, cached, dropped, events: Vec::new() }
+                        }
+                    });
+                }
+                Frame::Done { shard, outputs }
+            }
+            "shutdown" => Frame::Shutdown,
+            "bye" => Frame::Bye,
+            other => return Err(codec::Error::new(at, format!("unknown frame {other:?}"))),
+        };
+        codec::canonical(payload, &frame.render())?;
+        Ok(frame)
+    }
+}
+
+/// Encode a [`FaultPlan`] for the wire such that the worker reconstructs a
+/// bitwise-identical plan: same fingerprint, same fault on every
+/// `(id, seed, attempt)`. One line for the seed, rate and menu (fault
+/// labels), one per permanently panicking target.
+pub fn encode_plan(plan: &FaultPlan) -> String {
+    let menu: Vec<String> = plan.menu().iter().map(|k| k.label()).collect();
+    let mut out = format!(
+        "{{\"fault_seed\":{},\"rate\":\"{}\",\"menu\":\"{}\"}}\n",
+        plan.seed(),
+        codec::f64_text(plan.rate()),
+        menu.join(",")
+    );
+    for target in plan.targets() {
+        out.push('{');
+        codec::json_field(&mut out, "panic_on", target);
+        out.push_str("}\n");
+    }
+    out
+}
+
+/// Exact inverse of [`encode_plan`].
+pub fn decode_plan(text: &str) -> Result<FaultPlan, codec::Error> {
+    let plan = read_plan(&mut Cursor::new(text))?;
+    codec::canonical(text, &encode_plan(&plan))?;
+    Ok(plan)
+}
+
+/// Reads [`encode_plan`]'s lines through the end of the text.
+fn read_plan(c: &mut Cursor<'_>) -> Result<FaultPlan, codec::Error> {
+    c.open()?;
+    let seed = c.value("fault_seed")?;
+    let rate = c.str_as("rate", |t| t.f64())?;
+    let at = c.pos();
+    let labels = c.str("menu")?;
+    let menu = labels.split(',').filter(|l| !l.is_empty()).map(FaultKind::from_label);
+    let menu = menu.collect::<Option<_>>().ok_or_else(|| codec::Error::new(at, "unknown fault"))?;
+    let mut plan = FaultPlan::with_menu(seed, rate, menu);
+    c.close()?;
+    while !c.done() {
+        c.open()?;
+        plan = plan.and_panic_on(&c.str("panic_on")?);
+        c.close()?;
+    }
+    Ok(plan)
 }
 
 // ---------------------------------------------------------------------------
@@ -500,31 +539,21 @@ pub fn worker_loop(
     // treu-lint: allow(wall-clock, reason = "trace timestamps are an unhashed sidecar")
     let epoch = Instant::now();
     while let Some(payload) = read_frame(&mut input)? {
-        match jfield(&payload, "msg").unwrap_or("") {
-            "hello" => {
-                let proto: u32 =
-                    jfield(&payload, "proto").and_then(|v| v.parse().ok()).unwrap_or(0);
-                if proto != PROTO_VERSION {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("protocol mismatch: coordinator v{proto}, worker v{PROTO_VERSION}"),
-                    ));
-                }
-                jobs = jfield(&payload, "jobs").and_then(|v| v.parse().ok()).unwrap_or(1).max(1);
-                tracing = jfield(&payload, "tracing") == Some("true");
-                plan = jfield(&payload, "plan").and_then(|p| decode_plan(&json_unescape(p)));
-                if let Some(dir) = jfield(&payload, "cache_dir") {
-                    cache = RunCache::open(Path::new(&json_unescape(dir))).ok();
-                }
-                write_frame(
-                    &mut output,
-                    &format!("{{\"msg\":\"ready\",\"pid\":{}}}", std::process::id()),
-                )?;
+        let frame = Frame::parse(&payload).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("malformed frame at {}", e.locate(&payload)),
+            )
+        })?;
+        match frame {
+            Frame::Hello { jobs: j, tracing: t, plan: p, cache_dir } => {
+                jobs = j.max(1);
+                tracing = t;
+                plan = p;
+                cache = cache_dir.and_then(|dir| RunCache::open(Path::new(&dir)).ok());
+                write_frame(&mut output, &Frame::Ready { pid: std::process::id() }.render())?;
             }
-            "shard" => {
-                let (shard, tasks) = parse_shard(&payload).ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "malformed shard frame")
-                })?;
+            Frame::Shard { shard, tasks } => {
                 let outputs = run_shard(
                     reg,
                     &tasks,
@@ -533,23 +562,23 @@ pub fn worker_loop(
                     tracing,
                     jobs,
                     epoch,
-                    |done| {
-                        write_frame(
-                            &mut output,
-                            &format!("{{\"msg\":\"beat\",\"shard\":{shard},\"done\":{done}}}"),
-                        )
-                    },
+                    |done| write_frame(&mut output, &Frame::Beat { shard, done }.render()),
                 )?;
-                write_frame(&mut output, &render_done(shard, &outputs))?;
+                write_frame(&mut output, &Frame::Done { shard, outputs }.render())?;
             }
-            "shutdown" => {
+            Frame::Shutdown => {
                 if let Some(cache) = cache.as_ref() {
                     let _ = cache.write_stats_sidecar();
                 }
-                write_frame(&mut output, "{\"msg\":\"bye\"}")?;
+                write_frame(&mut output, &Frame::Bye.render())?;
                 return Ok(());
             }
-            _ => {}
+            _ => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "the coordinator sent a worker-side frame",
+                ));
+            }
         }
     }
     Ok(())
@@ -818,21 +847,6 @@ impl WorkerPool {
         Ok(cmd)
     }
 
-    fn hello(&self, plan: Option<&FaultPlan>) -> String {
-        let mut s = format!(
-            "{{\"msg\":\"hello\",\"proto\":{PROTO_VERSION},\"jobs\":{},\"tracing\":{}",
-            self.cfg.jobs, self.cfg.tracing
-        );
-        if let Some(plan) = plan {
-            s.push_str(&format!(",\"plan\":\"{}\"", json_escape(&encode_plan(plan))));
-        }
-        if let Some(dir) = &self.cfg.cache_dir {
-            s.push_str(&format!(",\"cache_dir\":\"{}\"", json_escape(&dir.to_string_lossy())));
-        }
-        s.push('}');
-        s
-    }
-
     /// Run `tasks` across the pool. `tasks[i].index` must equal `i`.
     ///
     /// Results come back complete: any task orphaned by crashes beyond the
@@ -860,9 +874,19 @@ impl WorkerPool {
         let total = tasks.len();
         let mut results: Vec<Option<TaskOutput>> = (0..total).map(|_| None).collect();
         let shard_size = self.cfg.auto_shard_size(total);
-        let shards: Vec<Vec<TaskSpec>> = tasks.chunks(shard_size).map(<[_]>::to_vec).collect();
+        let shards: Vec<String> = tasks
+            .chunks(shard_size)
+            .enumerate()
+            .map(|(shard, chunk)| Frame::Shard { shard, tasks: chunk.to_vec() }.render())
+            .collect();
         let mut queue: VecDeque<usize> = (0..shards.len()).collect();
-        let hello = self.hello(plan);
+        let hello = Frame::Hello {
+            jobs: self.cfg.jobs,
+            tracing: self.cfg.tracing,
+            plan: plan.cloned(),
+            cache_dir: self.cfg.cache_dir.as_ref().map(|d| d.to_string_lossy().into_owned()),
+        }
+        .render();
         let (tx, rx) = mpsc::channel::<Wire>();
         let nslots = self.cfg.workers.min(shards.len());
         let mut slots: Vec<Slot> = Vec::with_capacity(nslots);
@@ -923,10 +947,9 @@ impl WorkerPool {
                 // treu-lint: allow(wall-clock, reason = "supervision watchdog")
                 slots[w].last_progress = Instant::now();
                 stats.shards += 1;
-                let frame = render_shard(sh, &shards[sh]);
                 let write_ok = {
                     let inc = slots[w].live.as_mut().expect("live incarnation");
-                    write_frame(&mut inc.stdin, &frame).is_ok()
+                    write_frame(&mut inc.stdin, &shards[sh]).is_ok()
                 };
                 if !write_ok {
                     stats.crashes += 1;
@@ -978,20 +1001,18 @@ impl WorkerPool {
                     }
                     // treu-lint: allow(wall-clock, reason = "supervision watchdog")
                     slot.last_progress = Instant::now();
-                    match jfield(&payload, "msg") {
-                        Some("ready") => slot.ready = true,
-                        Some("beat") => stats.heartbeats += 1,
-                        Some("done") => {
-                            if let Some((sh, outputs)) = parse_done(&payload) {
-                                if slot.busy == Some(sh) {
-                                    slot.busy = None;
-                                }
-                                for out in outputs {
-                                    let pos = out.index;
-                                    if pos < total && results[pos].is_none() {
-                                        results[pos] = Some(out);
-                                        filled += 1;
-                                    }
+                    match Frame::parse(&payload) {
+                        Ok(Frame::Ready { .. }) => slot.ready = true,
+                        Ok(Frame::Beat { .. }) => stats.heartbeats += 1,
+                        Ok(Frame::Done { shard, outputs }) => {
+                            if slot.busy == Some(shard) {
+                                slot.busy = None;
+                            }
+                            for out in outputs {
+                                let pos = out.index;
+                                if pos < total && results[pos].is_none() {
+                                    results[pos] = Some(out);
+                                    filled += 1;
                                 }
                             }
                         }
@@ -1039,7 +1060,7 @@ impl WorkerPool {
         // give them a bounded grace period before reaping by force.
         for slot in slots.iter_mut() {
             if let Some(mut inc) = slot.live.take() {
-                let _ = write_frame(&mut inc.stdin, "{\"msg\":\"shutdown\"}");
+                let _ = write_frame(&mut inc.stdin, &Frame::Shutdown.render());
                 drop(inc.stdin);
                 // treu-lint: allow(wall-clock, reason = "shutdown grace period")
                 let patience = Instant::now();
@@ -1198,6 +1219,41 @@ mod tests {
     use crate::exec::Executor;
     use crate::experiment::{Experiment, RunContext};
 
+    fn render_shard(shard: usize, tasks: &[TaskSpec]) -> String {
+        Frame::Shard { shard, tasks: tasks.to_vec() }.render()
+    }
+
+    fn parse_shard(payload: &str) -> Option<(usize, Vec<TaskSpec>)> {
+        match Frame::parse(payload) {
+            Ok(Frame::Shard { shard, tasks }) => Some((shard, tasks)),
+            _ => None,
+        }
+    }
+
+    fn render_done(shard: usize, outputs: &[TaskOutput]) -> String {
+        Frame::Done { shard, outputs: outputs.to_vec() }.render()
+    }
+
+    fn parse_done(payload: &str) -> Option<(usize, Vec<TaskOutput>)> {
+        match Frame::parse(payload) {
+            Ok(Frame::Done { shard, outputs }) => Some((shard, outputs)),
+            _ => None,
+        }
+    }
+
+    /// The `msg` of a frame, when it parses.
+    fn msg(payload: &str) -> Option<&'static str> {
+        Some(match Frame::parse(payload).ok()? {
+            Frame::Hello { .. } => "hello",
+            Frame::Ready { .. } => "ready",
+            Frame::Shard { .. } => "shard",
+            Frame::Beat { .. } => "beat",
+            Frame::Done { .. } => "done",
+            Frame::Shutdown => "shutdown",
+            Frame::Bye => "bye",
+        })
+    }
+
     struct Echo;
     impl Experiment for Echo {
         fn name(&self) -> &str {
@@ -1274,7 +1330,12 @@ mod tests {
                 format!("{:?}", plan.fault_at("probe", 99, attempt))
             );
         }
-        assert!(decode_plan("zz:0:p:").is_none(), "bad seed rejected");
+        // A plan line whose seed is not a canonical decimal u64 fails at the
+        // seed, which starts at byte 14.
+        for seed in ["zz", "+7", "-1", "07", "18446744073709551616"] {
+            let text = format!("{{\"fault_seed\":{seed},\"rate\":\"0.5\",\"menu\":\"\"}}\n");
+            assert_eq!(decode_plan(&text).unwrap_err().offset, 14, "bad seed {seed} rejected");
+        }
     }
 
     #[test]
@@ -1358,7 +1419,7 @@ mod tests {
         assert_eq!(out.events.len(), parsed[0].events.len());
         assert!(!out.events.is_empty(), "traced execution produced events");
         for ((ea, ta), (eb, tb)) in out.events.iter().zip(parsed[0].events.iter()) {
-            assert_eq!(ea.render_json(), eb.render_json());
+            assert_eq!(ea, eb);
             assert_eq!(ta.to_bits(), tb.to_bits());
         }
         match &parsed[1].outcome {
@@ -1372,13 +1433,66 @@ mod tests {
         assert_eq!(parsed[1].dropped, 2);
     }
 
+    /// Frames that the v1 readers took silently: an unknown escape in a
+    /// plan target, a cache flag of `7`, an extra field, a duplicate key,
+    /// a malformed `\u` escape, an event with a duplicate key or trailing
+    /// bytes, and a signed frame length.
+    #[test]
+    fn malformed_frames_are_rejected() {
+        let plan =
+            "{\"fault_seed\":1,\"rate\":\"0\",\"menu\":\"\"}\n{\"panic_on\":\"bad\\qname\"}\n";
+        assert!(decode_plan(plan).is_err());
+        assert!(decode_plan(&plan.replace("bad\\q", "bad")).is_ok());
+        let task = TaskSpec {
+            index: 0,
+            id: "T1".into(),
+            seed: 2023,
+            replica: 0,
+            params: Params::new(),
+            retries: 0,
+            deadline_us: 0,
+            cache: true,
+        };
+        let shard = render_shard(0, &[task]);
+        assert!(parse_shard(&shard).is_some());
+        for bad in [
+            shard.replace("\"cache\":true", "\"cache\":7"),
+            shard.replace("\"cache\":true}", "\"cache\":true,\"extra\":1}"),
+            shard.replace("\"id\":\"T1\"", "\"id\":\"T\\u00zz1\""),
+            "{\"msg\":\"shard\",\"shard\":1,\"shard\":2}\n".to_string(),
+        ] {
+            assert!(Frame::parse(&bad).is_err(), "{bad}");
+        }
+        let claimed = TaskOutput {
+            index: 0,
+            outcome: RunOutcome::Failed(RunFailure {
+                taxonomy: FailureKind::Panicked,
+                attempts: 1,
+                last_error: "boom".into(),
+            }),
+            cached: false,
+            dropped: 0,
+            events: vec![(TraceEvent::Claim { replica: 0 }, 0.5)],
+        };
+        let done = render_done(0, &[claimed]);
+        assert!(parse_done(&done).is_some());
+        for bad in [
+            done.replace("\"replica\":0}", "\"replica\":0,\"replica\":1}"),
+            format!("{done}garbage"),
+        ] {
+            assert!(Frame::parse(&bad).is_err(), "{bad}");
+        }
+        let mut r = io::BufReader::new(&b"+3\nabc"[..]);
+        assert!(read_frame(&mut r).is_err(), "signed length rejected");
+    }
+
     #[test]
     fn worker_loop_in_memory_matches_direct_execution() {
         let reg = small_registry();
         let mut inbox = Vec::new();
         write_frame(
             &mut inbox,
-            &format!("{{\"msg\":\"hello\",\"proto\":{PROTO_VERSION},\"jobs\":2,\"tracing\":true}}"),
+            &Frame::Hello { jobs: 2, tracing: true, plan: None, cache_dir: None }.render(),
         )
         .unwrap();
         let tasks: Vec<TaskSpec> = ["alpha", "beta", "gamma"]
@@ -1396,17 +1510,17 @@ mod tests {
             })
             .collect();
         write_frame(&mut inbox, &render_shard(0, &tasks)).unwrap();
-        write_frame(&mut inbox, "{\"msg\":\"shutdown\"}").unwrap();
+        write_frame(&mut inbox, &Frame::Shutdown.render()).unwrap();
         let mut outbox = Vec::new();
         worker_loop(&reg, io::BufReader::new(&inbox[..]), &mut outbox).unwrap();
         let mut r = io::BufReader::new(&outbox[..]);
         let ready = read_frame(&mut r).unwrap().expect("ready frame");
-        assert_eq!(jfield(&ready, "msg"), Some("ready"));
+        assert_eq!(msg(&ready), Some("ready"));
         let mut done = None;
         let mut beats = 0;
         let mut bye = false;
         while let Some(frame) = read_frame(&mut r).unwrap() {
-            match jfield(&frame, "msg") {
+            match msg(&frame) {
                 Some("beat") => beats += 1,
                 Some("done") => done = Some(frame),
                 Some("bye") => bye = true,
@@ -1431,7 +1545,7 @@ mod tests {
             assert_eq!(a.fingerprint(), b.fingerprint());
             assert_eq!(direct.events.len(), out.events.len());
             for ((ea, _), (eb, _)) in direct.events.iter().zip(out.events.iter()) {
-                assert_eq!(ea.render_json(), eb.render_json());
+                assert_eq!(ea, eb);
             }
         }
     }
@@ -1445,6 +1559,7 @@ mod tests {
         let mut outbox = Vec::new();
         let err = worker_loop(&reg, io::BufReader::new(&inbox[..]), &mut outbox).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("protocol mismatch"), "{err}");
     }
 
     #[test]

@@ -24,14 +24,18 @@
 //! way the run cache detects a damaged entry.
 //!
 //! The format is line-oriented JSON (one object per line, no nesting)
-//! written and parsed by hand — the workspace carries no serde — with a
-//! header line, one descriptor line per run, and one line per event.
+//! written and read with [`crate::codec`] — the workspace carries no
+//! serde — with a header line, one descriptor line per run, and one line
+//! per event. [`parse_trace`] accepts exactly the bytes
+//! [`BatchTrace::render_events`] writes and returns the typed trace.
 //! [`TraceCounters`] folds a batch's events into the aggregate counts the
 //! reports print, so the report and the trace can never disagree.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use crate::codec::{self, Cursor, Esc, Token};
 
 /// Magic header value of the hashed event stream.
 pub const TRACE_MAGIC: &str = "treu-trace v1";
@@ -46,60 +50,12 @@ pub const DEFAULT_RING_CAPACITY: usize = 512;
 // stream — the same hash the run cache and fault plan use.
 use crate::hash::fnv64;
 
-/// Minimal JSON string escaping for the hand-rolled writer.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`json_escape`] for the tiny parser.
-pub(crate) fn json_unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('r') => out.push('\r'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Maps a failure-taxonomy label back onto the `&'static str` the
+/// Failure-taxonomy labels an event may carry — the `&'static str`s the
 /// in-process supervisor emits (see `FailureKind::name`).
-fn intern_taxonomy(s: &str) -> Option<&'static str> {
-    match s {
-        "Panicked" => Some("Panicked"),
-        "TimedOut" => Some("TimedOut"),
-        "Nondeterministic" => Some("Nondeterministic"),
-        "CorruptCache" => Some("CorruptCache"),
-        _ => None,
-    }
-}
+const TAXONOMY: [&str; 4] = ["Panicked", "TimedOut", "Nondeterministic", "CorruptCache"];
+
+/// Cluster-simulator recovery policy labels.
+const POLICIES: [&str; 2] = ["restage", "checkpoint"];
 
 /// What a classified cache lookup found — the trace-side mirror of
 /// [`crate::cache::Lookup`], kept separate so this module stays free of
@@ -117,6 +73,8 @@ pub enum CacheResult {
 }
 
 impl CacheResult {
+    const ALL: [Self; 4] = [Self::Hit, Self::Miss, Self::Stale, Self::Corrupt];
+
     /// Stable event-stream label.
     pub fn name(self) -> &'static str {
         match self {
@@ -140,6 +98,8 @@ pub enum AttemptOutcome {
 }
 
 impl AttemptOutcome {
+    const ALL: [Self; 3] = [Self::Ok, Self::Panicked, Self::TimedOut];
+
     /// Stable event-stream label.
     pub fn name(self) -> &'static str {
         match self {
@@ -266,107 +226,70 @@ impl TraceEvent {
         }
     }
 
-    /// One self-contained JSON object for this event — the wire form the
-    /// sharded service ships worker-side events in. Uses the exact same
-    /// field renderer as the batch stream, so a worker-computed event
-    /// rendered remotely is byte-identical to the same event rendered
-    /// in-process.
-    pub fn render_json(&self) -> String {
-        let mut out = format!("{{\"ev\":\"{}\"", self.name());
-        self.render_fields(&mut out);
-        out.push('}');
-        out
-    }
-
-    /// Parses one [`TraceEvent::render_json`] object back into an event.
-    ///
-    /// Taxonomy, failure, policy and outcome labels are **interned** onto
-    /// the same `&'static str` values the in-process path uses — an
-    /// unknown label yields `None` rather than an allocated impostor, so
-    /// a parsed stream can never hash differently from a native one.
-    pub fn parse_json(line: &str) -> Option<TraceEvent> {
-        let replica = || ju64(line, "replica").map(|v| v as u32);
-        let attempt = || ju64(line, "attempt").map(|v| v as u32);
-        let boolean = |key: &str| match jraw(line, key) {
-            Some("true") => Some(true),
-            Some("false") => Some(false),
-            _ => None,
+    /// Reads the `"ev"` field and the payload fields of an open object, as
+    /// [`TraceEvent::render_into`] writes them. Taxonomy, failure, policy
+    /// and outcome labels are **interned** onto the same `&'static str`
+    /// values the in-process path uses, and an unknown label is an error
+    /// rather than an allocated impostor, so a parsed event can never hash
+    /// differently from a native one.
+    pub(crate) fn read(c: &mut Cursor<'_>) -> Result<TraceEvent, codec::Error> {
+        let at = c.pos();
+        let taxonomy = |c: &mut Cursor<'_>, key: &str| {
+            let present = c.peek_key() == Some(key);
+            present.then(|| c.label(key, &TAXONOMY, |t| t)).transpose()
         };
-        match jstr(line, "ev")?.as_str() {
-            "claim" => Some(TraceEvent::Claim { replica: replica()? }),
-            "cache" => {
-                let result = match jstr(line, "result")?.as_str() {
-                    "hit" => CacheResult::Hit,
-                    "miss" => CacheResult::Miss,
-                    "stale" => CacheResult::Stale,
-                    "corrupt" => CacheResult::Corrupt,
-                    _ => return None,
-                };
-                Some(TraceEvent::Cache { result })
-            }
-            "attempt-start" => {
-                Some(TraceEvent::AttemptStart { replica: replica()?, attempt: attempt()? })
-            }
-            "fault" => Some(TraceEvent::Fault {
-                replica: replica()?,
-                attempt: attempt()?,
-                kind: jstr(line, "kind")?,
-            }),
-            "backoff" => Some(TraceEvent::Backoff {
-                replica: replica()?,
-                attempt: attempt()?,
-                millis: ju64(line, "millis")?,
-            }),
-            "attempt-end" => {
-                let outcome = match jstr(line, "outcome")?.as_str() {
-                    "ok" => AttemptOutcome::Ok,
-                    "panicked" => AttemptOutcome::Panicked,
-                    "timed-out" => AttemptOutcome::TimedOut,
-                    _ => return None,
-                };
-                Some(TraceEvent::AttemptEnd { replica: replica()?, attempt: attempt()?, outcome })
-            }
-            "outcome" => Some(TraceEvent::Outcome {
-                replica: replica()?,
-                ok: boolean("ok")?,
-                attempts: ju64(line, "attempts")? as u32,
-                taxonomy: match jstr(line, "taxonomy") {
-                    None => None,
-                    Some(t) => Some(intern_taxonomy(&t)?),
-                },
-            }),
-            "cache-stored" => Some(TraceEvent::CacheStored),
-            "cache-healed" => Some(TraceEvent::CacheHealed),
-            "verdict" => Some(TraceEvent::Verdict {
-                reproduced: boolean("reproduced")?,
-                cached: boolean("cached")?,
-                attempts: ju64(line, "attempts")? as u32,
-                fingerprint: {
-                    let raw = jstr(line, "fingerprint")?;
-                    u64::from_str_radix(raw.strip_prefix("0x")?, 16).ok()?
-                },
-                failure: match jstr(line, "failure") {
-                    None => None,
-                    Some(f) => Some(intern_taxonomy(&f)?),
-                },
-            }),
-            "sim-failures" => {
-                Some(TraceEvent::SimFailures { failures: ju64(line, "failures")? as usize })
-            }
-            "sim-recovery" => Some(TraceEvent::SimRecovery {
-                policy: match jstr(line, "policy")?.as_str() {
-                    "restage" => "restage",
-                    "checkpoint" => "checkpoint",
-                    _ => return None,
-                },
-                overhead_millihours: ju64(line, "overhead_millihours")?,
-            }),
-            _ => None,
-        }
+        Ok(match c.str("ev")?.as_str() {
+            "claim" => TraceEvent::Claim { replica: c.value("replica")? },
+            "cache" => TraceEvent::Cache {
+                result: c.label("result", &CacheResult::ALL, CacheResult::name)?,
+            },
+            "attempt-start" => TraceEvent::AttemptStart {
+                replica: c.value("replica")?,
+                attempt: c.value("attempt")?,
+            },
+            "fault" => TraceEvent::Fault {
+                replica: c.value("replica")?,
+                attempt: c.value("attempt")?,
+                kind: c.str("kind")?,
+            },
+            "backoff" => TraceEvent::Backoff {
+                replica: c.value("replica")?,
+                attempt: c.value("attempt")?,
+                millis: c.value("millis")?,
+            },
+            "attempt-end" => TraceEvent::AttemptEnd {
+                replica: c.value("replica")?,
+                attempt: c.value("attempt")?,
+                outcome: c.label("outcome", &AttemptOutcome::ALL, AttemptOutcome::name)?,
+            },
+            "outcome" => TraceEvent::Outcome {
+                replica: c.value("replica")?,
+                ok: c.value("ok")?,
+                attempts: c.value("attempts")?,
+                taxonomy: taxonomy(c, "taxonomy")?,
+            },
+            "cache-stored" => TraceEvent::CacheStored,
+            "cache-healed" => TraceEvent::CacheHealed,
+            "verdict" => TraceEvent::Verdict {
+                reproduced: c.value("reproduced")?,
+                cached: c.value("cached")?,
+                attempts: c.value("attempts")?,
+                fingerprint: c.str_as("fingerprint", |t| t.hex64())?,
+                failure: taxonomy(c, "failure")?,
+            },
+            "sim-failures" => TraceEvent::SimFailures { failures: c.value("failures")? },
+            "sim-recovery" => TraceEvent::SimRecovery {
+                policy: c.label("policy", &POLICIES, |p| p)?,
+                overhead_millihours: c.value("overhead_millihours")?,
+            },
+            other => return Err(codec::Error::new(at, format!("unknown event {other:?}"))),
+        })
     }
 
-    /// Appends this event's payload fields (`,"k":v` pairs, fixed order).
-    fn render_fields(&self, out: &mut String) {
+    /// Appends `"ev":"<name>"` and this event's payload fields, in the
+    /// fixed order [`TraceEvent::read`] expects.
+    pub(crate) fn render_into(&self, out: &mut String) {
+        out.push_str(&format!("\"ev\":\"{}\"", self.name()));
         match self {
             TraceEvent::Claim { replica } => out.push_str(&format!(",\"replica\":{replica}")),
             TraceEvent::Cache { result } => {
@@ -378,7 +301,7 @@ impl TraceEvent {
             TraceEvent::Fault { replica, attempt, kind } => {
                 out.push_str(&format!(
                     ",\"replica\":{replica},\"attempt\":{attempt},\"kind\":\"{}\"",
-                    json_escape(kind)
+                    codec::escape(kind, Esc::Json)
                 ));
             }
             TraceEvent::Backoff { replica, attempt, millis } => {
@@ -403,7 +326,8 @@ impl TraceEvent {
             TraceEvent::CacheStored | TraceEvent::CacheHealed => {}
             TraceEvent::Verdict { reproduced, cached, attempts, fingerprint, failure } => {
                 out.push_str(&format!(
-                    ",\"reproduced\":{reproduced},\"cached\":{cached},\"attempts\":{attempts},\"fingerprint\":\"{fingerprint:#018x}\""
+                    ",\"reproduced\":{reproduced},\"cached\":{cached},\"attempts\":{attempts},\"fingerprint\":\"{}\"",
+                    codec::hex64(*fingerprint)
                 ));
                 if let Some(f) = failure {
                     out.push_str(&format!(",\"failure\":\"{f}\""));
@@ -416,6 +340,43 @@ impl TraceEvent {
                 out.push_str(&format!(
                     ",\"policy\":\"{policy}\",\"overhead_millihours\":{overhead_millihours}"
                 ));
+            }
+        }
+    }
+
+    /// One line of `treu trace`'s timeline.
+    fn describe(&self) -> String {
+        match self {
+            TraceEvent::Claim { replica } => format!("claim replica {replica}"),
+            TraceEvent::Cache { result } => format!("cache {}", result.name()),
+            TraceEvent::AttemptStart { replica, attempt } => {
+                format!("attempt-start replica {replica} attempt {attempt}")
+            }
+            TraceEvent::Fault { replica, attempt, kind } => {
+                format!("fault replica {replica} attempt {attempt} [{kind}]")
+            }
+            TraceEvent::Backoff { replica, attempt, millis } => {
+                format!("backoff replica {replica} attempt {attempt} ({millis}ms)")
+            }
+            TraceEvent::AttemptEnd { replica, attempt, outcome } => {
+                format!("attempt-end replica {replica} attempt {attempt} → {}", outcome.name())
+            }
+            TraceEvent::Outcome { replica, ok, attempts, taxonomy } => format!(
+                "outcome replica {replica} {} after {attempts} attempt(s){}",
+                if *ok { "ok" } else { "quarantined" },
+                taxonomy.map(|t| format!(" ({t})")).unwrap_or_default()
+            ),
+            TraceEvent::CacheStored => "cache store".to_string(),
+            TraceEvent::CacheHealed => "cache healed (corrupt entry recomputed)".to_string(),
+            TraceEvent::Verdict { reproduced, cached, failure, .. } => format!(
+                "verdict {}{}{}",
+                if *reproduced { "REPRODUCED" } else { "NOT REPRODUCED" },
+                if *cached { " [cached]" } else { "" },
+                failure.map(|f| format!(" ({f})")).unwrap_or_default()
+            ),
+            TraceEvent::SimFailures { failures } => format!("{failures} simulated failure(s)"),
+            TraceEvent::SimRecovery { policy, overhead_millihours } => {
+                format!("recovery via {policy} cost {:.3}h", *overhead_millihours as f64 / 1000.0)
             }
         }
     }
@@ -600,21 +561,21 @@ impl BatchTrace {
         let mut out = String::new();
         out.push_str(&format!(
             "{{\"trace\":\"{TRACE_MAGIC}\",\"kind\":\"{}\",\"seed\":{},\"runs\":{}}}\n",
-            json_escape(&self.kind),
+            codec::escape(&self.kind, Esc::Json),
             self.seed,
             self.runs.len()
         ));
         for (i, run) in self.runs.iter().enumerate() {
             out.push_str(&format!(
                 "{{\"run\":{i},\"id\":\"{}\",\"seed\":{},\"events\":{},\"dropped\":{}}}\n",
-                json_escape(&run.id),
+                codec::escape(&run.id, Esc::Json),
                 run.seed,
                 run.len(),
                 run.dropped
             ));
             for (seq, ev, _) in run.events() {
-                out.push_str(&format!("{{\"run\":{i},\"seq\":{seq},\"ev\":\"{}\"", ev.name()));
-                ev.render_fields(&mut out);
+                out.push_str(&format!("{{\"run\":{i},\"seq\":{seq},"));
+                ev.render_into(&mut out);
                 out.push_str("}\n");
             }
         }
@@ -713,167 +674,80 @@ impl BatchTrace {
     }
 }
 
-/// Extracts the raw (still-escaped, unquoted) value of `key` from one of
-/// our single-line JSON objects.
-pub(crate) fn jraw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        // Escape-aware scan to the closing quote.
-        let mut escaped = false;
-        for (i, c) in stripped.char_indices() {
-            match (escaped, c) {
-                (true, _) => escaped = false,
-                (false, '\\') => escaped = true,
-                (false, '"') => return Some(&stripped[..i]),
-                _ => {}
+/// Exact inverse of [`BatchTrace::render_events`]: the typed trace, every
+/// event at its explicit `seq` (so streams with ring drops round-trip),
+/// with no timing data. Anything `render_events` would not write back byte
+/// for byte is an error naming its offset.
+pub fn parse_trace(text: &str) -> Result<BatchTrace, codec::Error> {
+    let mut c = Cursor::new(text);
+    c.open()?;
+    c.str("trace")?;
+    let mut trace = BatchTrace::empty(&c.str("kind")?, c.value("seed")?);
+    c.value::<u64>("runs")?;
+    c.close()?;
+    while !c.done() {
+        let line = c.pos();
+        c.open()?;
+        c.value::<u64>("run")?;
+        if c.peek_key() == Some("seq") {
+            let seq: u64 = c.value("seq")?;
+            let ev = TraceEvent::read(&mut c)?;
+            let run = trace.runs.last_mut().ok_or_else(|| c.err("event before any run"))?;
+            // `RunTrace::push` numbers a run's events consecutively and
+            // evicts the oldest, so its first kept seq is at most the
+            // run's dropped count and every later one is one more.
+            let in_sequence = match run.events.last() {
+                Some(&(prev, ..)) => prev.checked_add(1) == Some(seq),
+                None => seq <= run.dropped,
+            };
+            if !in_sequence {
+                let why = format!("seq {seq} is out of sequence for run {:?}", run.id);
+                return Err(codec::Error::new(line, why));
             }
-        }
-        None
-    } else {
-        let end = rest.find([',', '}'])?;
-        Some(&rest[..end])
-    }
-}
-
-/// String field (unescaped).
-pub(crate) fn jstr(line: &str, key: &str) -> Option<String> {
-    jraw(line, key).map(json_unescape)
-}
-
-/// Unsigned integer field.
-pub(crate) fn ju64(line: &str, key: &str) -> Option<u64> {
-    jraw(line, key)?.parse().ok()
-}
-
-/// Float field.
-pub(crate) fn jf64(line: &str, key: &str) -> Option<f64> {
-    jraw(line, key)?.parse().ok()
-}
-
-/// One run's descriptor line from a parsed trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunHeader {
-    /// Run index within the batch.
-    pub run: usize,
-    /// Experiment id.
-    pub id: String,
-    /// Run seed.
-    pub seed: u64,
-    /// Event count.
-    pub events: u64,
-    /// Ring-buffer evictions.
-    pub dropped: u64,
-}
-
-/// One event line from a parsed trace, with its payload kept as raw
-/// key→value text (our writer emits flat objects only).
-#[derive(Debug, Clone)]
-pub struct EventLine {
-    /// Run index.
-    pub run: usize,
-    /// Sequence number within the run.
-    pub seq: u64,
-    /// Event name.
-    pub ev: String,
-    /// The full source line, for field extraction.
-    pub raw: String,
-}
-
-impl EventLine {
-    /// String payload field.
-    pub fn field(&self, key: &str) -> Option<String> {
-        jstr(&self.raw, key)
-    }
-
-    /// Integer payload field.
-    pub fn field_u64(&self, key: &str) -> Option<u64> {
-        ju64(&self.raw, key)
-    }
-}
-
-/// A parsed event stream.
-#[derive(Debug, Clone)]
-pub struct TraceFile {
-    /// Batch kind.
-    pub kind: String,
-    /// Batch seed.
-    pub seed: u64,
-    /// Per-run descriptors, in run order.
-    pub runs: Vec<RunHeader>,
-    /// Event lines, in file order.
-    pub events: Vec<EventLine>,
-}
-
-/// A parsed timing sidecar.
-#[derive(Debug, Clone)]
-pub struct TimesFile {
-    /// Worker count used.
-    pub jobs: usize,
-    /// Batch wall seconds.
-    pub wall_seconds: f64,
-    /// Per-worker timing.
-    pub workers: Vec<WorkerTiming>,
-    /// Batch-relative offset of each `(run, seq)` event.
-    pub at: BTreeMap<(usize, u64), f64>,
-}
-
-/// Parses a rendered event stream. Errors name the offending line.
-pub fn parse_trace(text: &str) -> Result<TraceFile, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty trace file")?;
-    if jstr(header, "trace").as_deref() != Some(TRACE_MAGIC) {
-        return Err(format!("not a {TRACE_MAGIC} file: {header}"));
-    }
-    let kind = jstr(header, "kind").ok_or("trace header missing kind")?;
-    let seed = ju64(header, "seed").ok_or("trace header missing seed")?;
-    let mut runs = Vec::new();
-    let mut events = Vec::new();
-    for line in lines {
-        let run =
-            ju64(line, "run").ok_or_else(|| format!("line missing run index: {line}"))? as usize;
-        if let Some(ev) = jstr(line, "ev") {
-            let seq = ju64(line, "seq").ok_or_else(|| format!("event missing seq: {line}"))?;
-            events.push(EventLine { run, seq, ev, raw: line.to_string() });
+            run.events.push((seq, ev, 0.0));
         } else {
-            runs.push(RunHeader {
-                run,
-                id: jstr(line, "id").ok_or_else(|| format!("run descriptor missing id: {line}"))?,
-                seed: ju64(line, "seed").unwrap_or(0),
-                events: ju64(line, "events").unwrap_or(0),
-                dropped: ju64(line, "dropped").unwrap_or(0),
-            });
+            let mut run = RunTrace::new(&c.str("id")?, c.value("seed")?);
+            c.value::<u64>("events")?;
+            run.dropped = c.value("dropped")?;
+            trace.runs.push(run);
         }
+        c.close()?;
     }
-    Ok(TraceFile { kind, seed, runs, events })
+    codec::canonical(text, &trace.render_events())?;
+    Ok(trace)
 }
 
-/// Parses a timing sidecar.
-pub fn parse_times(text: &str) -> Result<TimesFile, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty sidecar file")?;
-    if jstr(header, "times").as_deref() != Some(TIMES_MAGIC) {
-        return Err(format!("not a {TIMES_MAGIC} file: {header}"));
+/// Joins a timing sidecar onto the stream it belongs to: the jobs count,
+/// batch wall time, per-worker timing and every event's batch-relative
+/// offset. Exact inverse of [`BatchTrace::render_times`] for that stream.
+pub fn parse_times(mut trace: BatchTrace, text: &str) -> Result<BatchTrace, codec::Error> {
+    let mut c = Cursor::new(text);
+    c.open()?;
+    c.str("times")?;
+    trace.jobs = c.value("jobs")?;
+    trace.wall_seconds = c.value("wall_seconds")?;
+    let workers: u64 = c.value("workers")?;
+    c.close()?;
+    trace.workers.clear();
+    for _ in 0..workers {
+        c.open()?;
+        c.value::<u64>("worker")?;
+        trace.workers.push(WorkerTiming {
+            busy_seconds: c.value("busy_seconds")?,
+            chunks: c.value("chunks")?,
+            items: c.value("items")?,
+        });
+        c.close()?;
     }
-    let jobs = ju64(header, "jobs").unwrap_or(0) as usize;
-    let wall_seconds = jf64(header, "wall_seconds").unwrap_or(0.0);
-    let mut workers = Vec::new();
-    let mut at = BTreeMap::new();
-    for line in lines {
-        if line.contains("\"worker\":") {
-            workers.push(WorkerTiming {
-                busy_seconds: jf64(line, "busy_seconds").unwrap_or(0.0),
-                chunks: ju64(line, "chunks").unwrap_or(0) as usize,
-                items: ju64(line, "items").unwrap_or(0) as usize,
-            });
-        } else if let (Some(run), Some(seq), Some(t)) =
-            (ju64(line, "run"), ju64(line, "seq"), jf64(line, "at"))
-        {
-            at.insert((run as usize, seq), t);
-        }
+    for (_, _, at) in trace.runs.iter_mut().flat_map(|r| r.events.iter_mut()) {
+        c.open()?;
+        c.value::<u64>("run")?;
+        c.value::<u64>("seq")?;
+        *at = c.value("at")?;
+        c.close()?;
     }
-    Ok(TimesFile { jobs, wall_seconds, workers, at })
+    codec::canonical(text, &trace.render_times())?;
+    Ok(trace)
 }
 
 /// The content hash a trace file's name claims, when the name follows the
@@ -881,16 +755,16 @@ pub fn parse_times(text: &str) -> Result<TimesFile, String> {
 pub fn hash_from_file_name(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
     let hex = name.strip_prefix("trace-")?.strip_suffix(".jsonl")?;
-    if hex.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
+    let hash = Token { at: 0, text: &format!("0x{hex}") }.hex64().ok()?;
+    (name == format!("trace-{hash:016x}.jsonl")).then_some(hash)
 }
 
-/// Verifies a stored trace against its content address: recomputes the
-/// FNV-1a hash of the file bytes and compares it with the hash embedded
-/// in the filename. Returns the verified hash, or a description of the
-/// mismatch / parse failure.
+/// Verifies a stored trace: recomputes the FNV-1a hash of the file bytes
+/// and compares it with the hash embedded in the filename, then parses
+/// the stream strictly — a stream stored at its own address still fails
+/// when it is not one [`BatchTrace::render_events`] writes. Returns the
+/// verified hash, or a description of the mismatch or of the first
+/// offending line.
 pub fn check_trace_file(path: &Path) -> Result<u64, String> {
     let claimed = hash_from_file_name(path)
         .ok_or_else(|| format!("{}: name is not trace-<hash>.jsonl", path.display()))?;
@@ -902,99 +776,52 @@ pub fn check_trace_file(path: &Path) -> Result<u64, String> {
             path.display()
         ));
     }
-    parse_trace(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    parse_trace(&text).map_err(|e| format!("{}: {}", path.display(), e.locate(&text)))?;
     Ok(actual)
 }
 
-/// Human description of one event line for the timeline renderer.
-fn describe(ev: &EventLine) -> String {
-    let rep = || ev.field_u64("replica").map(|r| format!(" replica {r}")).unwrap_or_default();
-    let att = || ev.field_u64("attempt").map(|a| format!(" attempt {a}")).unwrap_or_default();
-    match ev.ev.as_str() {
-        "claim" => format!("claim{}", rep()),
-        "cache" => format!("cache {}", ev.field("result").unwrap_or_default()),
-        "attempt-start" => format!("attempt-start{}{}", rep(), att()),
-        "fault" => format!("fault{}{} [{}]", rep(), att(), ev.field("kind").unwrap_or_default()),
-        "backoff" => {
-            format!("backoff{}{} ({}ms)", rep(), att(), ev.field_u64("millis").unwrap_or(0))
-        }
-        "attempt-end" => {
-            format!("attempt-end{}{} → {}", rep(), att(), ev.field("outcome").unwrap_or_default())
-        }
-        "outcome" => {
-            let ok = ev.field("ok").or_else(|| jraw(&ev.raw, "ok").map(str::to_string));
-            let verdict = if ok.as_deref() == Some("true") { "ok" } else { "quarantined" };
-            let tax = ev.field("taxonomy").map(|t| format!(" ({t})")).unwrap_or_default();
-            format!(
-                "outcome{} {verdict} after {} attempt(s){tax}",
-                rep(),
-                ev.field_u64("attempts").unwrap_or(0)
-            )
-        }
-        "cache-stored" => "cache store".to_string(),
-        "cache-healed" => "cache healed (corrupt entry recomputed)".to_string(),
-        "verdict" => {
-            let reproduced = jraw(&ev.raw, "reproduced").unwrap_or("false") == "true";
-            let cached = jraw(&ev.raw, "cached").unwrap_or("false") == "true";
-            let failure = ev.field("failure").map(|f| format!(" ({f})")).unwrap_or_default();
-            format!(
-                "verdict {}{}{failure}",
-                if reproduced { "REPRODUCED" } else { "NOT REPRODUCED" },
-                if cached { " [cached]" } else { "" }
-            )
-        }
-        "sim-failures" => format!("{} simulated failure(s)", ev.field_u64("failures").unwrap_or(0)),
-        "sim-recovery" => format!(
-            "recovery via {} cost {:.3}h",
-            ev.field("policy").unwrap_or_default(),
-            ev.field_u64("overhead_millihours").unwrap_or(0) as f64 / 1000.0
-        ),
-        other => other.to_string(),
-    }
-}
-
-/// Renders the per-run timeline. With a sidecar, each event carries its
-/// batch-relative `+offset`; without one, order alone tells the story.
-pub fn render_timeline(tf: &TraceFile, times: Option<&TimesFile>) -> String {
+/// Renders the per-run timeline. With `timed` (the trace came through
+/// [`parse_times`]), each event carries its batch-relative `+offset`;
+/// without, order alone tells the story.
+pub fn render_timeline(trace: &BatchTrace, timed: bool) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{} trace, seed {}, {} run(s){}\n",
-        tf.kind,
-        tf.seed,
-        tf.runs.len(),
-        times
-            .map(|t| format!(", {} job(s), wall {:.3}s", t.jobs, t.wall_seconds))
-            .unwrap_or_default()
+        trace.kind,
+        trace.seed,
+        trace.runs.len(),
+        if timed {
+            format!(", {} job(s), wall {:.3}s", trace.jobs, trace.wall_seconds)
+        } else {
+            String::new()
+        }
     ));
-    for header in &tf.runs {
+    for (i, run) in trace.runs.iter().enumerate() {
         out.push_str(&format!(
             "run {:<3} {} (seed {}{})\n",
-            header.run,
-            header.id,
-            header.seed,
-            if header.dropped > 0 {
-                format!(", {} event(s) dropped", header.dropped)
+            i,
+            run.id,
+            run.seed,
+            if run.dropped > 0 {
+                format!(", {} event(s) dropped", run.dropped)
             } else {
                 String::new()
             }
         ));
-        for ev in tf.events.iter().filter(|e| e.run == header.run) {
-            let offset = times
-                .and_then(|t| t.at.get(&(ev.run, ev.seq)))
-                .map(|at| format!("+{at:9.6}s  "))
-                .unwrap_or_default();
-            out.push_str(&format!("  {offset}{}\n", describe(ev)));
+        for (_, ev, at) in run.events() {
+            let offset = if timed { format!("+{at:9.6}s  ") } else { String::new() };
+            out.push_str(&format!("  {offset}{}\n", ev.describe()));
         }
     }
     out
 }
 
-/// Renders the per-worker utilization table from a sidecar.
-pub fn render_worker_table(times: &TimesFile) -> String {
+/// Renders the per-worker utilization table of a timed trace.
+pub fn render_worker_table(trace: &BatchTrace) -> String {
     let mut out = String::new();
     out.push_str("worker   busy(s)    chunks   items   utilization\n");
-    let wall = times.wall_seconds.max(1e-12);
-    for (w, t) in times.workers.iter().enumerate() {
+    let wall = trace.wall_seconds.max(1e-12);
+    for (w, t) in trace.workers.iter().enumerate() {
         out.push_str(&format!(
             "{w:<6}  {:>9.4}  {:>7}  {:>6}   {:>10.1}%\n",
             t.busy_seconds,
@@ -1003,31 +830,30 @@ pub fn render_worker_table(times: &TimesFile) -> String {
             100.0 * (t.busy_seconds / wall).clamp(0.0, 1.0)
         ));
     }
-    if times.workers.is_empty() {
+    if trace.workers.is_empty() {
         out.push_str("(no worker timing recorded)\n");
     }
     out
 }
 
-/// The top-N slowest attempt spans (attempt-start → attempt-end pairs,
-/// matched per `(run, replica, attempt)` through the sidecar offsets).
-pub fn render_slowest(tf: &TraceFile, times: &TimesFile, top: usize) -> String {
-    let mut starts: BTreeMap<(usize, u64, u64), f64> = BTreeMap::new();
-    let mut spans: Vec<(f64, usize, u64, u64)> = Vec::new();
-    for ev in &tf.events {
-        let key =
-            (ev.run, ev.field_u64("replica").unwrap_or(0), ev.field_u64("attempt").unwrap_or(0));
-        let Some(&at) = times.at.get(&(ev.run, ev.seq)) else { continue };
-        match ev.ev.as_str() {
-            "attempt-start" => {
-                starts.insert(key, at);
-            }
-            "attempt-end" => {
-                if let Some(t0) = starts.remove(&key) {
-                    spans.push(((at - t0).max(0.0), key.0, key.1, key.2));
+/// The top-N slowest attempt spans of a timed trace (attempt-start →
+/// attempt-end pairs, matched per `(run, replica, attempt)`).
+pub fn render_slowest(trace: &BatchTrace, top: usize) -> String {
+    let mut starts: BTreeMap<(usize, u32, u32), f64> = BTreeMap::new();
+    let mut spans: Vec<(f64, usize, u32, u32)> = Vec::new();
+    for (run, rt) in trace.runs.iter().enumerate() {
+        for &(_, ref ev, at) in rt.events() {
+            match *ev {
+                TraceEvent::AttemptStart { replica, attempt } => {
+                    starts.insert((run, replica, attempt), at);
                 }
+                TraceEvent::AttemptEnd { replica, attempt, .. } => {
+                    if let Some(t0) = starts.remove(&(run, replica, attempt)) {
+                        spans.push(((at - t0).max(0.0), run, replica, attempt));
+                    }
+                }
+                _ => {}
             }
-            _ => {}
         }
     }
     spans.sort_by(|a, b| {
@@ -1038,7 +864,7 @@ pub fn render_slowest(tf: &TraceFile, times: &TimesFile, top: usize) -> String {
     let mut out = String::new();
     out.push_str(&format!("top {} slowest attempt span(s):\n", top.min(spans.len())));
     for (rank, (dur, run, replica, attempt)) in spans.iter().take(top).enumerate() {
-        let id = tf.runs.iter().find(|h| h.run == *run).map(|h| h.id.as_str()).unwrap_or("?");
+        let id = &trace.runs[*run].id;
         out.push_str(&format!(
             "  {:>2}. {id} replica {replica} attempt {attempt} — {dur:.6}s\n",
             rank + 1
@@ -1181,14 +1007,13 @@ mod tests {
         assert_eq!(tf.seed, 7);
         assert_eq!(tf.runs.len(), 2);
         assert_eq!(tf.runs[0].id, "A");
-        assert_eq!(tf.runs[0].events, 11);
-        assert_eq!(tf.events.len(), 13);
-        assert_eq!(tf.events[3].ev, "fault");
-        assert_eq!(tf.events[3].field("kind").as_deref(), Some("transient-err(1)"));
-        let times = parse_times(&t.render_times()).unwrap();
+        assert_eq!(tf.runs[0].len(), 11);
+        assert_eq!(tf.counters().events, 13);
+        assert_eq!(tf.runs[0].events()[3].1, t.runs[0].events()[3].1);
+        let times = parse_times(tf, &t.render_times()).unwrap();
         assert_eq!(times.jobs, 4);
         assert_eq!(times.workers.len(), 2);
-        assert!((times.at[&(0, 3)] - 0.004).abs() < 1e-9);
+        assert!((times.runs[0].events()[3].2 - 0.004).abs() < 1e-9);
     }
 
     #[test]
@@ -1220,8 +1045,8 @@ mod tests {
     fn renderers_cover_timeline_workers_and_slowest() {
         let t = sample();
         let tf = parse_trace(&t.render_events()).unwrap();
-        let times = parse_times(&t.render_times()).unwrap();
-        let timeline = render_timeline(&tf, Some(&times));
+        let times = parse_times(tf, &t.render_times()).unwrap();
+        let timeline = render_timeline(&times, true);
         assert!(timeline.contains("run 0   A"));
         assert!(timeline.contains("fault replica 0 attempt 0 [transient-err(1)]"));
         assert!(timeline.contains("backoff replica 0 attempt 1 (3ms)"));
@@ -1231,7 +1056,7 @@ mod tests {
         let workers = render_worker_table(&times);
         assert!(workers.contains("utilization"));
         assert!(workers.contains("0.0100"));
-        let slow = render_slowest(&tf, &times, 5);
+        let slow = render_slowest(&times, 5);
         assert!(slow.contains("A replica 0 attempt"), "{slow}");
         // The attempt-1 span (0.009 → 0.012) and attempt-0 span
         // (0.003 → 0.005): the slower one ranks first.
@@ -1269,18 +1094,49 @@ mod tests {
             TraceEvent::SimFailures { failures: 3 },
             TraceEvent::SimRecovery { policy: "checkpoint", overhead_millihours: 250 },
         ];
+        let mut rt = RunTrace::new("all", 1);
         for ev in &events {
-            let line = ev.render_json();
-            let back =
-                TraceEvent::parse_json(&line).unwrap_or_else(|| panic!("parse failed for {line}"));
-            assert_eq!(&back, ev, "{line}");
-            // Re-rendering the parsed event is byte-identical — the wire
-            // cannot perturb the hashed stream.
-            assert_eq!(back.render_json(), line);
+            rt.push(ev.clone(), 0.0);
         }
+        let text = BatchTrace { runs: vec![rt], ..BatchTrace::empty("verify", 1) }.render_events();
+        let back = parse_trace(&text).unwrap_or_else(|e| panic!("{}", e.locate(&text)));
+        let parsed: Vec<&TraceEvent> = back.runs[0].events().iter().map(|(_, ev, _)| ev).collect();
+        assert_eq!(parsed, events.iter().collect::<Vec<_>>());
+        // Re-rendering the parsed events is byte-identical — the wire
+        // cannot perturb the hashed stream.
+        assert_eq!(back.render_events(), text);
         // Unknown labels are rejected, never interned as impostors.
-        assert!(TraceEvent::parse_json("{\"ev\":\"outcome\",\"replica\":0,\"ok\":true,\"attempts\":1,\"taxonomy\":\"Gremlins\"}").is_none());
-        assert!(TraceEvent::parse_json("{\"ev\":\"no-such-event\"}").is_none());
+        for fields in [
+            "\"ev\":\"outcome\",\"replica\":0,\"ok\":true,\"attempts\":1,\"taxonomy\":\"Gremlins\"",
+            "\"ev\":\"no-such-event\"",
+        ] {
+            let bad = text.replacen("\"ev\":\"claim\",\"replica\":1", fields, 1);
+            assert_ne!(bad, text);
+            assert!(parse_trace(&bad).is_err(), "{fields}");
+        }
+    }
+
+    #[test]
+    fn parse_accepts_only_the_seqs_push_writes() {
+        let mut rt = RunTrace::with_capacity("R", 1, 3);
+        for i in 0..5u32 {
+            rt.push(TraceEvent::AttemptStart { replica: 0, attempt: i }, 0.0);
+        }
+        let text = BatchTrace { runs: vec![rt], ..BatchTrace::empty("run", 1) }.render_events();
+        let back = parse_trace(&text).expect("a stream with ring drops round-trips");
+        assert_eq!(back.render_events(), text);
+        // Kept seqs are 2, 3, 4 after 2 drops: a first seq past the drop
+        // count, a repeat and a gap are all rejected at their line.
+        for (from, to) in [
+            ("\"seq\":2,", "\"seq\":3,"),
+            ("\"seq\":3,", "\"seq\":2,"),
+            ("\"seq\":4,", "\"seq\":9,"),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            let err = parse_trace(&bad).unwrap_err();
+            assert!(err.reason.contains("out of sequence"), "{to}: {err}");
+            assert_eq!(&bad[err.offset..err.offset + 8], "{\"run\":0", "{to}: {err}");
+        }
     }
 
     #[test]
@@ -1290,7 +1146,7 @@ mod tests {
         rt.push(TraceEvent::SimRecovery { policy: "restage", overhead_millihours: 1500 }, 0.0);
         let t = BatchTrace { runs: vec![rt], ..BatchTrace::empty("cluster-sim", 9) };
         let tf = parse_trace(&t.render_events()).unwrap();
-        let timeline = render_timeline(&tf, None);
+        let timeline = render_timeline(&tf, false);
         assert!(timeline.contains("2 simulated failure(s)"));
         assert!(timeline.contains("recovery via restage cost 1.500h"));
     }

@@ -38,9 +38,14 @@ use crate::scanner::Scanned;
 /// Function names treated as fingerprint/cache-key/trace sinks.
 pub const SINKS: [&str; 5] = ["fnv64", "fnv64_parts", "fingerprint", "content_hash", "derive_seed"];
 
-/// Free functions whose duplication R12 flags.
-pub const CRITICAL_PRIMITIVES: [&str; 6] =
-    ["fnv64", "fnv64_parts", "unit", "derive_seed", "json_str", "canonical_params"];
+/// Free functions whose duplication R12 flags: the canonical hash and
+/// seed derivation, and the one text codec (`treu-core::codec`) every
+/// persisted and wire format is written and read with.
+#[rustfmt::skip]
+pub const CRITICAL_PRIMITIVES: [&str; 13] = [
+    "fnv64", "fnv64_parts", "unit", "derive_seed", "json_str", "canonical_params",
+    "escape", "unescape", "hex64", "hex_bytes", "f64_text", "json_field", "canonical",
+];
 
 /// A class of nondeterminism source the taint pass seeds from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -992,17 +992,17 @@ fn run_trace(args: &[String]) {
             eprintln!("trace: cannot read '{}': {e}", f.display());
             std::process::exit(2);
         });
-        let tf = parse_trace(&text).unwrap_or_else(|e| {
-            eprintln!("trace: {}: {e}", f.display());
+        let trace = parse_trace(&text).unwrap_or_else(|e| {
+            eprintln!("trace: {}: {}", f.display(), e.locate(&text));
             std::process::exit(2);
         });
-        let times = std::fs::read_to_string(f.with_extension("times.jsonl"))
+        let timed = std::fs::read_to_string(f.with_extension("times.jsonl"))
             .ok()
-            .and_then(|t| parse_times(&t).ok());
-        print!("{}", render_timeline(&tf, times.as_ref()));
-        if let Some(times) = &times {
-            print!("{}", render_worker_table(times));
-            print!("{}", render_slowest(&tf, times, top));
+            .and_then(|t| parse_times(trace.clone(), &t).ok());
+        print!("{}", render_timeline(timed.as_ref().unwrap_or(&trace), timed.is_some()));
+        if let Some(timed) = &timed {
+            print!("{}", render_worker_table(timed));
+            print!("{}", render_slowest(timed, top));
         }
     }
 }

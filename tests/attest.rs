@@ -258,3 +258,64 @@ fn link_bytes_are_identical_at_every_topology() {
         }
     }
 }
+
+/// Copies the shared chain, rewrites one attestation file with `edit`,
+/// and checks that `attest verify --enforce` exits 1 with a first FAIL
+/// line naming that file.
+fn assert_edit_fails(tag: &str, file: &str, edit: impl Fn(&str) -> String) {
+    let root = temp_dir(tag);
+    copy_dir(built_chain(), &root);
+    let path = root.join("at").join(file);
+    let text = std::fs::read_to_string(&path).expect("attestation file readable");
+    let edited = edit(&text);
+    assert_ne!(edited, text, "{tag}: the edit must change {file}");
+    std::fs::write(&path, edited).expect("attestation file writable");
+
+    let out = attest(&root, &["verify", "--enforce"]);
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert_eq!(out.status.code(), Some(1), "{tag}: edited {file} must fail:\n{stdout}");
+    let fail = first_fail_line(&stdout);
+    assert!(fail.contains(file), "{tag}: edited file not named: {fail}");
+
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `text` with the hex digits of its first line starting `prefix`
+/// upper-cased.
+fn upper_hex(text: &str, prefix: &str) -> String {
+    let start = text.find(&format!("\n{prefix}")).expect("line present") + 1;
+    let end = start + text[start..].find('\n').expect("terminated line");
+    let hex = start + text[start..end].rfind("0x").expect("hex address") + 2;
+    format!("{}{}{}", &text[..hex], text[hex..end].to_uppercase(), &text[end..])
+}
+
+#[test]
+fn a_signed_seed_in_a_link_fails_verification() {
+    assert_edit_fails("sign", "0001-verify.link", |t| t.replacen("seed 2023", "seed +2023", 1));
+}
+
+#[test]
+fn upper_cased_hex_in_a_link_or_the_layout_fails_verification() {
+    for (tag, file, line) in [
+        ("hex-prev", "0001-verify.link", "prev "),
+        ("hex-mac", "0001-verify.link", "mac "),
+        ("hex-material", "0001-verify.link", "material "),
+        ("hex-layout-mac", "layout.txt", "mac "),
+    ] {
+        assert_edit_fails(tag, file, |t| upper_hex(t, line));
+    }
+}
+
+#[test]
+fn extra_whitespace_in_the_layout_fails_verification() {
+    assert_edit_fails("spaces", "layout.txt", |t| {
+        t.replacen("  consumes run:", "  consumes   run:", 1)
+    });
+}
+
+#[test]
+fn crlf_line_endings_fail_verification() {
+    for (tag, file) in [("crlf-link", "0001-verify.link"), ("crlf-layout", "layout.txt")] {
+        assert_edit_fails(tag, file, |t| t.replace('\n', "\r\n"));
+    }
+}

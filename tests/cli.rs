@@ -411,6 +411,48 @@ fn trace_subcommand_renders_and_checks_stored_traces() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// Writes `text` under `dir` at its content address, as `--trace-out` names
+/// a stream.
+fn store_at_own_address(dir: &std::path::Path, text: &str) {
+    let name = format!("trace-{:016x}.jsonl", treu::core::hash::fnv64(text.as_bytes()));
+    std::fs::write(dir.join(name), text).expect("writable");
+}
+
+/// A stream stored at its own address is still checked against the
+/// grammar: an unknown event, a non-numeric replica and a bare `maybe`,
+/// or seqs out of sequence, fail `--check` with the offending line named.
+#[test]
+fn trace_check_rejects_a_junk_stream_stored_at_its_own_address() {
+    let dir = trace_dir("junk");
+    std::fs::create_dir_all(&dir).expect("trace dir");
+    let text = concat!(
+        "{\"trace\":\"treu-trace v1\",\"kind\":\"verify\",\"seed\":2023,\"runs\":1}\n",
+        "{\"run\":0,\"id\":\"T1\",\"seed\":2023,\"events\":2,\"dropped\":0}\n",
+        "{\"run\":0,\"seq\":0,\"ev\":\"gremlin\",\"replica\":\"x\"}\n",
+        "{\"run\":7,\"seq\":99,\"ev\":\"verdict\",\"reproduced\":maybe}\n",
+    );
+    store_at_own_address(&dir, text);
+    // Well-formed events at seqs a ring never writes: 5, 5, 2 with
+    // nothing dropped.
+    let seqs = concat!(
+        "{\"trace\":\"treu-trace v1\",\"kind\":\"verify\",\"seed\":2023,\"runs\":1}\n",
+        "{\"run\":0,\"id\":\"T1\",\"seed\":2023,\"events\":3,\"dropped\":0}\n",
+        "{\"run\":0,\"seq\":5,\"ev\":\"cache-stored\"}\n",
+        "{\"run\":0,\"seq\":5,\"ev\":\"cache-stored\"}\n",
+        "{\"run\":0,\"seq\":2,\"ev\":\"cache-stored\"}\n",
+    );
+    store_at_own_address(&dir, seqs);
+    let checked = treu(&["trace", dir.to_str().unwrap(), "--check"]);
+    assert_eq!(checked.status.code(), Some(1));
+    let stderr = String::from_utf8(checked.stderr).expect("utf8");
+    assert!(stderr.contains("line 3, byte 134: unknown event \"gremlin\""), "{stderr}");
+    assert!(
+        stderr.contains("line 3, byte 118: seq 5 is out of sequence for run \"T1\""),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 #[test]
 fn faulted_run_trace_shows_fault_backoff_and_retry() {
     let dir = trace_dir("faulted");

@@ -12,7 +12,7 @@ use std::process::{Command, Stdio};
 
 use treu::core::cache::{Lookup, RunCache};
 use treu::core::experiment::Params;
-use treu::core::svc::{read_frame, write_frame};
+use treu::core::svc::{read_frame, write_frame, Frame, TaskSpec};
 
 fn treu(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_treu")).args(args).output().expect("binary runs")
@@ -153,22 +153,30 @@ fn killed_worker_never_leaves_a_torn_cache_entry() {
     let mut stdin = child.stdin.take().expect("worker stdin");
     let mut stdout = BufReader::new(child.stdout.take().expect("worker stdout"));
 
-    let hello = format!(
-        "{{\"msg\":\"hello\",\"proto\":1,\"jobs\":1,\"tracing\":false,\"cache_dir\":\"{}\"}}",
-        dir.to_str().expect("utf8 path").replace('\\', "\\\\").replace('"', "\\\"")
-    );
-    write_frame(&mut stdin, &hello).expect("hello");
+    let hello = Frame::Hello {
+        jobs: 1,
+        tracing: false,
+        plan: None,
+        cache_dir: Some(dir.to_str().expect("utf8 path").to_string()),
+    };
+    write_frame(&mut stdin, &hello.render()).expect("hello");
     let ready = read_frame(&mut stdout).expect("io").expect("ready frame");
     assert!(ready.contains("\"msg\":\"ready\""), "unexpected frame: {ready}");
 
     // One cache-enabled task, then SIGKILL while the store may be in
     // flight. The exact interleaving doesn't matter: the invariant is
     // that *no* interleaving can tear an entry.
-    write_frame(
-        &mut stdin,
-        "{\"msg\":\"shard\",\"shard\":0,\"tasks\":1}\ntask\t0\tT1\t7\t0\t0\t0\t1",
-    )
-    .expect("shard");
+    let task = TaskSpec {
+        index: 0,
+        id: "T1".to_string(),
+        seed: 7,
+        replica: 0,
+        params: Params::new(),
+        retries: 0,
+        deadline_us: 0,
+        cache: true,
+    };
+    write_frame(&mut stdin, &Frame::Shard { shard: 0, tasks: vec![task] }.render()).expect("shard");
     std::thread::sleep(std::time::Duration::from_millis(15));
     child.kill().expect("SIGKILL");
     child.wait().expect("reaped");
