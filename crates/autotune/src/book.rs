@@ -30,9 +30,6 @@ pub const BOOK_KIND: &str = "schedule-book";
 /// Cache blob tag (bump on format changes).
 pub const BOOK_TAG: &str = "v1";
 
-/// Shapes the spawn-overhead crossover probe sweeps (square extents).
-const CROSSOVER_SIZES: [usize; 6] = [16, 24, 32, 48, 64, 96];
-
 /// One tuned (kernel, shape-class) record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TunedEntry {
@@ -60,14 +57,14 @@ impl TunedEntry {
 /// The schedule's tile axes are in register-quad units: each is scaled ×4
 /// into a cache-block extent, so the GA's 1..=64 tile range spans
 /// register-tile (4) to L2-panel (256) blocking. `unroll` maps directly to
-/// the microkernel width and `threads` to the band-parallel worker count.
+/// the microkernel width. `threads` does not lower: GEMM plans run on one
+/// thread.
 pub fn plan_from_schedule(s: &Schedule) -> GemmPlan {
     GemmPlan {
         mc: s.tile_i.saturating_mul(4).max(1),
         kc: s.tile_k.saturating_mul(4).max(1),
         nc: s.tile_j.saturating_mul(4).max(1),
         nr: s.unroll.max(1),
-        threads: s.threads.max(1),
     }
 }
 
@@ -88,16 +85,15 @@ fn schedule_from_plan(p: &GemmPlan) -> Schedule {
         tile_j: (p.nc / 4).clamp(1, TILE_CAP),
         tile_k: (p.kc / 4).clamp(1, TILE_CAP),
         unroll: p.nr.max(1),
-        threads: p.threads.max(1),
+        threads: 1,
     }
 }
 
-/// The tuned-schedule registry: winning schedules per shape class plus the
-/// measured sequential/parallel crossover, serializable to one cache blob.
+/// The tuned-schedule registry: winning schedules per shape class,
+/// serializable to one cache blob.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct ScheduleBook {
     entries: BTreeMap<String, TunedEntry>,
-    crossover: Option<usize>,
 }
 
 impl ScheduleBook {
@@ -126,16 +122,15 @@ impl ScheduleBook {
         self.entries.values()
     }
 
-    /// The measured spawn-overhead crossover (output elements), if probed.
-    pub fn crossover(&self) -> Option<usize> {
-        self.crossover
-    }
-
     /// Tunes the matmul kernel for the shape class of `(m, k, n)` with the
     /// genetic tuner over real timings of the schedule-driven kernel, and
     /// records the winner. Deterministic workload from `seed`; timing (and
     /// therefore which schedule wins) is machine-dependent, results never
     /// are — the winner is re-verified bitwise against the naive kernel.
+    ///
+    /// The kernel runs every plan on one thread, so the bake-off candidates
+    /// and the recorded schedule carry `threads: 1`: the entry names the
+    /// program `Matrix::matmul` dispatches, timed as that program.
     ///
     /// Returns the recorded entry.
     ///
@@ -161,6 +156,7 @@ impl ScheduleBook {
             let plan = plan_from_schedule(&s).clamped(m, k, n);
             time_min(repeats, || a.matmul_with_plan(&b, &plan))
         });
+        let ga_best = Schedule { threads: 1, ..ga_best };
         // The GA's reported cost is a minimum taken over many noisy
         // measurements, so it is biased optimistic — on a loaded machine a
         // mediocre schedule can "win" on a lucky sample. Before admission
@@ -196,48 +192,16 @@ impl ScheduleBook {
         self.entries.get(&class.key()).expect("entry just inserted")
     }
 
-    /// Measures the spawn-overhead crossover: the smallest probed square
-    /// GEMM whose band-parallel run at `jobs` workers beats the sequential
-    /// run. Records `size²` (the output-element count) as the crossover;
-    /// leaves the previous value when parallel never wins (callers then
-    /// fall back to the historical constant).
-    pub fn measure_crossover(&mut self, jobs: usize, seed: u64, repeats: usize) -> Option<usize> {
-        if jobs <= 1 {
-            return self.crossover;
-        }
-        let mut rng = SplitMix64::new(derive_seed(seed, "book.crossover"));
-        for size in CROSSOVER_SIZES {
-            let a = Matrix::from_fn(size, size, |_, _| rng.next_gaussian());
-            let b = Matrix::from_fn(size, size, |_, _| rng.next_gaussian());
-            let class = ShapeClass::of(size, size, size);
-            let seq_plan = gemm::plan_for(class).sequential().clamped(size, size, size);
-            let par_plan = seq_plan.with_threads(jobs);
-            let seq = time_min(repeats, || a.matmul_with_plan(&b, &seq_plan));
-            let par = time_min(repeats, || a.matmul_with_plan(&b, &par_plan));
-            if par < seq {
-                self.crossover = Some(size * size);
-                return self.crossover;
-            }
-        }
-        self.crossover
-    }
-
-    /// Installs the book into the process-global dispatch tables: every
-    /// entry's plan into `treu_math::gemm`'s plan table, and the measured
-    /// crossover (when present) as the parallel gate.
+    /// Installs every entry's plan into `treu_math::gemm`'s plan table.
     pub fn install(&self) {
         for e in self.entries.values() {
-            gemm::install_plan(e.class, e.plan().clamped_soft());
-        }
-        if let Some(c) = self.crossover {
-            gemm::install_parallel_crossover(c);
+            gemm::install_plan(e.class, e.plan());
         }
     }
 
     /// Serializes the book to its line format (one entry per line,
     /// `matmul <class> <m> <k> <n> <tile_i> <tile_j> <tile_k> <unroll>
-    /// <threads> <naive_gflops> <tuned_gflops>`, plus an optional
-    /// `crossover <elems>` line).
+    /// <threads> <naive_gflops> <tuned_gflops>`).
     pub fn serialize(&self) -> String {
         let mut out = String::new();
         for e in self.entries.values() {
@@ -257,45 +221,38 @@ impl ScheduleBook {
                 e.tuned_gflops,
             ));
         }
-        if let Some(c) = self.crossover {
-            out.push_str(&format!("crossover {c}\n"));
-        }
         out
     }
 
     /// Parses a book serialized by [`ScheduleBook::serialize`]. Unknown or
     /// malformed lines are skipped (forward compatibility), so a partially
-    /// readable book degrades to fewer tuned classes, never an error.
+    /// readable book degrades to fewer tuned classes, never an error. Books
+    /// written with the retired `crossover <elems>` line load the same way.
     pub fn parse(payload: &str) -> Self {
         let mut book = Self::new();
         for line in payload.lines() {
             let parts: Vec<&str> = line.split_whitespace().collect();
-            match parts.as_slice() {
-                ["crossover", c] => {
-                    book.crossover = c.parse::<usize>().ok().filter(|&v| v > 0);
-                }
-                ["matmul", key, m, k, n, ti, tj, tk, un, th, ng, tg] => {
-                    let parsed = (|| {
-                        let class = ShapeClass::parse_key(key)?;
-                        Some(TunedEntry {
-                            class,
-                            shape: (m.parse().ok()?, k.parse().ok()?, n.parse().ok()?),
-                            schedule: Schedule {
-                                tile_i: ti.parse().ok()?,
-                                tile_j: tj.parse().ok()?,
-                                tile_k: tk.parse().ok()?,
-                                unroll: un.parse().ok()?,
-                                threads: th.parse().ok()?,
-                            },
-                            naive_gflops: ng.parse().ok()?,
-                            tuned_gflops: tg.parse().ok()?,
-                        })
-                    })();
-                    if let Some(e) = parsed {
-                        book.entries.insert(e.class.key(), e);
-                    }
-                }
-                _ => {}
+            let ["matmul", key, m, k, n, ti, tj, tk, un, th, ng, tg] = parts.as_slice() else {
+                continue;
+            };
+            let parsed = (|| {
+                let class = ShapeClass::parse_key(key)?;
+                Some(TunedEntry {
+                    class,
+                    shape: (m.parse().ok()?, k.parse().ok()?, n.parse().ok()?),
+                    schedule: Schedule {
+                        tile_i: ti.parse().ok()?,
+                        tile_j: tj.parse().ok()?,
+                        tile_k: tk.parse().ok()?,
+                        unroll: un.parse().ok()?,
+                        threads: th.parse().ok()?,
+                    },
+                    naive_gflops: ng.parse().ok()?,
+                    tuned_gflops: tg.parse().ok()?,
+                })
+            })();
+            if let Some(e) = parsed {
+                book.entries.insert(e.class.key(), e);
             }
         }
         book
@@ -332,27 +289,7 @@ impl ScheduleBook {
                 speedup,
             ));
         }
-        match self.crossover {
-            Some(c) => out.push_str(&format!("parallel crossover: {c} output elements\n")),
-            None => out.push_str(&format!(
-                "parallel crossover: not measured (fallback {})\n",
-                gemm::FALLBACK_PARALLEL_CROSSOVER
-            )),
-        }
         out
-    }
-}
-
-/// A plan clamp that keeps extents sane without knowing the final shape
-/// (the per-call clamp in the kernel handles that): only normalizes nr and
-/// threads.
-trait ClampSoft {
-    fn clamped_soft(self) -> Self;
-}
-
-impl ClampSoft for GemmPlan {
-    fn clamped_soft(self) -> Self {
-        GemmPlan { threads: self.threads.max(1), ..self }
     }
 }
 
@@ -399,9 +336,9 @@ mod tests {
     fn plan_lowering_scales_tiles() {
         let s = Schedule { tile_i: 16, tile_j: 32, tile_k: 64, unroll: 8, threads: 2 };
         let p = plan_from_schedule(&s);
-        assert_eq!(p, GemmPlan { mc: 64, kc: 256, nc: 128, nr: 8, threads: 2 });
+        assert_eq!(p, GemmPlan { mc: 64, kc: 256, nc: 128, nr: 8 });
         let naive = plan_from_schedule(&Schedule::naive());
-        assert_eq!((naive.mc, naive.kc, naive.nc, naive.nr, naive.threads), (4, 4, 4, 1, 1));
+        assert_eq!(naive, GemmPlan { mc: 4, kc: 4, nc: 4, nr: 1 });
     }
 
     #[test]
@@ -413,6 +350,12 @@ mod tests {
         assert!(e.tuned_gflops > 0.0 && e.naive_gflops > 0.0);
         assert_eq!(book.len(), 1);
         assert_eq!(book.entry(e.class), Some(&e));
+        // The recorded schedule is the one-thread program matmul runs, in
+        // the entry, the rendered table and the persisted line alike.
+        assert_eq!(e.schedule.threads, 1);
+        assert!(book.render().contains("parallelize(threads=1)"), "{}", book.render());
+        let fields: Vec<String> = book.serialize().split_whitespace().map(str::to_string).collect();
+        assert_eq!(fields[9], "1", "threads field of {fields:?}");
     }
 
     #[test]
@@ -420,11 +363,9 @@ mod tests {
         let mut book = ScheduleBook::new();
         book.tune_matmul((20, 12, 16), tiny_ga(), 3, 1);
         book.tune_matmul((70, 12, 16), tiny_ga(), 4, 1);
-        book.crossover = Some(2304);
         let text = book.serialize();
         let parsed = ScheduleBook::parse(&text);
         assert_eq!(parsed.len(), book.len());
-        assert_eq!(parsed.crossover(), Some(2304));
         for (a, b) in parsed.entries().zip(book.entries()) {
             assert_eq!(a.class, b.class);
             assert_eq!(a.schedule, b.schedule);
@@ -434,14 +375,18 @@ mod tests {
 
     #[test]
     fn parse_skips_garbage_lines() {
-        let text =
-            "matmul zzz 1 2\nnot-a-line\ncrossover 100\nmatmul mmm 64 64 64 8 8 8 4 1 1.0 2.0\n";
+        // A book persisted before GEMM plans lost their worker count: a
+        // `crossover` line and an entry tuned at 4 threads. Both load.
+        let text = "matmul zzz 1 2\nnot-a-line\ncrossover 100\n\
+                    matmul mmm 64 64 64 8 8 8 4 1 1.0 2.0\n\
+                    matmul lll 320 320 320 16 16 16 8 4 1.0 9.0\n";
         let book = ScheduleBook::parse(text);
-        assert_eq!(book.len(), 1);
-        assert_eq!(book.crossover(), Some(100));
-        let e = book.entries().next().unwrap();
-        assert_eq!(e.class, ShapeClass::of(64, 64, 64));
+        assert_eq!(book.len(), 2);
+        let e = book.entry(ShapeClass::of(64, 64, 64)).unwrap();
         assert_eq!(e.schedule.unroll, 4);
+        let legacy = book.entry(ShapeClass::of(320, 320, 320)).unwrap();
+        assert_eq!(legacy.schedule.threads, 4);
+        assert_eq!(legacy.plan(), GemmPlan { mc: 64, kc: 64, nc: 64, nr: 8 });
     }
 
     #[test]
@@ -455,26 +400,11 @@ mod tests {
     }
 
     #[test]
-    fn crossover_measurement_is_bounded_and_optional() {
-        let mut book = ScheduleBook::new();
-        let before = book.crossover();
-        assert_eq!(before, None);
-        // jobs=1 cannot beat itself: measurement declines to run.
-        assert_eq!(book.measure_crossover(1, 1, 1), None);
-        let measured = book.measure_crossover(2, 1, 1);
-        if let Some(c) = measured {
-            let max = CROSSOVER_SIZES[CROSSOVER_SIZES.len() - 1];
-            assert!(c >= CROSSOVER_SIZES[0] * CROSSOVER_SIZES[0] && c <= max * max);
-        }
-    }
-
-    #[test]
     fn render_mentions_every_class() {
         let mut book = ScheduleBook::new();
         book.tune_matmul((20, 12, 16), tiny_ga(), 3, 1);
         let r = book.render();
         assert!(r.contains("ss") || r.contains("st"), "render: {r}");
-        assert!(r.contains("crossover"));
     }
 
     #[test]

@@ -1,26 +1,26 @@
 //! `math_bench` — the closed autotune loop's GFLOP/s regression gate.
 //!
 //! The registry benches price whole experiments; this binary isolates the
-//! math kernels the autotuner now schedules (ISSUE 8). For every probed
-//! GEMM shape it measures four variants of the same multiplication:
+//! math kernels the autotuner schedules. For every probed GEMM shape it
+//! measures three variants of the same multiplication:
 //!
 //! * **ijk** — the textbook triple loop, the untransformed nest every
 //!   autotuning paper calls "naive";
 //! * **axpy** — `Matrix::matmul_naive`, the repo's reference kernel
 //!   (already loop-reordered, so a much stronger baseline);
-//! * **tuned** — the schedule-dispatched blocked kernel, using the plan
-//!   the in-bench genetic tune just installed for the shape's class;
-//! * **tuned ∥** — the same plan band-parallelized at `--jobs` workers.
+//! * **tuned** — `Matrix::matmul`, dispatching to the plan the in-bench
+//!   genetic tune just installed for the shape's class.
 //!
-//! All four are asserted **bitwise identical** before any timing is
-//! trusted — the ascending-k reduction contract means blocking, packing
-//! and banding may never change a single output bit. The conv2d packed
+//! All three are asserted **bitwise identical** before any timing is
+//! trusted — the ascending-k reduction contract means blocking and
+//! packing may never change a single output bit. Every kernel runs on one
+//! thread, as it does in the registry. The conv2d packed
 //! im2col path is priced against its naive six-loop reference the same
 //! way. Results land in a machine-readable `BENCH_math.json` so the perf
 //! trajectory is diffable across PRs.
 //!
 //! ```text
-//! math_bench [--quick] [--enforce] [--jobs N] [--seed S] [--out PATH]
+//! math_bench [--quick] [--enforce] [--seed S] [--out PATH]
 //! ```
 //!
 //! `--quick` shrinks shapes and the GA budget for CI smoke runs;
@@ -32,14 +32,13 @@
 use std::time::Instant;
 use treu_autotune::tuner::GaParams;
 use treu_autotune::ScheduleBook;
-use treu_math::gemm::{self, ShapeClass};
-use treu_math::parallel::default_threads;
+use treu_math::gemm::ShapeClass;
 use treu_math::rng::{derive_seed, SplitMix64};
 use treu_math::Matrix;
 use treu_nn::conv2d::Conv2d;
 
-/// Minimum parallel-tuned over ijk-naive speedup `--enforce` accepts on
-/// the large square class.
+/// Minimum tuned over ijk-naive speedup `--enforce` accepts on the large
+/// square class.
 const TUNED_SPEEDUP_FLOOR: f64 = 2.0;
 
 /// Minimum tuned-sequential over axpy-reference ratio `--enforce`
@@ -50,34 +49,19 @@ const NO_REGRESSION_FLOOR: f64 = 0.9;
 struct Config {
     quick: bool,
     enforce: bool,
-    jobs: usize,
     seed: u64,
     out: String,
 }
 
 fn parse_args() -> Result<Config, String> {
-    let mut cfg = Config {
-        quick: false,
-        enforce: false,
-        jobs: default_threads().max(4),
-        seed: 2023,
-        out: "BENCH_math.json".to_string(),
-    };
+    let mut cfg =
+        Config { quick: false, enforce: false, seed: 2023, out: "BENCH_math.json".to_string() };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => cfg.quick = true,
             "--enforce" => cfg.enforce = true,
-            "--jobs" => {
-                i += 1;
-                let v = args.get(i).ok_or("--jobs requires a value")?;
-                cfg.jobs = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&j| j >= 1)
-                    .ok_or_else(|| format!("invalid --jobs value '{v}'"))?;
-            }
             "--seed" => {
                 i += 1;
                 let v = args.get(i).ok_or("--seed requires a value")?;
@@ -147,7 +131,6 @@ struct ShapeResult {
     ijk_gflops: f64,
     axpy_gflops: f64,
     tuned_gflops: f64,
-    parallel_gflops: f64,
 }
 
 fn gflops(flops: f64, secs: f64) -> f64 {
@@ -158,38 +141,27 @@ fn gflops(flops: f64, secs: f64) -> f64 {
     }
 }
 
-fn bench_shape(
-    (m, k, n): (usize, usize, usize),
-    jobs: usize,
-    seed: u64,
-    repeats: usize,
-) -> ShapeResult {
+fn bench_shape((m, k, n): (usize, usize, usize), seed: u64, repeats: usize) -> ShapeResult {
     let mut rng = SplitMix64::new(derive_seed(seed, "math_bench.gemm"));
     let a = Matrix::from_fn(m, k, |_, _| rng.next_gaussian());
     let b = Matrix::from_fn(k, n, |_, _| rng.next_gaussian());
-    let class = ShapeClass::of(m, k, n);
-    // The closed loop: dispatch through the same plan table `Matrix::
-    // matmul` consults, seeded by the in-bench tune that just ran.
-    let plan = gemm::plan_for(class).clamped(m, k, n);
 
     let (axpy_secs, reference) = time_min(repeats, || a.matmul_naive(&b));
     let (ijk_secs, ijk_out) = time_min(repeats, || matmul_ijk(&a, &b));
-    let (tuned_secs, tuned_out) = time_min(repeats, || a.matmul_with_plan(&b, &plan.sequential()));
-    let par_plan = plan.with_threads(jobs);
-    let (par_secs, par_out) = time_min(repeats, || a.matmul_with_plan(&b, &par_plan));
+    // The closed loop: `matmul` dispatches through the plan table the
+    // in-bench tune just filled.
+    let (tuned_secs, tuned_out) = time_min(repeats, || a.matmul(&b));
 
     assert_bitwise(&reference, &ijk_out, "ijk reference");
-    assert_bitwise(&reference, &tuned_out, "tuned sequential");
-    assert_bitwise(&reference, &par_out, "tuned parallel");
+    assert_bitwise(&reference, &tuned_out, "tuned");
 
     let flops = 2.0 * m as f64 * k as f64 * n as f64;
     ShapeResult {
         shape: (m, k, n),
-        class: class.key(),
+        class: ShapeClass::of(m, k, n).key(),
         ijk_gflops: gflops(flops, ijk_secs),
         axpy_gflops: gflops(flops, axpy_secs),
         tuned_gflops: gflops(flops, tuned_secs),
-        parallel_gflops: gflops(flops, par_secs),
     }
 }
 
@@ -197,10 +169,9 @@ struct ConvResult {
     label: String,
     naive_gflops: f64,
     packed_gflops: f64,
-    parallel_gflops: f64,
 }
 
-fn bench_conv(quick: bool, jobs: usize, seed: u64, repeats: usize) -> ConvResult {
+fn bench_conv(quick: bool, seed: u64, repeats: usize) -> ConvResult {
     let (batch, cin, cout, kernel, h, w) =
         if quick { (8, 3, 8, 3, 32, 32) } else { (16, 3, 16, 3, 48, 48) };
     let conv = Conv2d::new(cin, cout, kernel, h, w, derive_seed(seed, "math_bench.conv"));
@@ -208,10 +179,8 @@ fn bench_conv(quick: bool, jobs: usize, seed: u64, repeats: usize) -> ConvResult
     let x = Matrix::from_fn(batch, cin * h * w, |_, _| rng.next_gaussian());
 
     let (naive_secs, reference) = time_min(repeats, || conv.forward_naive(&x));
-    let (packed_secs, packed_out) = time_min(repeats, || conv.forward_ref(&x, 1));
-    let (par_secs, par_out) = time_min(repeats, || conv.forward_ref(&x, jobs));
+    let (packed_secs, packed_out) = time_min(repeats, || conv.forward_ref(&x));
     assert_bitwise(&reference, &packed_out, "conv packed");
-    assert_bitwise(&reference, &par_out, "conv parallel");
 
     let (oh, ow) = (h - kernel + 1, w - kernel + 1);
     let flops = batch as f64 * (cout * oh * ow) as f64 * 2.0 * (cin * kernel * kernel) as f64;
@@ -219,7 +188,6 @@ fn bench_conv(quick: bool, jobs: usize, seed: u64, repeats: usize) -> ConvResult
         label: format!("{batch}x{cin}x{h}x{w} k{kernel} -> {cout}ch"),
         naive_gflops: gflops(flops, naive_secs),
         packed_gflops: gflops(flops, packed_secs),
-        parallel_gflops: gflops(flops, par_secs),
     }
 }
 
@@ -228,7 +196,7 @@ fn main() {
         Ok(c) => c,
         Err(msg) => {
             eprintln!("math_bench: {msg}");
-            eprintln!("usage: math_bench [--quick] [--enforce] [--jobs N] [--seed S] [--out PATH]");
+            eprintln!("usage: math_bench [--quick] [--enforce] [--seed S] [--out PATH]");
             std::process::exit(2);
         }
     };
@@ -241,12 +209,7 @@ fn main() {
         vec![(320, 320, 320), (96, 96, 96), (128, 512, 128), (512, 64, 512)]
     };
     let enforce_shape = shapes[0];
-    let jobs = cfg.jobs;
-    eprintln!(
-        "math_bench: {} shape(s), {jobs} job(s), seed {}, min of {repeats}",
-        shapes.len(),
-        cfg.seed
-    );
+    eprintln!("math_bench: {} shape(s), seed {}, min of {repeats}", shapes.len(), cfg.seed);
 
     // Close the loop: a genetic tune over the real kernels picks the
     // schedule for every probed class, each winner is re-verified bitwise
@@ -271,57 +234,47 @@ fn main() {
             e.tuned_gflops
         );
     }
-    book.measure_crossover(jobs, cfg.seed, repeats.min(2));
     book.install();
-    let crossover = gemm::parallel_crossover();
 
     let results: Vec<ShapeResult> =
-        shapes.iter().map(|&s| bench_shape(s, jobs, cfg.seed, repeats)).collect();
-    eprintln!("  shape              class    ijk   axpy  tuned  tuned∥  (GFLOP/s)");
+        shapes.iter().map(|&s| bench_shape(s, cfg.seed, repeats)).collect();
+    eprintln!("  shape              class    ijk   axpy  tuned  (GFLOP/s)");
     for r in &results {
         let (m, k, n) = r.shape;
         eprintln!(
-            "  {:<18} {:<5} {:>6.2} {:>6.2} {:>6.2} {:>7.2}",
+            "  {:<18} {:<5} {:>6.2} {:>6.2} {:>6.2}",
             format!("{m}x{k}x{n}"),
             r.class,
             r.ijk_gflops,
             r.axpy_gflops,
-            r.tuned_gflops,
-            r.parallel_gflops
+            r.tuned_gflops
         );
     }
-    let conv = bench_conv(cfg.quick, jobs, cfg.seed, repeats);
+    let conv = bench_conv(cfg.quick, cfg.seed, repeats);
     eprintln!(
-        "  conv {:<24} naive {:.2}  packed {:.2}  packed∥ {:.2}  (GFLOP/s)",
-        conv.label, conv.naive_gflops, conv.packed_gflops, conv.parallel_gflops
+        "  conv {:<24} naive {:.2}  packed {:.2}  (GFLOP/s)",
+        conv.label, conv.naive_gflops, conv.packed_gflops
     );
-    eprintln!("  parallel crossover : {crossover} output elements");
 
     let mut shape_json = String::new();
     for (i, r) in results.iter().enumerate() {
         let (m, k, n) = r.shape;
         shape_json.push_str(&format!(
             "    {{\"shape\": \"{m}x{k}x{n}\", \"class\": \"{}\", \"ijk_gflops\": {:.4}, \
-             \"axpy_gflops\": {:.4}, \"tuned_gflops\": {:.4}, \"parallel_gflops\": {:.4}}}{}\n",
+             \"axpy_gflops\": {:.4}, \"tuned_gflops\": {:.4}}}{}\n",
             r.class,
             r.ijk_gflops,
             r.axpy_gflops,
             r.tuned_gflops,
-            r.parallel_gflops,
             if i + 1 < results.len() { "," } else { "" }
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"math/gemm+conv\",\n  \"jobs\": {jobs},\n  \"seed\": {},\n  \
-         \"repeats\": {repeats},\n  \"quick\": {},\n  \"crossover_elems\": {crossover},\n  \
+        "{{\n  \"bench\": \"math/gemm+conv\",\n  \"seed\": {},\n  \
+         \"repeats\": {repeats},\n  \"quick\": {},\n  \
          \"shapes\": [\n{shape_json}  ],\n  \"conv\": {{\"shape\": \"{}\", \
-         \"naive_gflops\": {:.4}, \"packed_gflops\": {:.4}, \"parallel_gflops\": {:.4}}}\n}}\n",
-        cfg.seed,
-        cfg.quick,
-        conv.label,
-        conv.naive_gflops,
-        conv.packed_gflops,
-        conv.parallel_gflops,
+         \"naive_gflops\": {:.4}, \"packed_gflops\": {:.4}}}\n}}\n",
+        cfg.seed, cfg.quick, conv.label, conv.naive_gflops, conv.packed_gflops,
     );
     if let Err(e) = std::fs::write(&cfg.out, &json) {
         eprintln!("math_bench: cannot write {}: {e}", cfg.out);
@@ -331,11 +284,11 @@ fn main() {
 
     if cfg.enforce {
         let gate = results.iter().find(|r| r.shape == enforce_shape).expect("enforce shape ran");
-        let speedup = gate.parallel_gflops / gate.ijk_gflops;
+        let speedup = gate.tuned_gflops / gate.ijk_gflops;
         if speedup < TUNED_SPEEDUP_FLOOR {
             let (m, k, n) = gate.shape;
             eprintln!(
-                "math_bench: FAIL — tuned∥ {m}x{k}x{n} is {speedup:.2}x the ijk naive, \
+                "math_bench: FAIL — tuned {m}x{k}x{n} is {speedup:.2}x the ijk naive, \
                  under the {TUNED_SPEEDUP_FLOOR}x floor"
             );
             std::process::exit(1);
@@ -360,7 +313,7 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!(
-            "math_bench: PASS — tuned∥ {speedup:.2}x >= {TUNED_SPEEDUP_FLOOR}x on class {}, \
+            "math_bench: PASS — tuned {speedup:.2}x >= {TUNED_SPEEDUP_FLOOR}x on class {}, \
              no shape regressed",
             gate.class
         );

@@ -901,14 +901,13 @@ pub fn verify_chain(store: &AttestStore, key: &AttestKey, ctx: &VerifyContext) -
                 report.rehashed += 1;
                 let text = match std::fs::read_to_string(dir.join(entry_file)) {
                     Ok(t) => t,
-                    Err(_) => {
-                        report.failures.push(fail(
-                            &link.step,
-                            file,
-                            name,
+                    Err(e) => {
+                        let reason = if e.kind() == io::ErrorKind::InvalidData {
+                            "cache entry no longer parses as a run entry — not UTF-8"
+                        } else {
                             "cache entry missing — deleted or evicted after the step produced it"
-                                .to_string(),
-                        ));
+                        };
+                        report.failures.push(fail(&link.step, file, name, reason.to_string()));
                         continue;
                     }
                 };

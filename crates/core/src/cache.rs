@@ -496,13 +496,17 @@ impl RunCache {
 
     /// Looks up `(id, seed, params)` and reports *why* a lookup failed:
     /// miss (no entry), stale (different code+env fingerprint) or corrupt
-    /// (read-time checksum failure). A corrupt entry is deleted before
-    /// returning, so the caller's recompute-and-store self-heals the
-    /// cache; the corruption is counted in [`RunCache::stats`].
+    /// (read-time checksum failure, or bytes that are not UTF-8). A corrupt
+    /// entry is deleted before returning, so the caller's recompute-and-store
+    /// self-heals the cache; the corruption is counted in
+    /// [`RunCache::stats`].
     pub fn lookup_classified(&self, id: &str, seed: u64, params: &Params) -> Lookup {
         let path = self.run_path(id, seed, params);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+        let (verdict, len) = match std::fs::read_to_string(&path) {
+            Ok(text) => (self.classify(&text, seed), text.len() as u64),
+            // `store` writes only UTF-8, so such an entry is damaged, not
+            // absent.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => (Lookup::Corrupt, 0),
             Err(_) => {
                 self.note_lookup(&path, None);
                 self.bump(|s| {
@@ -512,9 +516,9 @@ impl RunCache {
                 return Lookup::Miss;
             }
         };
-        match self.classify(&text, seed) {
+        match verdict {
             Lookup::Hit(rec) => {
-                self.note_lookup(&path, Some(text.len() as u64));
+                self.note_lookup(&path, Some(len));
                 self.bump(|s| {
                     s.lookups += 1;
                     s.hits += 1;
@@ -524,7 +528,7 @@ impl RunCache {
             Lookup::Stale => {
                 // Still resident (the caller will overwrite it): refresh
                 // recency so the imminent store doesn't race an eviction.
-                self.note_lookup(&path, Some(text.len() as u64));
+                self.note_lookup(&path, Some(len));
                 self.bump(|s| {
                     s.lookups += 1;
                     s.invalidations += 1;
@@ -1075,9 +1079,9 @@ mod tests {
     }
 
     /// An entry that is not byte for byte what `store` writes — a CRLF
-    /// checkout, upper-cased hex, a signed seed, a non-canonical wall — is
-    /// Corrupt for the lookup and breaks the attestation walk alike: both
-    /// read it through [`RunEntry::parse`].
+    /// checkout, upper-cased hex, a signed seed, a non-canonical wall, a
+    /// byte that is not UTF-8 — is Corrupt for the lookup and breaks the
+    /// attestation walk alike: both read it through [`RunEntry::parse`].
     #[test]
     fn non_canonical_entries_are_corrupt_for_lookup_and_the_attestation_walk() {
         use crate::attest::{
@@ -1092,6 +1096,7 @@ mod tests {
         let file = run_entry_file("E", 2023, &p);
         let path = cache_dir.join(&file);
         let clean = std::fs::read_to_string(&path).unwrap();
+        let not_utf8 = [clean.as_bytes(), &[0xFF]].concat();
 
         let store = AttestStore::open(&dir.join("at"));
         let key = AttestKey::derive(7);
@@ -1110,17 +1115,27 @@ mod tests {
         };
         let wall_at = clean.find("\nwall ").unwrap() + 1;
         let wall_end = wall_at + clean[wall_at..].find('\n').unwrap();
-        let edits = [
-            ("CRLF", clean.replace('\n', "\r\n")),
-            ("upper-case fingerprint", upper("fingerprint 0x")),
-            ("upper-case checksum", upper("checksum 0x")),
-            ("signed seed", clean.replacen("seed 2023", "seed +2023", 1)),
-            ("wall -1e300", format!("{}wall -1e300{}", &clean[..wall_at], &clean[wall_end..])),
+        let edits: [(&str, Vec<u8>); 6] = [
+            ("CRLF", clean.replace('\n', "\r\n").into_bytes()),
+            ("upper-case fingerprint", upper("fingerprint 0x").into_bytes()),
+            ("upper-case checksum", upper("checksum 0x").into_bytes()),
+            ("signed seed", clean.replacen("seed 2023", "seed +2023", 1).into_bytes()),
+            (
+                "wall -1e300",
+                format!("{}wall -1e300{}", &clean[..wall_at], &clean[wall_end..]).into_bytes(),
+            ),
+            ("non-UTF-8 byte", not_utf8),
         ];
         for (what, edited) in &edits {
-            assert_ne!(edited, &clean, "{what}: fixture must change the entry");
+            assert_ne!(edited, clean.as_bytes(), "{what}: fixture must change the entry");
             std::fs::write(&path, edited).unwrap();
-            assert!(!verify_chain(&store, &key, &ctx).ok(), "{what}: the walk must fail");
+            let walk = verify_chain(&store, &key, &ctx);
+            assert!(!walk.ok(), "{what}: the walk must fail");
+            assert!(
+                walk.failures.iter().all(|f| !f.reason.contains("missing")),
+                "{what}: a present entry is not missing: {:?}",
+                walk.failures
+            );
             assert!(matches!(cache.lookup_classified("E", 2023, &p), Lookup::Corrupt), "{what}");
             assert!(!path.exists(), "{what}: a corrupt entry is deleted on sight");
         }

@@ -5,7 +5,7 @@
 //! (the §3 "result collection takes too long" failure mode). This module
 //! removes the speed excuse without touching the guarantee: an
 //! [`Executor`] fans multi-seed runs, parameter sweeps, and registry-wide
-//! batches out over `crossbeam::scope` worker chunks and merges results
+//! batches out over `std::thread::scope` worker chunks and merges results
 //! back in canonical (input) order.
 //!
 //! The determinism contract: every run owns its own

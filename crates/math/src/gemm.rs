@@ -15,7 +15,6 @@
 //! swap can move wall-clock time, never a result bit.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{OnceLock, RwLock};
 
 /// Size bucket for one GEMM extent. Boundaries are powers of two so the
@@ -130,7 +129,7 @@ impl ShapeClass {
 
 /// A concrete blocking plan for the GEMM loop nest: NC-wide packed B
 /// strips, MC-tall row blocks, KC-deep reduction panels, and an NR-wide
-/// register microkernel. `threads` is the band-parallel worker count.
+/// register microkernel. Every plan runs on one thread.
 ///
 /// Every plan computes the bitwise-identical result: blocking reorders the
 /// i/j traversal and the packing only; each output element's reduction is
@@ -146,8 +145,6 @@ pub struct GemmPlan {
     /// Microkernel width: independent per-element accumulator chains kept
     /// in registers. Normalized to {1, 2, 4, 8, 16}.
     pub nr: usize,
-    /// Worker threads for the row-band outer loop.
-    pub threads: usize,
 }
 
 /// Supported microkernel widths, largest first.
@@ -157,7 +154,7 @@ impl GemmPlan {
     /// The degenerate single-block plan: one strip, one panel, scalar
     /// microkernel. Useful as a worst-case anchor in tuning sweeps.
     pub fn naive() -> Self {
-        Self { mc: usize::MAX, kc: usize::MAX, nc: usize::MAX, nr: 1, threads: 1 }
+        Self { mc: usize::MAX, kc: usize::MAX, nc: usize::MAX, nr: 1 }
     }
 
     /// Hand-written default for a shape class — what a miss in the plan
@@ -169,9 +166,9 @@ impl GemmPlan {
     pub fn default_for(class: ShapeClass) -> Self {
         let small = |b: SizeBucket| b <= SizeBucket::Small;
         if small(class.m) && small(class.k) && small(class.n) {
-            Self { mc: usize::MAX, kc: usize::MAX, nc: usize::MAX, nr: 16, threads: 1 }
+            Self { mc: usize::MAX, kc: usize::MAX, nc: usize::MAX, nr: 16 }
         } else {
-            Self { mc: 64, kc: 96, nc: 96, nr: 16, threads: 1 }
+            Self { mc: 64, kc: 96, nc: 96, nr: 16 }
         }
     }
 
@@ -182,30 +179,11 @@ impl GemmPlan {
         self.kc = self.kc.clamp(1, k.max(1));
         self.nc = self.nc.clamp(1, n.max(1));
         self.nr = NR_CHOICES.iter().copied().find(|&w| w <= self.nr.max(1)).unwrap_or(1);
-        self.threads = self.threads.max(1);
         self
-    }
-
-    /// The same plan with a different worker count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The same plan forced single-threaded.
-    pub fn sequential(self) -> Self {
-        self.with_threads(1)
     }
 }
 
-/// Output-element count below which `matmul_parallel` runs sequentially
-/// when no measured crossover has been installed. The historical constant:
-/// spawn overhead dominates under ~64×64 outputs on typical hardware.
-pub const FALLBACK_PARALLEL_CROSSOVER: usize = 64 * 64;
-
 static PLAN_TABLE: OnceLock<RwLock<BTreeMap<ShapeClass, GemmPlan>>> = OnceLock::new();
-// 0 means "not measured": parallel_crossover() then reports the fallback.
-static PARALLEL_CROSSOVER: AtomicUsize = AtomicUsize::new(0);
 
 fn table() -> &'static RwLock<BTreeMap<ShapeClass, GemmPlan>> {
     PLAN_TABLE.get_or_init(|| RwLock::new(BTreeMap::new()))
@@ -235,22 +213,6 @@ pub fn installed_plans() -> Vec<(ShapeClass, GemmPlan)> {
 /// Clears all installed plans (test isolation / `treu tune --reset`).
 pub fn clear_installed_plans() {
     table().write().expect("plan table poisoned").clear();
-}
-
-/// Installs the measured spawn-overhead crossover: the output-element
-/// count at which band-parallel GEMM starts beating sequential. `0`
-/// clears the measurement (back to the fallback constant).
-pub fn install_parallel_crossover(min_output_elems: usize) {
-    PARALLEL_CROSSOVER.store(min_output_elems, Ordering::SeqCst);
-}
-
-/// The crossover `matmul_parallel` gates on: the installed measurement if
-/// one exists, else [`FALLBACK_PARALLEL_CROSSOVER`].
-pub fn parallel_crossover() -> usize {
-    match PARALLEL_CROSSOVER.load(Ordering::SeqCst) {
-        0 => FALLBACK_PARALLEL_CROSSOVER,
-        v => v,
-    }
 }
 
 #[cfg(test)]
@@ -298,13 +260,13 @@ mod tests {
 
     #[test]
     fn clamping_normalizes_plans() {
-        let p = GemmPlan { mc: 0, kc: 1000, nc: 7, nr: 5, threads: 0 }.clamped(10, 20, 30);
-        assert_eq!(p, GemmPlan { mc: 1, kc: 20, nc: 7, nr: 4, threads: 1 });
+        let p = GemmPlan { mc: 0, kc: 1000, nc: 7, nr: 5 }.clamped(10, 20, 30);
+        assert_eq!(p, GemmPlan { mc: 1, kc: 20, nc: 7, nr: 4 });
         let q = GemmPlan::naive().clamped(3, 4, 5);
         assert_eq!((q.mc, q.kc, q.nc, q.nr), (3, 4, 5, 1));
         // nr snaps down to a supported width.
         for (want, got) in [(1, 1), (2, 2), (3, 2), (4, 4), (7, 4), (8, 8), (100, 16)] {
-            let p = GemmPlan { mc: 1, kc: 1, nc: 1, nr: want, threads: 1 }.clamped(1, 1, 1);
+            let p = GemmPlan { mc: 1, kc: 1, nc: 1, nr: want }.clamped(1, 1, 1);
             assert_eq!(p.nr, got, "nr {want}");
         }
     }
@@ -314,7 +276,7 @@ mod tests {
         // A class no other test tunes, so parallel test execution can't race.
         let class = ShapeClass { m: SizeBucket::Huge, k: SizeBucket::Tiny, n: SizeBucket::Huge };
         assert_eq!(plan_for(class), GemmPlan::default_for(class));
-        let tuned = GemmPlan { mc: 32, kc: 128, nc: 512, nr: 8, threads: 2 };
+        let tuned = GemmPlan { mc: 32, kc: 128, nc: 512, nr: 8 };
         install_plan(class, tuned);
         assert_eq!(installed_plan(class), Some(tuned));
         assert_eq!(plan_for(class), tuned);
@@ -322,20 +284,10 @@ mod tests {
     }
 
     #[test]
-    fn crossover_defaults_and_installs() {
-        // Serialized within this test: install, observe, restore.
-        assert!(parallel_crossover() >= 1);
-        install_parallel_crossover(1234);
-        assert_eq!(parallel_crossover(), 1234);
-        install_parallel_crossover(0);
-        assert_eq!(parallel_crossover(), FALLBACK_PARALLEL_CROSSOVER);
-    }
-
-    #[test]
     fn default_plans_are_single_block_for_small_shapes() {
         let tiny = GemmPlan::default_for(ShapeClass::of(8, 8, 8));
         assert_eq!(tiny.nc, usize::MAX);
         let big = GemmPlan::default_for(ShapeClass::of(512, 512, 512));
-        assert!(big.nc < usize::MAX && big.threads == 1);
+        assert!(big.nc < usize::MAX);
     }
 }

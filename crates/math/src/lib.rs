@@ -10,8 +10,8 @@
 //!
 //! * [`rng`] — seed derivation and deterministic RNG construction.
 //! * [`vector`] — free functions over `&[f64]` slices (dot, axpy, norms).
-//! * [`matrix`] — a row-major dense [`matrix::Matrix`] with blocked and
-//!   parallel multiplication.
+//! * [`matrix`] — a row-major dense [`matrix::Matrix`] with blocked,
+//!   single-threaded multiplication.
 //! * [`gemm`] — shape classes, blocking plans and the installed-plan table
 //!   the autotuner feeds (`Matrix::matmul` dispatches through it).
 //! * [`decomp`] — Jacobi eigendecomposition and one-sided Jacobi SVD.
@@ -19,7 +19,8 @@
 //! * [`stats`] — descriptive statistics (mean, mode, quantiles, covariance).
 //! * [`scaling`] — parallel performance measurement and Amdahl fitting
 //!   (the paper's §4 reusable HPC lesson module).
-//! * [`parallel`] — crossbeam-scoped data-parallel helpers.
+//! * [`parallel`] — scoped-thread data-parallel helpers (executor jobs and
+//!   the §2.5 `parallelize` schedule primitive).
 //!
 //! # Example
 //!

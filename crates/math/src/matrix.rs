@@ -4,10 +4,11 @@
 //! row-major `Vec<f64>` with shape metadata. Multiplication comes in
 //! several flavours — naive (`matmul_naive`, kept for testing and as the
 //! autotuner's reference point), schedule-driven cache-blocked (`matmul`,
-//! dispatching through the [`crate::gemm`] plan table), thread-parallel
-//! (`matmul_parallel`, crossbeam-scoped over row bands), and the
+//! dispatching through the [`crate::gemm`] plan table), and the
 //! transpose-free variants `matmul_tn` / `matmul_nt` that read one operand
-//! through its transpose without materializing it.
+//! through its transpose without materializing it. Every variant runs on
+//! one thread: the registry's parallelism comes from running whole
+//! experiments on executor jobs, not from splitting one product.
 //!
 //! # The ascending-k rule
 //!
@@ -15,16 +16,15 @@
 //! sequential ascending-k chain**: `acc = ((0 + a·b|k=0) + a·b|k=1) + …`.
 //! Blocking (MC/KC/NC) reorders only which elements are visited when and
 //! what gets packed — never the per-element accumulation order — so naive,
-//! blocked, packed and parallel results are bitwise-identical at every
-//! plan and thread count. Spilling a partial accumulator to the output
-//! buffer between KC panels and reloading it is exact (each f64 add rounds
-//! once either way), so KC blocking preserves the chain too. What would
+//! blocked and packed results are bitwise-identical at every plan.
+//! Spilling a partial accumulator to the output buffer between KC panels
+//! and reloading it is exact (each f64 add rounds once either way), so KC
+//! blocking preserves the chain too. What would
 //! *break* the rule: multiple interleaved accumulators per element (as in
 //! `vector::dot`'s 4-way unroll) or skipping zero terms (`0.0` terms still
 //! move signed zeros and NaNs). Neither is used on any matmul path.
 
 use crate::gemm::{self, GemmPlan, ShapeClass};
-use crate::parallel;
 use crate::vector;
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -208,23 +208,22 @@ impl Matrix {
     /// Schedule-driven multiplication: classifies the shape, looks up the
     /// plan table ([`gemm::plan_for`] — tuned plan if `treu tune` installed
     /// one, hand-written default otherwise) and runs the cache-blocked
-    /// kernel single-threaded.
+    /// kernel.
     ///
     /// # Panics
     ///
     /// Panics if inner dimensions disagree.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul: dimension mismatch");
-        let plan = gemm::plan_for(ShapeClass::of(self.rows, self.cols, other.cols)).sequential();
+        let plan = gemm::plan_for(ShapeClass::of(self.rows, self.cols, other.cols));
         self.matmul_with_plan(other, &plan)
     }
 
     /// Multiplication under an explicit [`GemmPlan`] — the entry point the
-    /// autotuner times candidate schedules through. `plan.threads > 1`
-    /// band-parallelizes over output rows via [`parallel::for_each_band`].
+    /// autotuner times candidate schedules through.
     ///
-    /// Bitwise-identical to [`Matrix::matmul_naive`] for every plan and
-    /// thread count (the ascending-k rule).
+    /// Bitwise-identical to [`Matrix::matmul_naive`] for every plan (the
+    /// ascending-k rule).
     ///
     /// # Panics
     ///
@@ -232,42 +231,8 @@ impl Matrix {
     pub fn matmul_with_plan(&self, other: &Matrix, plan: &GemmPlan) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul: dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
-        if out.data.is_empty() {
-            return out;
-        }
-        let threads = plan.threads.max(1);
-        if threads <= 1 || self.rows <= 1 {
-            Self::mul_into_range(self, other, out.as_mut_slice(), 0, self.rows, plan);
-        } else {
-            let ocols = other.cols;
-            parallel::for_each_band(out.as_mut_slice(), ocols, threads, |band_start, band| {
-                let rows = band.len() / ocols;
-                Self::mul_into_range(self, other, band, band_start, band_start + rows, plan);
-            });
-        }
+        Self::mul_into(self, other, &mut out.data, plan);
         out
-    }
-
-    /// Thread-parallel multiplication over horizontal bands of the output.
-    ///
-    /// Uses `crossbeam::scope`; each worker owns a disjoint `&mut` band of
-    /// the output, so no synchronization is needed. Falls back to the
-    /// single-threaded path below the spawn-overhead crossover
-    /// ([`gemm::parallel_crossover`] — measured by the schedule book when
-    /// available, a 64×64-output constant otherwise).
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions disagree.
-    pub fn matmul_parallel(&self, other: &Matrix, threads: usize) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul: dimension mismatch");
-        let threads = threads.max(1);
-        if threads == 1 || self.rows * other.cols < gemm::parallel_crossover() {
-            return self.matmul(other);
-        }
-        let plan =
-            gemm::plan_for(ShapeClass::of(self.rows, self.cols, other.cols)).with_threads(threads);
-        self.matmul_with_plan(other, &plan)
     }
 
     /// Transpose-free `selfᵀ · other`: `self` is stored `k×m` and read
@@ -362,9 +327,8 @@ impl Matrix {
         out
     }
 
-    /// Computes rows `[r0, r1)` of `self * other` into `out_band`, a buffer
-    /// whose first element corresponds to `(r0, 0)` of the product, blocked
-    /// and packed per `plan`.
+    /// Computes `a * b` into `out` (row-major, zeroed), blocked and packed
+    /// per `plan`.
     ///
     /// Loop nest: NC strips of B are packed contiguous once per strip (a
     /// strip spanning all of B is B, read in place); MC row blocks keep a
@@ -372,32 +336,26 @@ impl Matrix {
     /// per-element accumulator chains in registers for a full panel. Per
     /// output element the reduction order is ascending k regardless of all
     /// three block extents.
-    fn mul_into_range(
-        a: &Matrix,
-        b: &Matrix,
-        out_band: &mut [f64],
-        r0: usize,
-        r1: usize,
-        plan: &GemmPlan,
-    ) {
+    fn mul_into(a: &Matrix, b: &Matrix, out: &mut [f64], plan: &GemmPlan) {
         let n = b.cols;
         let kdim = a.cols;
-        if n == 0 || kdim == 0 || r1 <= r0 {
+        let m = a.rows;
+        if m == 0 || n == 0 || kdim == 0 {
             return;
         }
-        let p = plan.clamped(r1 - r0, kdim, n);
+        let p = plan.clamped(m, kdim, n);
         let mut bpack = Vec::new();
         for jc in (0..n).step_by(p.nc) {
             let ncur = p.nc.min(n - jc);
             let bstrip = b_strip(&b.data, n, kdim, jc, ncur, &mut bpack);
-            for ic in (r0..r1).step_by(p.mc) {
-                let iend = (ic + p.mc).min(r1);
+            for ic in (0..m).step_by(p.mc) {
+                let iend = (ic + p.mc).min(m);
                 for pc in (0..kdim).step_by(p.kc) {
                     let kcur = p.kc.min(kdim - pc);
                     let bpanel = &bstrip[pc * ncur..(pc + kcur) * ncur];
                     for i in ic..iend {
                         let arow = &a.data[i * kdim + pc..i * kdim + pc + kcur];
-                        let crow = &mut out_band[(i - r0) * n + jc..(i - r0) * n + jc + ncur];
+                        let crow = &mut out[i * n + jc..i * n + jc + ncur];
                         microkernel_row(arow, bpanel, crow, ncur, p.nr);
                     }
                 }
@@ -604,11 +562,9 @@ mod tests {
             (37, 53, 29, 16),
             (usize::MAX, usize::MAX, usize::MAX, 8),
         ] {
-            for threads in [1, 2, 4] {
-                let plan = GemmPlan { mc, kc, nc, nr, threads };
-                let got = a.matmul_with_plan(&b, &plan);
-                assert_bitwise_eq(&got, &want, &format!("plan {plan:?}"));
-            }
+            let plan = GemmPlan { mc, kc, nc, nr };
+            let got = a.matmul_with_plan(&b, &plan);
+            assert_bitwise_eq(&got, &want, &format!("plan {plan:?}"));
         }
     }
 
@@ -625,18 +581,6 @@ mod tests {
         let blocked = a.matmul(&b);
         for (x, y) in naive.as_slice().iter().zip(blocked.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_bitwise() {
-        let mut rng = SplitMix64::new(3);
-        let a = random_matrix(&mut rng, 97, 83);
-        let b = random_matrix(&mut rng, 83, 101);
-        let seq = a.matmul(&b);
-        for threads in [1, 2, 3, 8] {
-            let par = a.matmul_parallel(&b, threads);
-            assert_bitwise_eq(&par, &seq, &format!("threads={threads}"));
         }
     }
 

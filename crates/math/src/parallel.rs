@@ -1,12 +1,16 @@
-//! Crossbeam-scoped data-parallel helpers.
+//! Scoped-thread data-parallel helpers.
 //!
 //! The HPC guides for this workspace present two idioms: rayon-style
-//! parallel iterators, and scoped threads over disjoint chunks. The offline
-//! dependency set includes crossbeam but not rayon, so this module provides
-//! the scoped-chunk equivalent: split a buffer (or an index range) into
-//! bands, hand each band to a scoped worker, and join. Workers own disjoint
-//! `&mut` regions, so the compiler proves data-race freedom — no locks, no
-//! atomics on the hot path.
+//! parallel iterators, and scoped threads over disjoint chunks. This module
+//! provides the scoped-chunk one on `std::thread::scope`: split a buffer
+//! (or an index range) into bands, hand each band to a scoped worker, and
+//! join. Workers own disjoint `&mut` regions, so the compiler proves
+//! data-race freedom — no locks, no atomics on the hot path.
+//!
+//! These helpers are where the registry's parallelism lives: executor jobs
+//! ([`par_map_dynamic_stats`]) and the §2.5 `parallelize` schedule
+//! primitive ([`for_each_band`]). The math kernels themselves (GEMM, conv)
+//! run on one thread.
 //!
 //! Two scheduling policies are provided for index-range maps:
 //!
@@ -53,7 +57,7 @@ pub fn for_each_band(
         return;
     }
     let band_rows = rows.div_ceil(threads);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let mut rest = buf;
         let mut row0 = 0;
         while !rest.is_empty() {
@@ -61,12 +65,11 @@ pub fn for_each_band(
             let (band, tail) = rest.split_at_mut(take);
             let fr = &f;
             let start = row0;
-            s.spawn(move |_| fr(start, band));
+            s.spawn(move || fr(start, band));
             row0 += take / row_len;
             rest = tail;
         }
-    })
-    .expect("parallel band worker panicked");
+    });
 }
 
 /// Applies `f` to every index in `0..n` across `threads` scoped workers and
@@ -86,7 +89,7 @@ where
     }
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let band = n.div_ceil(threads);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let mut rest = out.as_mut_slice();
         let mut i0 = 0;
         while !rest.is_empty() {
@@ -94,7 +97,7 @@ where
             let (chunk, tail) = rest.split_at_mut(take);
             let fr = &f;
             let start = i0;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for (k, slot) in chunk.iter_mut().enumerate() {
                     *slot = Some(fr(start + k));
                 }
@@ -102,20 +105,8 @@ where
             i0 += take;
             rest = tail;
         }
-    })
-    .expect("parallel map worker panicked");
+    });
     out.into_iter().map(|o| o.expect("worker filled every slot")).collect()
-}
-
-/// Alias of [`par_map`], kept for callers written against the old split
-/// API (`par_map` once required `T: Default + Clone`; this was the
-/// unbounded variant before the two merged).
-pub fn par_map_into<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map(n, threads, f)
 }
 
 /// Per-worker load accounting for one [`par_map_dynamic_stats`] call.
@@ -194,32 +185,6 @@ pub fn adaptive_chunk(n: usize, threads: usize) -> usize {
     (n / (threads.max(1) * 8)).max(1)
 }
 
-/// Cache-line size the false-sharing floor pads against.
-pub const CACHE_LINE_BYTES: usize = 64;
-
-/// [`adaptive_chunk`] with a **false-sharing floor** for small elements:
-/// when more than one worker will run, the chunk never goes below one
-/// cache line's worth of `elem_bytes`-sized results (8 for `f64`/`u64`),
-/// so two workers claiming adjacent chunks are never both writing into
-/// the same 64-byte line of the merged output slab. Larger elements
-/// (`elem_bytes >= 64`, or `0` for unsized/indirect results) get no extra
-/// floor — each result already spans a full line.
-///
-/// Only wall-clock time depends on the chunk size; the index-ordered merge
-/// keeps results bitwise-identical either way.
-pub fn adaptive_chunk_sized(n: usize, threads: usize, elem_bytes: usize) -> usize {
-    let base = adaptive_chunk(n, threads);
-    // One worker (or one item per worker anyway) cannot false-share.
-    if threads.max(1) == 1 {
-        return base;
-    }
-    let floor = match elem_bytes {
-        0 => 1,
-        b => CACHE_LINE_BYTES.div_ceil(b),
-    };
-    base.max(floor)
-}
-
 /// Applies `f` to every index in `0..n` with **deterministic dynamic
 /// scheduling**: workers claim chunks of indices from a shared atomic
 /// counter (so expensive items never strand their band-mates on one
@@ -228,16 +193,15 @@ pub fn adaptive_chunk_sized(n: usize, threads: usize, elem_bytes: usize) -> usiz
 ///
 /// The output is bitwise-identical to `(0..n).map(f).collect()` for every
 /// thread count and chunk size — only wall-clock time depends on the
-/// schedule. Chunk size is chosen by [`adaptive_chunk_sized`] with the
-/// result type's size, so small-element maps (`f64`, `u64`) never hand two
-/// workers chunks that land in the same cache line of the output.
+/// schedule. Chunk size is chosen by [`adaptive_chunk`], as the executor
+/// chooses it. Each worker collects its chunks into its own `Vec` and the
+/// merge runs after the join, so no two workers write one output line.
 pub fn par_map_dynamic<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let chunk = adaptive_chunk_sized(n, threads, std::mem::size_of::<T>());
-    par_map_dynamic_stats(n, threads, chunk, f).0
+    par_map_dynamic_stats(n, threads, adaptive_chunk(n, threads), f).0
 }
 
 /// [`par_map_dynamic`] with an explicit chunk size, returning per-worker
@@ -271,12 +235,12 @@ where
     let workers = threads.min(n.div_ceil(chunk)).max(1);
     let counter = AtomicUsize::new(0);
     let mut per_worker: Vec<WorkerYield<T>> = Vec::with_capacity(workers);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let fr = &f;
                 let ctr = &counter;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     // treu-lint: allow(wall-clock, reason = "per-worker busy time is report-only load accounting")
                     let t0 = Instant::now();
                     let mut parts: Vec<(usize, Vec<T>)> = Vec::new();
@@ -297,8 +261,7 @@ where
         for h in handles {
             per_worker.push(h.join().expect("dynamic map worker panicked"));
         }
-    })
-    .expect("dynamic map scope failed");
+    });
     // Index-ordered merge: placement depends only on each part's start
     // index, so completion order cannot influence the output.
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
@@ -321,56 +284,6 @@ where
     }
     let out = slots.into_iter().map(|o| o.expect("every index claimed exactly once")).collect();
     (out, stats)
-}
-
-/// Reduces `0..n` with `map` then `combine`, in parallel, with a
-/// deterministic combination order (band 0 first, then band 1, ...).
-///
-/// `combine` must be associative for the result to equal the sequential
-/// reduction; TREU uses this only for associative-and-commutative folds
-/// (sums, maxima, counts).
-pub fn par_reduce<T, M, C>(n: usize, threads: usize, identity: T, map: M, combine: C) -> T
-where
-    T: Send + Clone,
-    M: Fn(usize) -> T + Sync,
-    C: Fn(T, T) -> T + Send + Sync,
-{
-    if threads <= 1 || n <= 1 {
-        let mut acc = identity;
-        for i in 0..n {
-            acc = combine(acc, map(i));
-        }
-        return acc;
-    }
-    let band = n.div_ceil(threads);
-    let mut partials: Vec<Option<T>> = Vec::new();
-    crossbeam::scope(|s| {
-        let mut handles = Vec::new();
-        let mut i0 = 0;
-        while i0 < n {
-            let i1 = (i0 + band).min(n);
-            let mr = &map;
-            let cr = &combine;
-            let idc = identity.clone();
-            handles.push(s.spawn(move |_| {
-                let mut acc = idc;
-                for i in i0..i1 {
-                    acc = cr(acc, mr(i));
-                }
-                acc
-            }));
-            i0 = i1;
-        }
-        for h in handles {
-            partials.push(Some(h.join().expect("reduce worker panicked")));
-        }
-    })
-    .expect("parallel reduce scope failed");
-    let mut acc = identity;
-    for p in partials.into_iter().flatten() {
-        acc = combine(acc, p);
-    }
-    acc
 }
 
 /// Recommended worker count for this machine: the number of available
@@ -415,10 +328,11 @@ mod tests {
 
     #[test]
     fn par_map_is_in_order() {
-        for threads in [1, 2, 5, 16] {
-            let v = par_map(23, threads, |i| i * i);
-            let expect: Vec<usize> = (0..23).map(|i| i * i).collect();
-            assert_eq!(v, expect, "threads={threads}");
+        // (3, 64): more threads than items spawns one band per item.
+        for (n, threads) in [(23, 1), (23, 2), (23, 5), (23, 16), (3, 64)] {
+            let v = par_map(n, threads, |i| i * i);
+            let expect: Vec<usize> = (0..n).map(|i| i * i).collect();
+            assert_eq!(v, expect, "n={n} threads={threads}");
         }
     }
 
@@ -483,25 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_into_is_in_order_without_default() {
-        // String is Clone but the point is the missing Default-based
-        // preallocation: a non-trivial, heap-owning type round-trips.
-        for threads in [1, 2, 5, 16] {
-            let v = par_map_into(23, threads, |i| format!("r{i}"));
-            let expect: Vec<String> = (0..23).map(|i| format!("r{i}")).collect();
-            assert_eq!(v, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_map_into_empty_and_oversubscribed() {
-        let v: Vec<String> = par_map_into(0, 4, |_| String::new());
-        assert!(v.is_empty());
-        let v = par_map_into(3, 64, |i| i * 10);
-        assert_eq!(v, vec![0, 10, 20]);
-    }
-
-    #[test]
     fn par_map_dynamic_matches_sequential_everywhere() {
         let expect: Vec<usize> = (0..97).map(|i| i * i + 1).collect();
         for threads in [1, 2, 3, 8, 64] {
@@ -552,68 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn sized_chunk_floor_prevents_false_sharing_for_small_elements() {
-        // Satellite sweep: at every (n, jobs) in the stated range, an
-        // 8-byte-element map must never split one cache line of output
-        // across two workers. We assert through the stats of the same
-        // chunk par_map_dynamic would use, and that the output still
-        // equals the sequential map bitwise.
-        let line_elems = CACHE_LINE_BYTES / std::mem::size_of::<f64>(); // 8
-        for n in 1..=257usize {
-            for jobs in [1usize, 2, 4] {
-                let chunk = adaptive_chunk_sized(n, jobs, std::mem::size_of::<f64>());
-                assert!(chunk >= 1, "n={n} jobs={jobs}");
-                if jobs > 1 {
-                    assert!(
-                        chunk >= line_elems,
-                        "n={n} jobs={jobs}: chunk {chunk} splits a cache line"
-                    );
-                }
-                let (got, stats) =
-                    par_map_dynamic_stats(n, jobs, chunk, |i| (i as f64).sqrt() + 0.5);
-                let expect: Vec<f64> = (0..n).map(|i| (i as f64).sqrt() + 0.5).collect();
-                assert_eq!(got, expect, "n={n} jobs={jobs}");
-                assert_eq!(stats.chunk, chunk);
-                assert_eq!(stats.items.iter().sum::<usize>(), n, "n={n} jobs={jobs}");
-                assert_eq!(
-                    stats.chunks_claimed.iter().sum::<usize>(),
-                    n.div_ceil(chunk),
-                    "n={n} jobs={jobs}"
-                );
-                // With the floor in force, a worker count that could
-                // false-share never exceeds the number of full lines.
-                assert!(stats.workers <= jobs.max(1), "n={n} jobs={jobs}");
-                if jobs > 1 {
-                    assert!(
-                        stats.workers <= n.div_ceil(line_elems),
-                        "n={n} jobs={jobs}: {} workers over {} output lines",
-                        stats.workers,
-                        n.div_ceil(line_elems)
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sized_chunk_leaves_large_elements_alone() {
-        // A 64-byte (or larger) element already owns its cache line; the
-        // floor must not inflate chunks and cost balancing granularity.
-        assert_eq!(adaptive_chunk_sized(1000, 4, 64), adaptive_chunk(1000, 4));
-        assert_eq!(adaptive_chunk_sized(1000, 4, 128), adaptive_chunk(1000, 4));
-        // elem_bytes == 0 (ZST or indirect) gets no floor either.
-        assert_eq!(adaptive_chunk_sized(1000, 4, 0), adaptive_chunk(1000, 4));
-        // Single-threaded maps cannot false-share: floor off.
-        assert_eq!(adaptive_chunk_sized(20, 1, 8), adaptive_chunk(20, 1));
-        // Small elements at multiple workers get the line floor.
-        assert_eq!(adaptive_chunk_sized(20, 8, 8), 8);
-        assert_eq!(adaptive_chunk_sized(20, 8, 16), 4);
-        assert_eq!(adaptive_chunk_sized(20, 8, 1), 64);
-        // The floor never shrinks an already-large adaptive chunk.
-        assert!(adaptive_chunk_sized(100_000, 2, 8) >= adaptive_chunk(100_000, 2));
-    }
-
-    #[test]
     fn adaptive_chunk_is_positive_and_scales() {
         assert_eq!(adaptive_chunk(0, 4), 1);
         assert_eq!(adaptive_chunk(20, 8), 1);
@@ -626,21 +459,6 @@ mod tests {
     #[should_panic(expected = "chunk size must be positive")]
     fn zero_chunk_panics() {
         let _ = par_map_dynamic_stats(4, 2, 0, |i| i);
-    }
-
-    #[test]
-    fn par_reduce_sum_matches_sequential() {
-        let seq: u64 = (0..1000u64).sum();
-        for threads in [1, 3, 8] {
-            let par = par_reduce(1000, threads, 0u64, |i| i as u64, |a, b| a + b);
-            assert_eq!(par, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_reduce_max() {
-        let m = par_reduce(100, 4, f64::NEG_INFINITY, |i| ((i as f64) - 50.0).abs(), f64::max);
-        assert_eq!(m, 50.0);
     }
 
     #[test]

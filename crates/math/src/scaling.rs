@@ -136,9 +136,9 @@ mod tests {
     #[test]
     fn measure_speedup_runs_and_baselines() {
         // A workload whose runtime genuinely falls with threads: parallel
-        // sum via this crate's own par_reduce.
+        // map via this crate's own par_map.
         let points = measure_speedup(&[1, 2], 3, |t| {
-            let s = crate::parallel::par_reduce(200_000, t, 0u64, |i| i as u64, |a, b| a + b);
+            let s: u64 = crate::parallel::par_map(200_000, t, |i| i as u64).iter().sum();
             assert!(s > 0);
         });
         assert_eq!(points.len(), 2);

@@ -1,12 +1,12 @@
 //! Bitwise conformance suite for the schedule-driven GEMM (ISSUE 8).
 //!
 //! The contract under test: every `GemmPlan` — any blocking, any
-//! microkernel width, any worker count — produces output **bitwise
-//! identical** to `matmul_naive`, because each output element is one
-//! sequential ascending-k accumulation chain no matter how the i/j
-//! traversal is reordered. Property tests sweep random shapes × random
-//! clamped plans × jobs {1, 4}; a golden FNV-1a fingerprint of one fixed
-//! workload pins the numeric results themselves across refactors.
+//! microkernel width — produces output **bitwise identical** to
+//! `matmul_naive`, because each output element is one sequential
+//! ascending-k accumulation chain no matter how the i/j traversal is
+//! reordered. Property tests sweep random shapes × random clamped plans; a
+//! golden FNV-1a fingerprint of one fixed workload pins the numeric results
+//! themselves across refactors.
 
 use proptest::prelude::*;
 use treu_math::gemm::{GemmPlan, ShapeClass};
@@ -29,8 +29,12 @@ fn assert_bitwise(want: &Matrix, got: &Matrix, what: &str) {
 /// Raw plan fields; `clamped` snaps them into the kernel's valid space,
 /// exactly as the dispatch path does.
 fn plan_strategy() -> impl Strategy<Value = GemmPlan> {
-    (1usize..300, 1usize..300, 1usize..300, 1usize..24, 1usize..5)
-        .prop_map(|(mc, kc, nc, nr, threads)| GemmPlan { mc, kc, nc, nr, threads })
+    (1usize..300, 1usize..300, 1usize..300, 1usize..24).prop_map(|(mc, kc, nc, nr)| GemmPlan {
+        mc,
+        kc,
+        nc,
+        nr,
+    })
 }
 
 proptest! {
@@ -47,10 +51,8 @@ proptest! {
         let a = seeded_matrix(m, k, seed);
         let b = seeded_matrix(k, n, seed ^ 0x9e37_79b9_7f4a_7c15);
         let want = a.matmul_naive(&b);
-        for jobs in [1usize, 4] {
-            let got = a.matmul_with_plan(&b, &plan.clamped(m, k, n).with_threads(jobs));
-            assert_bitwise(&want, &got, &format!("plan {plan:?} jobs {jobs}"));
-        }
+        let got = a.matmul_with_plan(&b, &plan.clamped(m, k, n));
+        assert_bitwise(&want, &got, &format!("plan {plan:?}"));
     }
 
     #[test]
@@ -72,8 +74,9 @@ proptest! {
 }
 
 /// The fixed workload the golden fingerprint pins: one multiplication per
-/// shape class the dispatch table distinguishes in practice, each run
-/// through the default plan at 1 and 4 workers.
+/// shape class the dispatch table distinguishes in practice, each product
+/// hashed twice through the default plan (the fingerprint was pinned over
+/// two bitwise-equal products per shape).
 fn fingerprint_fixed_workload() -> u64 {
     let shapes = [(3, 17, 5), (24, 24, 24), (80, 40, 96), (130, 64, 257)];
     let mut bytes = Vec::new();
@@ -81,8 +84,8 @@ fn fingerprint_fixed_workload() -> u64 {
         let a = seeded_matrix(m, k, 0xC0FFEE + idx as u64);
         let b = seeded_matrix(k, n, 0xBEEF + idx as u64);
         let plan = GemmPlan::default_for(ShapeClass::of(m, k, n));
-        for jobs in [1usize, 4] {
-            let out = a.matmul_with_plan(&b, &plan.clamped(m, k, n).with_threads(jobs));
+        for _ in 0..2 {
+            let out = a.matmul_with_plan(&b, &plan.clamped(m, k, n));
             for v in out.as_slice() {
                 bytes.extend_from_slice(&v.to_bits().to_le_bytes());
             }

@@ -14,7 +14,7 @@
 use crate::init;
 use crate::layer::Layer;
 use treu_math::rng::SplitMix64;
-use treu_math::{parallel, vector, Matrix};
+use treu_math::{vector, Matrix};
 
 /// 2-D convolution with "valid" padding and stride 1.
 pub struct Conv2d {
@@ -160,14 +160,12 @@ impl Conv2d {
     }
 
     /// Forward pass without caching the input — the reentrant (`&self`)
-    /// variant benches and inference paths use. `threads > 1` splits the
-    /// batch over sample rows; each worker owns a disjoint output band, and
-    /// the result is bitwise-identical at every thread count.
+    /// variant benches and inference paths use.
     ///
     /// # Panics
     ///
     /// Panics if the input width disagrees with the layer geometry.
-    pub fn forward_ref(&self, input: &Matrix, threads: usize) -> Matrix {
+    pub fn forward_ref(&self, input: &Matrix) -> Matrix {
         assert_eq!(
             input.cols(),
             self.in_channels * self.h * self.w,
@@ -180,13 +178,11 @@ impl Conv2d {
         }
         let map = self.im2col_map();
         let patch_len = self.out_h() * self.out_w() * self.fan_in();
-        parallel::for_each_band(out.as_mut_slice(), out_len, threads.max(1), |row0, band| {
-            let mut patches = vec![0.0; patch_len];
-            for (i, orow) in band.chunks_mut(out_len).enumerate() {
-                Self::gather_patches(input.row(row0 + i), &map, &mut patches);
-                self.forward_row(&patches, orow);
-            }
-        });
+        let mut patches = vec![0.0; patch_len];
+        for (i, orow) in out.as_mut_slice().chunks_mut(out_len).enumerate() {
+            Self::gather_patches(input.row(i), &map, &mut patches);
+            self.forward_row(&patches, orow);
+        }
         out
     }
 
@@ -235,7 +231,7 @@ impl Conv2d {
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Matrix, _train: bool) -> Matrix {
         self.input = input.clone();
-        self.forward_ref(input, 1)
+        self.forward_ref(input)
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
@@ -335,12 +331,10 @@ mod tests {
         }
         let x = Matrix::from_fn(3, 3 * 7 * 9, |_, _| rng.next_gaussian());
         let want = c.forward_naive(&x);
-        for threads in [1, 2, 4] {
-            let got = c.forward_ref(&x, threads);
-            assert_eq!(got.shape(), want.shape());
-            for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads} elem {i}: {a} vs {b}");
-            }
+        let got = c.forward_ref(&x);
+        assert_eq!(got.shape(), want.shape());
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "elem {i}: {a} vs {b}");
         }
     }
 

@@ -1,11 +1,14 @@
 //! The HPC lesson module (§4, footnote 1): "how to conduct performance
 //! measurement of parallel computations" — measure a real parallel
-//! matmul's speedup curve, fit Amdahl's law to it, then run a multi-seed
-//! experiment batch through the deterministic executor and read the same
-//! accounting off its report.
+//! matmul's speedup curve (the §2.5 `parallelize` schedule primitive over
+//! row bands), fit Amdahl's law to it, then run a multi-seed experiment
+//! batch through the deterministic executor and read the same accounting
+//! off its report.
 //!
 //! Run with: `cargo run --release --example parallel_measurement`
 
+use treu::autotune::executor::{execute, Backend};
+use treu::autotune::{Kernel, Schedule};
 use treu::core::exec::Executor;
 use treu::core::experiment::{Experiment, Params, RunContext};
 use treu_math::rng::SplitMix64;
@@ -34,8 +37,8 @@ impl Experiment for MatmulTrial {
 fn main() {
     let mut rng = SplitMix64::new(1);
     let n = 384;
-    let a = Matrix::from_fn(n, n, |_, _| rng.next_gaussian());
-    let b = Matrix::from_fn(n, n, |_, _| rng.next_gaussian());
+    let kernel = Kernel::MatMul { m: n, k: n, n };
+    let mut w = kernel.workload(&mut rng);
 
     // Sweep past the hardware parallelism on purpose: seeing the curve go
     // flat (or negative) at oversubscription is part of the lesson.
@@ -45,8 +48,9 @@ fn main() {
         "Measuring {n}x{n} matmul over {counts:?} threads (best of 3; {hw} hardware thread(s))\n"
     );
     let points = measure_speedup(&counts, 3, |t| {
-        let c = a.matmul_parallel(&b, t);
-        assert!(c.is_finite());
+        let schedule = Schedule { threads: t, ..Schedule::reference() };
+        execute(&kernel, schedule, Backend::AxpyLowering, &mut w);
+        assert!(w.c.iter().all(|v| v.is_finite()));
     });
 
     println!("{:>8} {:>12} {:>9}", "threads", "seconds", "speedup");

@@ -1320,9 +1320,8 @@ fn run_attest_cmd(args: &[String], reg: &ExperimentRegistry, o: &Opts) {
 /// — closes the autotune loop for the math kernels. For each requested
 /// shape the genetic tuner searches real blocked-matmul schedules, every
 /// winner is re-verified bitwise against the naive kernel before it is
-/// admitted, the parallel spawn-overhead crossover is measured at the
-/// current `--jobs`, and the resulting schedule book is persisted
-/// through the content-addressed run cache when `--cache-dir` is given.
+/// admitted, and the resulting schedule book is persisted through the
+/// content-addressed run cache when `--cache-dir` is given.
 fn run_tune_cmd(args: &[String], o: &Opts) {
     use treu::autotune::tuner::GaParams;
     use treu::autotune::ScheduleBook;
@@ -1335,7 +1334,7 @@ fn run_tune_cmd(args: &[String], o: &Opts) {
         }
         Some((m, k, n))
     }
-    let (cache, jobs, sup) = (o.cache.as_ref(), o.jobs, &o.sup);
+    let (cache, sup) = (o.cache.as_ref(), &o.sup);
     let mut args = args.to_vec();
     let shapes: Option<Vec<(usize, usize, usize)>> = take(&mut args, "--shapes").map(|v| {
         v.split(',')
@@ -1375,12 +1374,6 @@ fn run_tune_cmd(args: &[String], o: &Opts) {
             e.naive_gflops,
             e.tuned_gflops
         );
-    }
-    if jobs > 1 {
-        match book.measure_crossover(jobs, seed, repeats) {
-            Some(c) => println!("parallel crossover at jobs {jobs}: {c} output elements"),
-            None => println!("parallel crossover at jobs {jobs}: never profitable on probe sizes"),
-        }
     }
     book.install();
     print!("{}", book.render());

@@ -116,11 +116,21 @@ proptest! {
         prop_assert!(left.max_abs_diff(&right) < 1e-9);
     }
 
+    // The band-parallel matmul left in the workspace is the §2.5
+    // `parallelize` schedule primitive of the autotune executor.
     #[test]
     fn parallel_matmul_equals_sequential(a in small_matrix(7, 9), b in small_matrix(9, 5), threads in 1usize..6) {
-        let seq = a.matmul(&b);
-        let par = a.matmul_parallel(&b, threads);
-        prop_assert_eq!(seq, par);
+        use treu::autotune::executor::{execute, Backend};
+        use treu::autotune::kernels::Workload;
+        use treu::autotune::{Kernel, Schedule};
+        let kern = Kernel::MatMul { m: 7, k: 9, n: 5 };
+        let mut seq = Workload { a: a.as_slice().to_vec(), b: b.as_slice().to_vec(), c: vec![0.0; 35] };
+        let mut par = seq.clone();
+        for backend in Backend::all() {
+            execute(&kern, Schedule::reference(), backend, &mut seq);
+            execute(&kern, Schedule { threads, ..Schedule::reference() }, backend, &mut par);
+            prop_assert_eq!(&seq.c, &par.c);
+        }
     }
 
     #[test]
