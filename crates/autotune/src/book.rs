@@ -1,14 +1,14 @@
-//! The schedule book: the autotune loop's output, closed back into the
-//! math kernels.
+//! The schedule book: the record of the autotune loop's GEMM winners.
 //!
 //! `treu tune` runs the genetic tuner over **real GEMM timings** per
 //! [`ShapeClass`], records each class's winning [`Schedule`] in a
-//! [`ScheduleBook`], persists the book content-addressed through
+//! [`ScheduleBook`], and persists the book content-addressed through
 //! `treu-core::cache` (one blob under [`BOOK_KIND`]/[`BOOK_TAG`], so the
-//! cache's fingerprint validation and atomic writes apply), and
-//! [`ScheduleBook::install`] pushes the winners into
-//! `treu_math::gemm`'s plan table — from then on every
-//! `Matrix::matmul` in the process dispatches to its tuned plan.
+//! cache's fingerprint validation and atomic writes apply). The book is a
+//! tuning record, not a dispatch table: `Matrix::matmul` always runs its
+//! class's default plan, and a tuned plan runs only where a caller passes
+//! [`TunedEntry::plan`] to `Matrix::matmul_with_plan` (as `math_bench`
+//! does to time it).
 //!
 //! Timing is inherently wall-clock and machine-dependent, so *which*
 //! schedule wins is environment, not result: every candidate plan computes
@@ -21,7 +21,7 @@ use crate::tuner::{GaParams, Tuner};
 use std::collections::BTreeMap;
 use std::time::Instant;
 use treu_core::cache::RunCache;
-use treu_math::gemm::{self, GemmPlan, ShapeClass};
+use treu_math::gemm::{GemmPlan, ShapeClass};
 use treu_math::rng::{derive_seed, SplitMix64};
 use treu_math::Matrix;
 
@@ -65,6 +65,22 @@ pub fn plan_from_schedule(s: &Schedule) -> GemmPlan {
         kc: s.tile_k.saturating_mul(4).max(1),
         nc: s.tile_j.saturating_mul(4).max(1),
         nr: s.unroll.max(1),
+    }
+}
+
+/// The GA fitness for an `m×k×n` GEMM: the cost of the clamped plan each
+/// schedule lowers to, timed once per distinct plan. Schedules that differ
+/// only in `threads` or in tiles past the shape's extents run the same
+/// program, and the GA re-proposes its elites every generation, so
+/// without the memo most evaluations would re-time a plan already timed.
+fn plan_fitness(
+    (m, k, n): (usize, usize, usize),
+    mut time: impl FnMut(&GemmPlan) -> f64,
+) -> impl FnMut(Schedule) -> f64 {
+    let mut timed: BTreeMap<GemmPlan, f64> = BTreeMap::new();
+    move |s| {
+        let plan = plan_from_schedule(&s).clamped(m, k, n);
+        *timed.entry(plan).or_insert_with(|| time(&plan))
     }
 }
 
@@ -128,9 +144,10 @@ impl ScheduleBook {
     /// therefore which schedule wins) is machine-dependent, results never
     /// are — the winner is re-verified bitwise against the naive kernel.
     ///
+    /// The GA's fitness times each distinct plan once.
     /// The kernel runs every plan on one thread, so the bake-off candidates
     /// and the recorded schedule carry `threads: 1`: the entry names the
-    /// program `Matrix::matmul` dispatches, timed as that program.
+    /// one-thread program that was timed.
     ///
     /// Returns the recorded entry.
     ///
@@ -138,7 +155,7 @@ impl ScheduleBook {
     ///
     /// Panics if the winning schedule's product diverges bitwise from the
     /// naive kernel — that would be a determinism bug in the GEMM kernel,
-    /// and admitting the schedule would poison every downstream matmul.
+    /// and the book would record a plan that changes results.
     pub fn tune_matmul(
         &mut self,
         (m, k, n): (usize, usize, usize),
@@ -152,10 +169,9 @@ impl ScheduleBook {
         let b = Matrix::from_fn(k, n, |_, _| rng.next_gaussian());
         let reference = a.matmul_naive(&b);
         let mut tuner = Tuner::new(ga, derive_seed(seed, "book.ga"));
-        let (ga_best, _) = tuner.tune(|s| {
-            let plan = plan_from_schedule(&s).clamped(m, k, n);
-            time_min(repeats, || a.matmul_with_plan(&b, &plan))
-        });
+        let (ga_best, _) = tuner.tune(plan_fitness((m, k, n), |plan| {
+            time_min(repeats, || a.matmul_with_plan(&b, plan))
+        }));
         let ga_best = Schedule { threads: 1, ..ga_best };
         // The GA's reported cost is a minimum taken over many noisy
         // measurements, so it is biased optimistic — on a loaded machine a
@@ -190,13 +206,6 @@ impl ScheduleBook {
         };
         self.entries.insert(class.key(), entry);
         self.entries.get(&class.key()).expect("entry just inserted")
-    }
-
-    /// Installs every entry's plan into `treu_math::gemm`'s plan table.
-    pub fn install(&self) {
-        for e in self.entries.values() {
-            gemm::install_plan(e.class, e.plan());
-        }
     }
 
     /// Serializes the book to its line format (one entry per line,
@@ -390,13 +399,20 @@ mod tests {
     }
 
     #[test]
-    fn install_pushes_plans_into_the_dispatch_table() {
-        let mut book = ScheduleBook::new();
-        // A deliberately odd class no default workload hits: m Huge, k Tiny.
-        let e = book.tune_matmul((1030, 4, 20), tiny_ga(), 9, 1).clone();
-        book.install();
-        let installed = gemm::installed_plan(e.class).expect("plan installed");
-        assert_eq!(installed.nr, plan_from_schedule(&e.schedule).nr);
+    fn ga_fitness_times_each_distinct_plan_once() {
+        // `treu tune`'s quick GA over a shape whose extents clamp the
+        // larger tiles, with a counting timer in place of the GEMM.
+        let shape = (96, 40, 24);
+        let ga = GaParams { population: 8, generations: 5, ..GaParams::default() };
+        let mut timings: BTreeMap<GemmPlan, usize> = BTreeMap::new();
+        let mut tuner = Tuner::new(ga, 2023);
+        tuner.tune(plan_fitness(shape, |p| {
+            *timings.entry(*p).or_default() += 1;
+            (p.mc * 7 + p.kc * 3 + p.nc) as f64 / p.nr as f64
+        }));
+        assert!(timings.values().all(|&n| n == 1), "a plan was timed twice: {timings:?}");
+        let timed: usize = timings.values().sum();
+        assert!(timed < tuner.evaluations() as usize, "{timed} timings, no evaluation reused");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! `math_bench` — the closed autotune loop's GFLOP/s regression gate.
+//! `math_bench` — the GEMM autotuner's GFLOP/s regression gate.
 //!
 //! The registry benches price whole experiments; this binary isolates the
 //! math kernels the autotuner schedules. For every probed GEMM shape it
@@ -8,8 +8,10 @@
 //!   autotuning paper calls "naive";
 //! * **axpy** — `Matrix::matmul_naive`, the repo's reference kernel
 //!   (already loop-reordered, so a much stronger baseline);
-//! * **tuned** — `Matrix::matmul`, dispatching to the plan the in-bench
-//!   genetic tune just installed for the shape's class.
+//! * **tuned** — `Matrix::matmul_with_plan` under the plan the in-bench
+//!   genetic tune just recorded for the shape's class. `Matrix::matmul`
+//!   itself runs the class default, which the tune's bake-off also times:
+//!   the tuned plan is the default whenever the GA's winner lost to it.
 //!
 //! All three are asserted **bitwise identical** before any timing is
 //! trusted — the ascending-k reduction contract means blocking and
@@ -30,9 +32,9 @@
 #![forbid(unsafe_code)]
 
 use std::time::Instant;
+use treu_autotune::book::TunedEntry;
 use treu_autotune::tuner::GaParams;
 use treu_autotune::ScheduleBook;
-use treu_math::gemm::ShapeClass;
 use treu_math::rng::{derive_seed, SplitMix64};
 use treu_math::Matrix;
 use treu_nn::conv2d::Conv2d;
@@ -141,16 +143,15 @@ fn gflops(flops: f64, secs: f64) -> f64 {
     }
 }
 
-fn bench_shape((m, k, n): (usize, usize, usize), seed: u64, repeats: usize) -> ShapeResult {
+fn bench_shape(tuned: &TunedEntry, seed: u64, repeats: usize) -> ShapeResult {
+    let ((m, k, n), plan) = (tuned.shape, tuned.plan());
     let mut rng = SplitMix64::new(derive_seed(seed, "math_bench.gemm"));
     let a = Matrix::from_fn(m, k, |_, _| rng.next_gaussian());
     let b = Matrix::from_fn(k, n, |_, _| rng.next_gaussian());
 
     let (axpy_secs, reference) = time_min(repeats, || a.matmul_naive(&b));
     let (ijk_secs, ijk_out) = time_min(repeats, || matmul_ijk(&a, &b));
-    // The closed loop: `matmul` dispatches through the plan table the
-    // in-bench tune just filled.
-    let (tuned_secs, tuned_out) = time_min(repeats, || a.matmul(&b));
+    let (tuned_secs, tuned_out) = time_min(repeats, || a.matmul_with_plan(&b, &plan));
 
     assert_bitwise(&reference, &ijk_out, "ijk reference");
     assert_bitwise(&reference, &tuned_out, "tuned");
@@ -158,7 +159,7 @@ fn bench_shape((m, k, n): (usize, usize, usize), seed: u64, repeats: usize) -> S
     let flops = 2.0 * m as f64 * k as f64 * n as f64;
     ShapeResult {
         shape: (m, k, n),
-        class: ShapeClass::of(m, k, n).key(),
+        class: tuned.class.key(),
         ijk_gflops: gflops(flops, ijk_secs),
         axpy_gflops: gflops(flops, axpy_secs),
         tuned_gflops: gflops(flops, tuned_secs),
@@ -211,17 +212,17 @@ fn main() {
     let enforce_shape = shapes[0];
     eprintln!("math_bench: {} shape(s), seed {}, min of {repeats}", shapes.len(), cfg.seed);
 
-    // Close the loop: a genetic tune over the real kernels picks the
-    // schedule for every probed class, each winner is re-verified bitwise
-    // against the naive kernel inside `tune_matmul`, and `install` makes
-    // the plan table dispatch to it — the exact path `treu tune` persists
-    // through the run cache.
+    // A genetic tune over the real kernels picks the schedule for every
+    // probed class — the `tune_matmul` path `treu tune` persists through
+    // the run cache — and each winner is re-verified bitwise against the
+    // naive kernel before it is recorded.
     let ga = if cfg.quick {
         GaParams { population: 8, generations: 5, ..GaParams::default() }
     } else {
         GaParams { population: 12, generations: 8, ..GaParams::default() }
     };
     let mut book = ScheduleBook::new();
+    let mut tuned = Vec::new();
     for &shape in &shapes {
         let e = book.tune_matmul(shape, ga, cfg.seed, repeats.min(2));
         eprintln!(
@@ -233,11 +234,11 @@ fn main() {
             e.naive_gflops,
             e.tuned_gflops
         );
+        tuned.push(e.clone());
     }
-    book.install();
 
     let results: Vec<ShapeResult> =
-        shapes.iter().map(|&s| bench_shape(s, cfg.seed, repeats)).collect();
+        tuned.iter().map(|e| bench_shape(e, cfg.seed, repeats)).collect();
     eprintln!("  shape              class    ijk   axpy  tuned  (GFLOP/s)");
     for r in &results {
         let (m, k, n) = r.shape;

@@ -355,8 +355,8 @@ impl SoakReport {
 /// tempting truncating form `(n * 99) / 100` is an off-by-one below 100
 /// samples — at `n = 3` it indexes the *median* instead of the maximum —
 /// which is exactly the kind of silent small-sample skew a
-/// reproducibility report cannot afford. Shared by the soak report and
-/// [`TenantLedger::p99_latency_rounds`].
+/// reproducibility report cannot afford. Used by
+/// [`TenantLedger::latency_quantile`], which the soak report reads.
 fn quantile_ceil_rank(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -460,13 +460,13 @@ impl TenantLedger {
         self.tenants.values().map(|t| t.max_latency_rounds).max().unwrap_or(0)
     }
 
-    /// Ceil-rank p99 of service latency pooled across all tenants (0 when
-    /// nothing served). At small n this is the maximum, never a smaller
-    /// rank — see [`quantile_ceil_rank`].
-    pub fn p99_latency_rounds(&self) -> u64 {
+    /// Ceil-rank `q`-quantile of service latency pooled across all
+    /// tenants (0 when nothing served). At small n the p99 is the maximum,
+    /// never a smaller rank — see [`quantile_ceil_rank`].
+    pub fn latency_quantile(&self, q: f64) -> u64 {
         let mut sorted = self.latencies.clone();
         sorted.sort_unstable();
-        quantile_ceil_rank(&sorted, 0.99)
+        quantile_ceil_rank(&sorted, q)
     }
 
     /// Per-tenant table for reports.
@@ -606,7 +606,6 @@ pub fn run_soak(
     let mut memo: BTreeMap<(String, u64), u64> = BTreeMap::new();
     let mut ledger = TenantLedger::new();
     let mut trace = String::new();
-    let mut latencies: Vec<u64> = Vec::new();
     let mut epoch_hit_rates = Vec::new();
     let (mut hits, mut computed, mut retried, mut quarantined, mut drift) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
@@ -644,7 +643,6 @@ pub fn run_soak(
                         epoch_hits += 1;
                         epoch_served += 1;
                         ledger.note_served(*tenant, epoch_round, true);
-                        latencies.push(epoch_round);
                         trace.push_str(&format!(
                             "sub={} epoch={epoch} round={epoch_round} tenant={tenant} id={} seed={} hit fp={fp:016x}\n",
                             sub.index, sub.id, sub.seed
@@ -680,7 +678,6 @@ pub fn run_soak(
                         computed += 1;
                         epoch_served += 1;
                         ledger.note_served(tenant, epoch_round, false);
-                        latencies.push(epoch_round);
                         trace.push_str(&format!(
                             "sub={} epoch={epoch} round={epoch_round} tenant={tenant} id={} seed={} computed fp={fp:016x}\n",
                             sub.index, sub.id, sub.seed
@@ -711,7 +708,6 @@ pub fn run_soak(
     }
     let trace_address = fnv64_parts(&[trace.as_bytes()]);
 
-    latencies.sort_unstable();
     let steady_hit_rate = epoch_hit_rates.last().copied().unwrap_or(0.0);
     SoakReport {
         config: cfg.clone(),
@@ -723,8 +719,8 @@ pub fn run_soak(
         drift,
         evictions: cache.stats().evictions,
         rounds,
-        p50_latency_rounds: quantile_ceil_rank(&latencies, 0.50),
-        p99_latency_rounds: quantile_ceil_rank(&latencies, 0.99),
+        p50_latency_rounds: ledger.latency_quantile(0.50),
+        p99_latency_rounds: ledger.latency_quantile(0.99),
         worst_tenant_latency_rounds: ledger.worst_latency_rounds(),
         epoch_hit_rates,
         steady_hit_rate,
@@ -956,13 +952,13 @@ mod tests {
     #[test]
     fn tenant_ledger_p99_is_ceil_rank_over_pooled_latencies() {
         let mut ledger = TenantLedger::new();
-        assert_eq!(ledger.p99_latency_rounds(), 0, "empty ledger reads as zero");
+        assert_eq!(ledger.latency_quantile(0.99), 0, "empty ledger reads as zero");
         // Three served submissions across two tenants: p99 must be the
         // pooled maximum (9), not the median a truncating rank would pick.
         ledger.note_served(1, 2, true);
         ledger.note_served(2, 9, false);
         ledger.note_served(1, 4, false);
-        assert_eq!(ledger.p99_latency_rounds(), 9);
+        assert_eq!(ledger.latency_quantile(0.99), 9);
         assert_eq!(ledger.worst_latency_rounds(), 9);
     }
 }

@@ -34,7 +34,7 @@ use crate::experiment::{Params, RunRecord};
 use crate::fault::FaultPlan;
 use crate::registry::ExperimentRegistry;
 use crate::svc::{execute_task, SvcConfig, SvcStats, TaskOutput, TaskSpec, WorkerPool};
-use crate::trace::{BatchTrace, RunTrace, TraceEvent, WorkerTiming};
+use crate::trace::{worker_timings, BatchTrace, RunTrace, TraceEvent};
 use treu_math::parallel::SchedStats;
 
 /// What a batch does with each id.
@@ -232,7 +232,6 @@ impl<'a> Batch<'a> {
                     .iter()
                     .filter_map(|(id, o)| o.record().map(|r| (id.clone(), r.wall_seconds)));
                 let report = ExecReport::from_labelled(jobs, timings, wall)
-                    .with_workers(&sched)
                     .with_cached(cached)
                     .with_failed(failed)
                     .with_trace(batch_trace("run", self.seed, traces, jobs, wall, &sched));
@@ -362,13 +361,7 @@ fn batch_trace(
         runs,
         jobs,
         wall_seconds,
-        workers: sched
-            .busy_seconds
-            .iter()
-            .zip(&sched.chunks_claimed)
-            .zip(&sched.items)
-            .map(|((&busy_seconds, &chunks), &items)| WorkerTiming { busy_seconds, chunks, items })
-            .collect(),
+        workers: worker_timings(sched),
     }
 }
 

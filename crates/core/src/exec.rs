@@ -58,7 +58,9 @@ use crate::experiment::{run_once, Experiment, Params, RunRecord};
 use crate::fault::{backoff_millis, FaultPlan, FaultyExperiment};
 use crate::registry::ExperimentRegistry;
 use crate::sweep::{grid_points, Axis, SweepPoint};
-use crate::trace::{AttemptOutcome, BatchTrace, CacheResult, RunTrace, TraceCounters, TraceEvent};
+use crate::trace::{
+    worker_timings, AttemptOutcome, BatchTrace, CacheResult, RunTrace, TraceCounters, TraceEvent,
+};
 use std::time::{Duration, Instant};
 use treu_math::parallel::{adaptive_chunk, default_threads, par_map_dynamic_stats, SchedStats};
 use treu_math::scaling::amdahl_speedup;
@@ -747,18 +749,6 @@ pub struct RunTiming {
     pub wall_seconds: f64,
 }
 
-/// One worker's measured load inside a batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerLoad {
-    /// Seconds spent inside the claim loop (compute + negligible claim
-    /// overhead).
-    pub busy_seconds: f64,
-    /// Chunks claimed from the shared counter.
-    pub chunks: usize,
-    /// Items computed.
-    pub items: usize,
-}
-
 /// Timing report for a parallel batch: where the time went, how well the
 /// fan-out paid off, and what Amdahl's law implies about pushing further.
 #[derive(Debug, Clone)]
@@ -769,9 +759,6 @@ pub struct ExecReport {
     pub runs: Vec<RunTiming>,
     /// Measured wall seconds for the whole batch.
     pub wall_seconds: f64,
-    /// Per-worker load, in worker-spawn order; empty when the batch did
-    /// not go through the dynamic scheduler's stats path.
-    pub workers: Vec<WorkerLoad>,
     /// Runs served from the run cache (their [`RunTiming`] carries the
     /// original compute cost, not this batch's).
     pub cached_runs: usize,
@@ -779,7 +766,9 @@ pub struct ExecReport {
     /// (they contribute no [`RunTiming`]).
     pub failed_runs: usize,
     /// The batch's merged event trace (empty when tracing was disabled or
-    /// the batch did not go through a traced path).
+    /// the batch did not go through a traced path). Its `workers` are the
+    /// report's per-worker load, in worker-spawn order; empty when the
+    /// batch did not go through the dynamic scheduler's stats path.
     pub trace: BatchTrace,
     /// Aggregate counters folded from [`ExecReport::trace`].
     pub counters: TraceCounters,
@@ -800,7 +789,6 @@ impl ExecReport {
                 .map(|(label, wall_seconds)| RunTiming { label, wall_seconds })
                 .collect(),
             wall_seconds,
-            workers: Vec::new(),
             cached_runs: 0,
             failed_runs: 0,
             trace: BatchTrace::empty("batch", 0),
@@ -808,15 +796,10 @@ impl ExecReport {
         }
     }
 
-    /// Attaches the dynamic scheduler's per-worker load accounting.
+    /// Attaches the dynamic scheduler's per-worker load accounting to the
+    /// report's trace (a later [`ExecReport::with_trace`] replaces it).
     pub fn with_workers(mut self, sched: &SchedStats) -> Self {
-        self.workers = sched
-            .busy_seconds
-            .iter()
-            .zip(&sched.chunks_claimed)
-            .zip(&sched.items)
-            .map(|((&busy_seconds, &chunks), &items)| WorkerLoad { busy_seconds, chunks, items })
-            .collect();
+        self.trace.workers = worker_timings(sched);
         self
     }
 
@@ -851,7 +834,7 @@ impl ExecReport {
 
     /// Sum of per-worker busy seconds (0.0 when no worker stats).
     pub fn total_busy_seconds(&self) -> f64 {
-        self.workers.iter().map(|w| w.busy_seconds).sum()
+        self.trace.workers.iter().map(|w| w.busy_seconds).sum()
     }
 
     /// Load-imbalance ratio: busiest over least-busy worker. 1.0 when
@@ -860,11 +843,11 @@ impl ExecReport {
     /// nobody did measurable work (e.g. every run quarantined) — always
     /// finite.
     pub fn imbalance_ratio(&self) -> f64 {
-        if self.workers.len() < 2 || self.all_cached() {
+        if self.trace.workers.len() < 2 || self.all_cached() {
             return 1.0;
         }
-        let max = self.workers.iter().map(|w| w.busy_seconds).fold(0.0, f64::max);
-        let min = self.workers.iter().map(|w| w.busy_seconds).fold(f64::INFINITY, f64::min);
+        let max = self.trace.workers.iter().map(|w| w.busy_seconds).fold(0.0, f64::max);
+        let min = self.trace.workers.iter().map(|w| w.busy_seconds).fold(f64::INFINITY, f64::min);
         // A worker with ~zero busy seconds did no measurable work — a
         // fully-cached batch, or more workers than items. max over ~0 is
         // scheduling noise, not imbalance; the old `min.max(1e-9)` floor
@@ -898,10 +881,10 @@ impl ExecReport {
             return 0.0;
         }
         let wall = self.wall_seconds.max(1e-12);
-        let (busy, lanes) = if self.workers.is_empty() {
+        let (busy, lanes) = if self.trace.workers.is_empty() {
             (self.total_seconds(), self.jobs.max(1) as f64)
         } else {
-            (self.total_busy_seconds(), self.workers.len() as f64)
+            (self.total_busy_seconds(), self.trace.workers.len() as f64)
         };
         (busy / (lanes * wall)).clamp(0.0, 1.0)
     }
@@ -928,9 +911,10 @@ impl ExecReport {
     /// per-run-sum estimate. With one effective lane there is no
     /// parallelism to attribute, so 1.0.
     pub fn serial_fraction(&self) -> f64 {
-        let (s, t) = if self.workers.len() >= 2 {
-            (self.total_busy_seconds() / self.wall_seconds.max(1e-12), self.workers.len() as f64)
-        } else if self.workers.len() == 1 {
+        let lanes = self.trace.workers.len();
+        let (s, t) = if lanes >= 2 {
+            (self.total_busy_seconds() / self.wall_seconds.max(1e-12), lanes as f64)
+        } else if lanes == 1 {
             return 1.0;
         } else {
             (self.speedup(), self.jobs.min(self.runs.len().max(1)) as f64)
@@ -956,7 +940,7 @@ impl ExecReport {
         for r in &self.runs {
             out.push_str(&format!("  run    {:<24} {:>9.4}s\n", r.label, r.wall_seconds));
         }
-        for (w, load) in self.workers.iter().enumerate() {
+        for (w, load) in self.trace.workers.iter().enumerate() {
             out.push_str(&format!(
                 "  worker {:<3} busy {:>9.4}s  {:>4} chunk(s)  {:>4} item(s)\n",
                 w, load.busy_seconds, load.chunks, load.items
@@ -970,18 +954,18 @@ impl ExecReport {
             self.wall_seconds,
             self.jobs
         ));
-        if !self.workers.is_empty() {
+        if !self.trace.workers.is_empty() {
             if self.all_cached() {
                 out.push_str(&format!(
                     "  load: utilization — (all cached), {} worker(s) idle\n",
-                    self.workers.len()
+                    self.trace.workers.len()
                 ));
             } else {
                 out.push_str(&format!(
                     "  load: utilization {:.1}%, imbalance max/min {:.2} over {} worker(s)\n",
                     100.0 * self.utilization(),
                     self.imbalance_ratio(),
-                    self.workers.len()
+                    self.trace.workers.len()
                 ));
             }
         }
@@ -1005,7 +989,7 @@ impl ExecReport {
             "  speedup {:.2}x (implied Amdahl serial fraction {:.3}{}; projected {:.2}x at {} threads)\n",
             self.speedup(),
             self.serial_fraction(),
-            if self.workers.len() >= 2 { " from per-worker busy time" } else { "" },
+            if self.trace.workers.len() >= 2 { " from per-worker busy time" } else { "" },
             self.projected_speedup(2 * self.jobs.max(1)),
             2 * self.jobs.max(1)
         ));

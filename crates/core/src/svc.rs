@@ -721,12 +721,6 @@ impl SvcConfig {
         self
     }
 
-    /// Point workers at a shared cache directory.
-    pub fn with_cache_dir(mut self, dir: PathBuf) -> Self {
-        self.cache_dir = Some(dir);
-        self
-    }
-
     fn auto_shard_size(&self, tasks: usize) -> usize {
         if self.shard_size > 0 {
             return self.shard_size;
@@ -793,11 +787,6 @@ struct Slot {
     inc: u32,
     spawned: u32,
     ready: bool,
-    /// We deliberately killed this incarnation (kill plan or hang watchdog),
-    /// so its EOF is not counted as a crash.
-    killed: bool,
-    /// Requeue-exactly-once-per-incarnation flag.
-    requeued: bool,
     /// Shards dispatched to the current incarnation (kill-plan ordinal).
     dispatched: u32,
     /// Kill-plan verdict for this incarnation: kill during the Nth dispatch.
@@ -896,8 +885,6 @@ impl WorkerPool {
                 inc: 0,
                 spawned: 0,
                 ready: false,
-                killed: false,
-                requeued: false,
                 dispatched: 0,
                 doom: None,
                 busy: None,
@@ -969,7 +956,6 @@ impl WorkerPool {
                 // delivered, so the kill lands mid-shard.
                 if slots[w].doom == Some(u64::from(slots[w].dispatched)) {
                     stats.kills += 1;
-                    slots[w].killed = true;
                     self.fail_incarnation(
                         w,
                         &mut slots[w],
@@ -1021,10 +1007,10 @@ impl WorkerPool {
                 }
                 Ok(Wire::Eof { worker, inc }) => {
                     let slot = &mut slots[worker];
+                    // An incarnation we killed was already failed, and its
+                    // respawn bumped `slot.inc`: only a crash gets here.
                     if inc == slot.inc && !slot.dead && slot.live.is_some() {
-                        if !slot.killed {
-                            stats.crashes += 1;
-                        }
+                        stats.crashes += 1;
                         self.fail_incarnation(
                             worker, slot, &mut queue, &hello, &tx, &mut stats, seed,
                         );
@@ -1043,7 +1029,6 @@ impl WorkerPool {
                 };
                 if hung {
                     stats.hangs += 1;
-                    slots[w].killed = true;
                     self.fail_incarnation(
                         w,
                         &mut slots[w],
@@ -1085,8 +1070,10 @@ impl WorkerPool {
     }
 
     /// Kill (if needed) and reap the current incarnation, requeue its
-    /// in-flight shard exactly once for this incarnation, then respawn —
-    /// or mark the slot dead once the respawn budget is exhausted.
+    /// in-flight shard, then respawn — or mark the slot dead once the
+    /// respawn budget is exhausted. The requeue is exactly once: `take`
+    /// empties the slot's in-flight shard, and the respawn's incarnation
+    /// bump turns the dead incarnation's later frames and EOF stale.
     #[allow(clippy::too_many_arguments)]
     fn fail_incarnation(
         &self,
@@ -1099,11 +1086,8 @@ impl WorkerPool {
         seed: u64,
     ) {
         if let Some(sh) = slot.busy.take() {
-            if !slot.requeued {
-                slot.requeued = true;
-                queue.push_front(sh);
-                stats.requeues += 1;
-            }
+            queue.push_front(sh);
+            stats.requeues += 1;
         }
         if let Some(mut inc) = slot.live.take() {
             let _ = inc.child.kill();
@@ -1128,8 +1112,6 @@ impl WorkerPool {
     ) {
         slot.inc += 1;
         slot.ready = false;
-        slot.killed = false;
-        slot.requeued = false;
         slot.dispatched = 0;
         slot.busy = None;
         if slot.spawned > self.cfg.respawn_budget {

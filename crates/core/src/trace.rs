@@ -36,6 +36,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::codec::{self, Cursor, Esc, Token};
+use treu_math::parallel::SchedStats;
 
 /// Magic header value of the hashed event stream.
 pub const TRACE_MAGIC: &str = "treu-trace v1";
@@ -464,6 +465,18 @@ pub struct WorkerTiming {
     pub chunks: usize,
     /// Items computed.
     pub items: usize,
+}
+
+/// One [`WorkerTiming`] per worker the dynamic scheduler spawned, in
+/// spawn order.
+pub fn worker_timings(sched: &SchedStats) -> Vec<WorkerTiming> {
+    sched
+        .busy_seconds
+        .iter()
+        .zip(&sched.chunks_claimed)
+        .zip(&sched.items)
+        .map(|((&busy_seconds, &chunks), &items)| WorkerTiming { busy_seconds, chunks, items })
+        .collect()
 }
 
 /// Aggregate counters folded from a batch's event stream — the single

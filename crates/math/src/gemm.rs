@@ -1,21 +1,15 @@
-//! GEMM planning: shape classes, blocking plans, and the installed-plan
-//! table that `Matrix::matmul` dispatches through.
+//! GEMM planning: shape classes and the blocking plans `Matrix::matmul`
+//! runs.
 //!
-//! The autotuner (`treu-autotune`) searches a schedule space per **shape
-//! class** — a deterministic bucketing of `(m, k, n)` by size/aspect — and
-//! installs the winning [`GemmPlan`] here. `Matrix::matmul` looks its
-//! operands' class up at call time: hit → tuned cache-blocked kernel, miss
-//! → the hand-written default plan for that class. Plans change only *how*
-//! the loop nest is blocked and packed, never the per-output accumulation
-//! order, so results are bitwise-identical for every plan (the ascending-k
-//! rule; see DESIGN.md §14 and the conformance suite).
-//!
-//! The table is process-global mutable state, which is safe under the
-//! workspace determinism rules precisely because of that invariant: a plan
-//! swap can move wall-clock time, never a result bit.
-
-use std::collections::BTreeMap;
-use std::sync::{OnceLock, RwLock};
+//! A GEMM's plan is a pure function of its shape: `Matrix::matmul` buckets
+//! its operands into a [`ShapeClass`] and runs that class's hand-written
+//! [`GemmPlan::default_for`]. The autotuner (`treu-autotune`) searches a
+//! schedule space per class and records the winners in its schedule book;
+//! a tuned plan runs only where a caller passes it explicitly, through
+//! `Matrix::matmul_with_plan`. Plans change only *how* the loop nest is
+//! blocked and packed, never the per-output accumulation order, so
+//! results are bitwise-identical for every plan (the ascending-k rule; see
+//! DESIGN.md §14 and the conformance suite).
 
 /// Size bucket for one GEMM extent. Boundaries are powers of two so the
 /// bucket of a dimension is stable under small perturbations and the
@@ -83,8 +77,8 @@ impl SizeBucket {
 }
 
 /// Deterministic shape class of a GEMM `C[m×n] = A[m×k] · B[k×n]`: the
-/// bucket triple of the three extents. This is the key tuned schedules are
-/// stored and dispatched under.
+/// bucket triple of the three extents. This is the key default plans are
+/// chosen by and tuned schedules are recorded under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShapeClass {
     /// Bucket of the output row count `m`.
@@ -134,7 +128,7 @@ impl ShapeClass {
 /// Every plan computes the bitwise-identical result: blocking reorders the
 /// i/j traversal and the packing only; each output element's reduction is
 /// always one ascending-k chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct GemmPlan {
     /// Row-block height (output rows per C block held hot across KC panels).
     pub mc: usize,
@@ -157,12 +151,13 @@ impl GemmPlan {
         Self { mc: usize::MAX, kc: usize::MAX, nc: usize::MAX, nr: 1 }
     }
 
-    /// Hand-written default for a shape class — what a miss in the plan
-    /// table dispatches to. Small shapes run as a single block (blocking
-    /// overhead would dominate); larger shapes get a compact packed panel
-    /// (~72 KiB of B, comfortably L2-resident) and the widest microkernel,
-    /// whose sixteen independent per-element chains keep the vector units
-    /// fed without touching the ascending-k reduction order.
+    /// Hand-written default for a shape class — the plan `Matrix::matmul`
+    /// runs for every shape in the class. Small shapes run as a single
+    /// block (blocking overhead would dominate); larger shapes get a
+    /// compact packed panel (~72 KiB of B, comfortably L2-resident) and the
+    /// widest microkernel, whose sixteen independent per-element chains
+    /// keep the vector units fed without touching the ascending-k
+    /// reduction order.
     pub fn default_for(class: ShapeClass) -> Self {
         let small = |b: SizeBucket| b <= SizeBucket::Small;
         if small(class.m) && small(class.k) && small(class.n) {
@@ -181,38 +176,6 @@ impl GemmPlan {
         self.nr = NR_CHOICES.iter().copied().find(|&w| w <= self.nr.max(1)).unwrap_or(1);
         self
     }
-}
-
-static PLAN_TABLE: OnceLock<RwLock<BTreeMap<ShapeClass, GemmPlan>>> = OnceLock::new();
-
-fn table() -> &'static RwLock<BTreeMap<ShapeClass, GemmPlan>> {
-    PLAN_TABLE.get_or_init(|| RwLock::new(BTreeMap::new()))
-}
-
-/// Installs (or replaces) the tuned plan for a shape class.
-pub fn install_plan(class: ShapeClass, plan: GemmPlan) {
-    table().write().expect("plan table poisoned").insert(class, plan);
-}
-
-/// The installed plan for a class, if any.
-pub fn installed_plan(class: ShapeClass) -> Option<GemmPlan> {
-    table().read().expect("plan table poisoned").get(&class).copied()
-}
-
-/// The plan `matmul` dispatches to for a class: the installed (tuned) plan
-/// if present, else the hand-written default.
-pub fn plan_for(class: ShapeClass) -> GemmPlan {
-    installed_plan(class).unwrap_or_else(|| GemmPlan::default_for(class))
-}
-
-/// Snapshot of every installed plan, in class order.
-pub fn installed_plans() -> Vec<(ShapeClass, GemmPlan)> {
-    table().read().expect("plan table poisoned").iter().map(|(c, p)| (*c, *p)).collect()
-}
-
-/// Clears all installed plans (test isolation / `treu tune --reset`).
-pub fn clear_installed_plans() {
-    table().write().expect("plan table poisoned").clear();
 }
 
 #[cfg(test)]
@@ -269,18 +232,6 @@ mod tests {
             let p = GemmPlan { mc: 1, kc: 1, nc: 1, nr: want }.clamped(1, 1, 1);
             assert_eq!(p.nr, got, "nr {want}");
         }
-    }
-
-    #[test]
-    fn plan_table_roundtrip_and_fallback() {
-        // A class no other test tunes, so parallel test execution can't race.
-        let class = ShapeClass { m: SizeBucket::Huge, k: SizeBucket::Tiny, n: SizeBucket::Huge };
-        assert_eq!(plan_for(class), GemmPlan::default_for(class));
-        let tuned = GemmPlan { mc: 32, kc: 128, nc: 512, nr: 8 };
-        install_plan(class, tuned);
-        assert_eq!(installed_plan(class), Some(tuned));
-        assert_eq!(plan_for(class), tuned);
-        assert!(installed_plans().iter().any(|&(c, p)| c == class && p == tuned));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`vector`] — free functions over `&[f64]` slices (dot, axpy, norms).
 //! * [`matrix`] — a row-major dense [`matrix::Matrix`] with blocked,
 //!   single-threaded multiplication.
-//! * [`gemm`] — shape classes, blocking plans and the installed-plan table
-//!   the autotuner feeds (`Matrix::matmul` dispatches through it).
+//! * [`gemm`] — shape classes and blocking plans (`Matrix::matmul` runs
+//!   its class's default plan; the autotuner times candidate plans).
 //! * [`decomp`] — Jacobi eigendecomposition and one-sided Jacobi SVD.
 //! * [`pca`] — principal component analysis on row-sample matrices.
 //! * [`stats`] — descriptive statistics (mean, mode, quantiles, covariance).

@@ -3,12 +3,13 @@
 //! [`Matrix`] is the workhorse container of the workspace: a contiguous
 //! row-major `Vec<f64>` with shape metadata. Multiplication comes in
 //! several flavours — naive (`matmul_naive`, kept for testing and as the
-//! autotuner's reference point), schedule-driven cache-blocked (`matmul`,
-//! dispatching through the [`crate::gemm`] plan table), and the
-//! transpose-free variants `matmul_tn` / `matmul_nt` that read one operand
-//! through its transpose without materializing it. Every variant runs on
-//! one thread: the registry's parallelism comes from running whole
-//! experiments on executor jobs, not from splitting one product.
+//! autotuner's reference point), cache-blocked (`matmul`, running its shape
+//! class's default [`crate::gemm`] plan, and `matmul_with_plan`, running
+//! the plan it is given), and the transpose-free variants `matmul_tn` /
+//! `matmul_nt` that read one operand through its transpose without
+//! materializing it. Every variant runs on one thread: the registry's
+//! parallelism comes from running whole experiments on executor jobs, not
+//! from splitting one product.
 //!
 //! # The ascending-k rule
 //!
@@ -149,11 +150,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Transpose into a fresh matrix.
     pub fn transpose(&self) -> Self {
         let mut out = Self::zeros(self.cols, self.rows);
@@ -205,17 +201,15 @@ impl Matrix {
         out
     }
 
-    /// Schedule-driven multiplication: classifies the shape, looks up the
-    /// plan table ([`gemm::plan_for`] — tuned plan if `treu tune` installed
-    /// one, hand-written default otherwise) and runs the cache-blocked
-    /// kernel.
+    /// Cache-blocked multiplication: classifies the shape and runs the
+    /// class's default plan ([`GemmPlan::default_for`]).
     ///
     /// # Panics
     ///
     /// Panics if inner dimensions disagree.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul: dimension mismatch");
-        let plan = gemm::plan_for(ShapeClass::of(self.rows, self.cols, other.cols));
+        let plan = GemmPlan::default_for(ShapeClass::of(self.rows, self.cols, other.cols));
         self.matmul_with_plan(other, &plan)
     }
 
@@ -251,7 +245,7 @@ impl Matrix {
         if out.data.is_empty() || kdim == 0 {
             return out;
         }
-        let plan = gemm::plan_for(ShapeClass::of(m, kdim, n)).clamped(m, kdim, n);
+        let plan = GemmPlan::default_for(ShapeClass::of(m, kdim, n)).clamped(m, kdim, n);
         let mut bpack = Vec::new();
         // A's logical row i is the stored column i: gather it per KC panel
         // into a contiguous buffer so the same ascending-k microkernel runs.

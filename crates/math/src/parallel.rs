@@ -141,41 +141,6 @@ impl SchedStats {
             items: vec![n],
         }
     }
-
-    /// Sum of per-worker busy seconds — the measured parallel cost.
-    pub fn total_busy_seconds(&self) -> f64 {
-        self.busy_seconds.iter().sum()
-    }
-
-    /// Busiest worker's seconds.
-    pub fn max_busy_seconds(&self) -> f64 {
-        self.busy_seconds.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Least-busy worker's seconds.
-    pub fn min_busy_seconds(&self) -> f64 {
-        self.busy_seconds.iter().copied().fold(f64::INFINITY, f64::min).min(self.max_busy_seconds())
-    }
-
-    /// Load-imbalance ratio: busiest over least-busy worker (1.0 =
-    /// perfectly balanced; large = one worker was the critical path).
-    pub fn imbalance_ratio(&self) -> f64 {
-        let max = self.max_busy_seconds();
-        let min = self.min_busy_seconds();
-        if max <= 0.0 {
-            return 1.0;
-        }
-        max / min.max(1e-12)
-    }
-
-    /// Worker utilization against a measured batch wall time: total busy
-    /// seconds over `workers * wall` (1.0 = no idle time anywhere).
-    pub fn utilization(&self, wall_seconds: f64) -> f64 {
-        if self.workers == 0 || wall_seconds <= 0.0 {
-            return 0.0;
-        }
-        (self.total_busy_seconds() / (self.workers as f64 * wall_seconds)).clamp(0.0, 1.0)
-    }
 }
 
 /// Chunk size for [`par_map_dynamic`]: aims for ~8 claims per worker, so
@@ -434,9 +399,6 @@ mod tests {
         assert_eq!(stats.chunks_claimed.len(), stats.workers);
         assert_eq!(stats.items.len(), stats.workers);
         assert!(stats.busy_seconds.iter().all(|&b| b >= 0.0));
-        assert!(stats.imbalance_ratio() >= 1.0);
-        assert!((0.0..=1.0).contains(&stats.utilization(stats.max_busy_seconds())));
-        assert!(stats.total_busy_seconds() >= stats.max_busy_seconds());
     }
 
     #[test]

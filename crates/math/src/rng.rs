@@ -99,13 +99,6 @@ pub fn expand_seed(seed: u64) -> [u8; 32] {
     bytes
 }
 
-/// Fills `out` with i.i.d. standard normal deviates from `rng`.
-pub fn fill_gaussian(rng: &mut SplitMix64, out: &mut [f64]) {
-    for v in out {
-        *v = rng.next_gaussian();
-    }
-}
-
 /// Fills `out` with i.i.d. `U[lo, hi)` deviates from `rng`.
 pub fn fill_uniform(rng: &mut SplitMix64, out: &mut [f64], lo: f64, hi: f64) {
     debug_assert!(hi >= lo);

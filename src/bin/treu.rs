@@ -24,7 +24,6 @@
 //! The same commands accept `--cache-dir DIR`: completed runs are stored
 //! content-addressed under DIR and replayed on later invocations when the
 //! id, seed, parameters and code+environment fingerprint all match.
-//! `--no-cache` disables the cache even when `--cache-dir` is given.
 //!
 //! `run`, `verify` and `chaos` each build one batch request — over the
 //! whole registry, or over one id when one is named — for the pipeline in
@@ -260,8 +259,7 @@ impl Opts {
                 })
             },
         );
-        let no_cache = take_switch(args, "--no-cache");
-        let cache = take(args, "--cache-dir").filter(|_| !no_cache).map(|d| {
+        let cache = take(args, "--cache-dir").map(|d| {
             RunCache::open(Path::new(&d))
                 .unwrap_or_else(|e| usage_err(format!("cannot open cache dir '{d}': {e}")))
         });
@@ -353,7 +351,7 @@ fn main() {
         "tune" => run_tune_cmd(&args[1..], &o),
         _ => usage_err(
             "usage: treu <list|run|tables|verify|chaos|trace|env|attest|lint|soak|tune|worker> \
-             [...] [--jobs N] [--cache-dir DIR] [--no-cache] [--trace-out DIR] \
+             [...] [--jobs N] [--cache-dir DIR] [--trace-out DIR] \
              [--attest-dir DIR] [--attest-key FILE] [--conformance] \
              [--retries N] [--deadline-secs F] [--fault-seed S] \
              [--fault-rate F] [--fault-panic ID] [--deny none|warn|error] \
@@ -1317,11 +1315,13 @@ fn run_attest_cmd(args: &[String], reg: &ExperimentRegistry, o: &Opts) {
 }
 
 /// `treu tune [seed] [--quick|--full] [--shapes MxKxN,...] [--repeats N]`
-/// — closes the autotune loop for the math kernels. For each requested
+/// — runs the autotune loop for the math kernels. For each requested
 /// shape the genetic tuner searches real blocked-matmul schedules, every
 /// winner is re-verified bitwise against the naive kernel before it is
 /// admitted, and the resulting schedule book is persisted through the
-/// content-addressed run cache when `--cache-dir` is given.
+/// content-addressed run cache when `--cache-dir` is given, extending the
+/// book persisted there. The book is a record: no other command loads it,
+/// and `Matrix::matmul` keeps running each class's default plan.
 fn run_tune_cmd(args: &[String], o: &Opts) {
     use treu::autotune::tuner::GaParams;
     use treu::autotune::ScheduleBook;
@@ -1375,7 +1375,6 @@ fn run_tune_cmd(args: &[String], o: &Opts) {
             e.tuned_gflops
         );
     }
-    book.install();
     print!("{}", book.render());
     match cache {
         Some(c) => {

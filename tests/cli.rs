@@ -124,19 +124,6 @@ fn verify_replays_from_a_warm_cache() {
 }
 
 #[test]
-fn no_cache_flag_disables_a_cache_dir() {
-    let dir = cache_dir("nocache");
-    let dir_s = dir.to_str().expect("utf8 path");
-    assert!(treu(&["verify", "T1", "--cache-dir", dir_s]).status.success());
-    let out = treu(&["verify", "T1", "--cache-dir", dir_s, "--no-cache"]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8(out.stdout).expect("utf8");
-    assert!(!stdout.contains("[cached]"), "--no-cache must force recomputation: {stdout}");
-    assert!(!stdout.contains("cache:"), "--no-cache prints no cache stats: {stdout}");
-    std::fs::remove_dir_all(&dir).expect("cleanup");
-}
-
-#[test]
 fn run_and_tables_cache_without_changing_output() {
     let dir = cache_dir("runtables");
     let dir_s = dir.to_str().expect("utf8 path");

@@ -87,7 +87,17 @@ fn chaos_drill_converges_with_workers_under_a_kill_plan() {
     );
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(stdout.contains("converged"), "missing convergence summary:\n{stdout}");
-    assert!(stdout.contains("svc: workers=2"), "missing svc stats line:\n{stdout}");
+    let svc = stdout.lines().find(|l| l.starts_with("svc: workers=2")).unwrap_or_else(|| {
+        panic!("missing svc stats line:\n{stdout}");
+    });
+    let count = |key: &str| -> u32 {
+        let field = svc.split_whitespace().find_map(|f| f.strip_prefix(key));
+        field.and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("no {key} in {svc:?}"))
+    };
+    // Every kill is one the plan made: a killed worker is never also
+    // counted as a crash.
+    assert!(count("kills=") >= 1, "the kill plan killed no worker: {svc}");
+    assert_eq!(count("crashes="), 0, "{svc}");
 }
 
 #[test]
