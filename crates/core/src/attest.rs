@@ -45,7 +45,7 @@
 //! coordinator-side only, after the merged report is assembled, so
 //! workers never race on the chain.
 
-use crate::cache::{RunCache, RunEntry};
+use crate::cache::{write_atomic, RunCache, RunEntry};
 use crate::codec::{self, Cursor, Esc};
 use crate::exec::{RunOutcome, VerifyReport};
 use crate::hash::fnv64_parts;
@@ -69,19 +69,6 @@ pub const KEY_FILE: &str = "attest.key";
 /// single canonical hash).
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
     fnv64_parts(&[bytes])
-}
-
-/// Atomic write local to the attestation directory: temp name + rename,
-/// same discipline as the run cache, so a killed process can never leave
-/// a truncated link at an addressable path.
-fn write_atomic(dir: &Path, name: &str, contents: &str) -> io::Result<PathBuf> {
-    let path = dir.join(name);
-    let tmp = dir.join(format!("{name}.{}.tmp", std::process::id()));
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, &path).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })?;
-    Ok(path)
 }
 
 // ---------------------------------------------------------------------------

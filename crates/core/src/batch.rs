@@ -3,20 +3,30 @@
 //!
 //! A batch runs in three phases:
 //!
-//! 1. **The coordinator builds tasks.** Verify looks up the cache here
-//!    and ships two replica [`TaskSpec`]s per miss, neither touching the
-//!    cache. Run ships one task per id whose cache flag is on only when no
-//!    [`FaultPlan`] is armed — a faulted trail must never be stored as the
-//!    experiment's record, and this is the one place that rule lives.
+//! 1. **The coordinator looks up and builds tasks.** It looks up every id
+//!    in the run cache, then ships [`TaskSpec`]s for the misses only: one
+//!    per id for run, two replicas for verify. A run under an armed
+//!    [`FaultPlan`] skips the cache — a faulted trail must never be stored
+//!    as the experiment's record, and this is the one place that rule
+//!    lives.
 //! 2. **Dispatch.** [`Dispatch::InProcess`] maps [`execute_task`] over the
 //!    tasks with [`Executor::map_indexed_stats`]; [`Dispatch::Sharded`]
 //!    hands them to [`WorkerPool::run_tasks`], whose workers (and degraded
 //!    fallback) call the same function. Both return outputs in index
 //!    order, so the topology decides only *who* calls `execute_task`.
-//! 3. **The coordinator merges.** Verify cross-checks each id's two
-//!    replicas; run takes each output as that id's outcome. Task events
-//!    are absorbed in index order into one [`BatchTrace`], so results and
-//!    trace addresses are identical at every `(jobs, workers, kills)`.
+//!    No task carries a cache: workers never open one.
+//! 3. **The coordinator merges and stores.** Verify cross-checks each
+//!    id's two replicas and stores a reproduced pair; run takes each
+//!    output as that id's outcome and stores a successful one. Task
+//!    events are absorbed in index order into one [`BatchTrace`], so
+//!    results and trace addresses are identical at every
+//!    `(jobs, workers, kills)`.
+//!
+//! Every cache operation happens on the coordinator's thread, in id
+//! order, through [`lookup`] and [`store`], which also emit the `Cache`
+//! and `CacheStored` trace events. So one handle counts the whole batch
+//! at every topology, and a bounded cache evicts the same entries in the
+//! same order at every `jobs`.
 //!
 //! "Plain" execution is the default [`SupervisePolicy`] with no plan:
 //! one `catch_unwind` per attempt, no watchdog thread (it is spawned only
@@ -151,80 +161,81 @@ impl<'a> Batch<'a> {
         let mut traces: Vec<RunTrace> =
             ids.iter().map(|(id, _)| RunTrace::new(id, self.seed)).collect();
 
-        // Phase 1: tasks.
-        let task =
-            |index: usize, (id, params): &(String, Params), replica: u32, cache: bool| TaskSpec {
-                index,
+        // Phase 1: look up, then ship tasks for the misses. A run under a
+        // fault plan never touches the cache: a faulted trail must never be
+        // stored as the experiment's record, and this is the one place that
+        // rule lives.
+        let cache = self.cache.filter(|_| self.mode == Mode::Verify || self.plan.is_none());
+        let looked: Vec<Lookup> = ids
+            .iter()
+            .zip(traces.iter_mut())
+            .map(|((id, p), rt)| match cache {
+                Some(c) => lookup(c, id, self.seed, p, &mut tracing.then_some((rt, start))),
+                None => Lookup::Miss,
+            })
+            .collect();
+        let replicas = match self.mode {
+            Mode::Run => 1,
+            Mode::Verify => 2,
+        };
+        // A verify miss's two replicas are independent tasks; replica =
+        // k % 2 keeps the Claim numbering.
+        let tasks: Vec<TaskSpec> = ids
+            .iter()
+            .zip(&looked)
+            .filter(|(_, l)| !matches!(l, Lookup::Hit(_)))
+            .flat_map(|(e, _)| std::iter::repeat_n(e, replicas))
+            .enumerate()
+            .map(|(k, (id, params))| TaskSpec {
+                index: k,
                 id: id.clone(),
                 seed: self.seed,
-                replica,
+                replica: (k % replicas) as u32,
                 params: params.clone(),
                 retries: self.policy.retries,
                 deadline_us: policy_deadline_us(&self.policy),
-                cache,
-            };
-        let run_cache = self.mode == Mode::Run && self.plan.is_none() && self.cache.is_some();
-        let looked: Vec<Lookup> = match (self.mode, self.cache) {
-            (Mode::Verify, Some(c)) => ids
-                .iter()
-                .zip(traces.iter_mut())
-                .map(|((id, p), rt)| {
-                    let found = c.lookup_classified(id, self.seed, p);
-                    if tracing {
-                        let at = start.elapsed().as_secs_f64();
-                        rt.push(TraceEvent::Cache { result: cache_result(&found) }, at);
-                    }
-                    found
-                })
-                .collect(),
-            _ => ids.iter().map(|_| Lookup::Miss).collect(),
-        };
-        let tasks: Vec<TaskSpec> = match self.mode {
-            Mode::Run => ids.iter().enumerate().map(|(i, e)| task(i, e, 0, run_cache)).collect(),
-            // Both replicas of a missed id are independent tasks;
-            // replica = k % 2 keeps the Claim numbering.
-            Mode::Verify => ids
-                .iter()
-                .zip(&looked)
-                .filter(|(_, l)| !matches!(l, Lookup::Hit(_)))
-                .flat_map(|(e, _)| [e, e])
-                .enumerate()
-                .map(|(k, e)| task(k, e, (k % 2) as u32, false))
-                .collect(),
-        };
+                cache: false,
+            })
+            .collect();
 
         // Phase 2: dispatch.
         let (outputs, sched, svc) = match dispatch {
             Dispatch::InProcess(exec) => {
-                let (plan, cache) = (self.plan, self.cache);
+                let plan = self.plan;
                 let (outputs, sched) = exec.map_indexed_stats(tasks.len(), |i| {
-                    execute_task(reg, &tasks[i], plan, cache, tracing, start)
+                    execute_task(reg, &tasks[i], plan, None, tracing, start)
                 });
                 (outputs, sched, None)
             }
-            Dispatch::Sharded(mut cfg) => {
-                let shared = self.cache.filter(|_| run_cache);
-                if let Some(c) = shared {
-                    cfg.cache_dir = Some(c.dir().to_path_buf());
-                }
+            Dispatch::Sharded(cfg) => {
                 let pool = WorkerPool::new(cfg);
-                let (outputs, stats) =
-                    pool.run_tasks(reg, tasks, self.plan, self.cache, self.seed)?;
-                if let Some(c) = shared {
-                    let _ = c.merge_stats_sidecars();
-                }
+                let (outputs, stats) = pool.run_tasks(reg, tasks, self.plan, None, self.seed)?;
                 (outputs, SchedStats::default(), Some(stats))
             }
         };
 
-        // Phase 3: merge.
+        // Phase 3: merge and store.
+        let mut fresh = outputs.into_iter();
         let report = match self.mode {
             Mode::Run => {
                 let mut outcomes = Vec::with_capacity(ids.len());
                 let mut cached = 0;
-                for (((id, _), out), rt) in ids.into_iter().zip(outputs).zip(traces.iter_mut()) {
-                    cached += usize::from(out.cached);
-                    outcomes.push((id, absorb(rt, out)));
+                for (((id, p), found), rt) in ids.into_iter().zip(looked).zip(traces.iter_mut()) {
+                    let outcome = match found {
+                        Lookup::Hit(record) => {
+                            cached += 1;
+                            RunOutcome::Ok { record, attempts: 1 }
+                        }
+                        _ => {
+                            let out = absorb(rt, fresh.next().expect("one task per miss"));
+                            if let (Some(c), Some(record)) = (cache, out.record()) {
+                                let tracer = &mut tracing.then_some((rt, start));
+                                store(c, &id, self.seed, &p, record, tracer);
+                            }
+                            out
+                        }
+                    };
+                    outcomes.push((id, outcome));
                 }
                 let failed = outcomes.iter().filter(|(_, o)| !o.is_ok()).count();
                 let wall = start.elapsed().as_secs_f64();
@@ -238,8 +249,7 @@ impl<'a> Batch<'a> {
                 BatchReport::Run { outcomes, report }
             }
             Mode::Verify => {
-                let recomputed = outputs.len() / 2;
-                let mut fresh = outputs.into_iter();
+                let recomputed = fresh.len() / 2;
                 let mut outcomes = Vec::with_capacity(ids.len());
                 for (((id, p), found), rt) in ids.iter().zip(looked).zip(traces.iter_mut()) {
                     outcomes.push(match found {
@@ -270,7 +280,7 @@ impl<'a> Batch<'a> {
                             let pair = [absorb(rt, replica()), absorb(rt, replica())];
                             let was_corrupt = matches!(not_hit, Lookup::Corrupt);
                             let tracer = tracing.then_some((rt, start));
-                            cross_check(id, self.seed, p, &pair, self.cache, was_corrupt, tracer)
+                            cross_check(id, self.seed, p, &pair, cache, was_corrupt, tracer)
                         }
                     });
                 }
@@ -345,6 +355,36 @@ fn absorb(rt: &mut RunTrace, out: TaskOutput) -> RunOutcome {
     out.outcome
 }
 
+/// Looks up one run and emits its `Cache` event. This and [`store`] are
+/// the only way a batch reads or writes a run entry, and
+/// [`execute_task`]'s own cache branch goes through the same two.
+pub(crate) fn lookup(
+    cache: &RunCache,
+    id: &str,
+    seed: u64,
+    params: &Params,
+    tracer: &mut Option<(&mut RunTrace, Instant)>,
+) -> Lookup {
+    let found = cache.lookup_classified(id, seed, params);
+    emit(tracer, TraceEvent::Cache { result: cache_result(&found) });
+    found
+}
+
+/// Stores one successful run and emits `CacheStored` when the write
+/// lands.
+pub(crate) fn store(
+    cache: &RunCache,
+    id: &str,
+    seed: u64,
+    params: &Params,
+    record: &RunRecord,
+    tracer: &mut Option<(&mut RunTrace, Instant)>,
+) {
+    if cache.store(id, seed, params, record).is_ok() {
+        emit(tracer, TraceEvent::CacheStored);
+    }
+}
+
 /// Assembles per-run traces plus the scheduler's timing into a
 /// [`BatchTrace`] (worker loads and wall time go to the sidecar only).
 fn batch_trace(
@@ -386,9 +426,7 @@ fn cross_check(
             let attempts = (*aa).max(*ab);
             if reproduced {
                 if let Some(c) = cache {
-                    if c.store(id, seed, params, a).is_ok() {
-                        emit(&mut tracer, TraceEvent::CacheStored);
-                    }
+                    store(c, id, seed, params, a, &mut tracer);
                 }
                 if was_corrupt {
                     emit(&mut tracer, TraceEvent::CacheHealed);
@@ -451,6 +489,7 @@ fn cross_check(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{run_entry_file, CacheBound};
     use crate::experiment::{Experiment, RunContext};
     use crate::fault::FaultKind;
     use std::path::Path;
@@ -470,7 +509,7 @@ mod tests {
 
     fn small_registry() -> ExperimentRegistry {
         let mut reg = ExperimentRegistry::new();
-        for (id, n) in [("A", 4), ("B", 12), ("C", 20)] {
+        for (id, n) in [("A", 4), ("B", 12), ("C", 20), ("D", 28)] {
             reg.register(id, "batch", "draws", Params::new().with_int("n", n), Box::new(Draws));
         }
         reg
@@ -535,6 +574,29 @@ mod tests {
             for (a, b) in verify.outcomes.iter().zip(&clean.outcomes) {
                 assert_eq!(a.fingerprint, b.fingerprint, "dispatch {k}: {}", a.id);
             }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Run-mode cache traffic happens on the coordinator in id order, so a
+    /// bounded cache evicts the same entries in the same order at every
+    /// `jobs`: the two oldest stores, since every lookup missed first.
+    #[test]
+    fn bounded_run_cache_evicts_in_id_order_at_every_jobs() {
+        let reg = small_registry();
+        let seed = 9;
+        let expected: Vec<String> = ["A", "B"]
+            .iter()
+            .map(|id| run_entry_file(id, seed, &reg.get(id).unwrap().defaults))
+            .collect();
+        for jobs in [1, 4] {
+            let dir = std::env::temp_dir()
+                .join(format!("treu-batch-bounded-{}-{jobs}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cache = RunCache::open_bounded(&dir, CacheBound::entries(2)).unwrap();
+            let batch = Batch { cache: Some(&cache), ..Batch::new(Mode::Run, seed) };
+            batch.execute(&reg, Dispatch::InProcess(&Executor::new(jobs))).unwrap();
+            assert_eq!(cache.eviction_log(), expected, "jobs {jobs}");
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

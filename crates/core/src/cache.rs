@@ -24,7 +24,10 @@
 //! [`Trail::render`]/[`Trail::parse`] round-trips metrics bitwise), so a
 //! cache directory doubles as a human-auditable archive of past runs.
 //! Hit / miss / invalidation / store counts are kept per handle and
-//! surfaced by the CLI after every cached command.
+//! surfaced by the CLI after every cached command. A batch's handle lives
+//! in one process, the coordinator: [`crate::batch`] looks up and stores
+//! every run itself, so a sharded batch's counts need no merging and no
+//! worker ever opens the directory.
 //!
 //! **Integrity.** Every entry carries a checksum of its trail body that is
 //! verified at read time, and every entry is read through [`RunEntry`],
@@ -34,8 +37,9 @@
 //! no longer canonical (a CRLF checkout, an edited header) is classified
 //! as **corrupt** ([`Lookup::Corrupt`]), deleted on the spot and
 //! recomputed by the caller — the cache self-heals instead of serving
-//! damaged provenance. Writes are atomic (temp file + rename) so a crash
-//! mid-store can never leave a truncated entry at an addressable path.
+//! damaged provenance. Writes go through [`write_atomic`] (spool file +
+//! rename), so a crash mid-store can never leave a truncated entry at an
+//! addressable path, and the next open sweeps the dead writer's spool.
 //!
 //! **Lifecycle.** A handle opened with [`RunCache::open_bounded`] keeps
 //! the directory under a hard [`CacheBound`] (entry count and/or payload
@@ -475,14 +479,6 @@ impl RunCache {
         self.index.lock().expect("cache index mutex poisoned").bytes
     }
 
-    fn run_path(&self, id: &str, seed: u64, params: &Params) -> PathBuf {
-        self.dir.join(run_entry_file(id, seed, params))
-    }
-
-    fn blob_path(&self, kind: &str, tag: &str) -> PathBuf {
-        self.dir.join(blob_entry_file(kind, tag))
-    }
-
     /// Looks up the cached record for `(id, seed, params)`.
     ///
     /// Convenience wrapper over [`RunCache::lookup_classified`]: any
@@ -501,7 +497,7 @@ impl RunCache {
     /// self-heals the cache; the corruption is counted in
     /// [`RunCache::stats`].
     pub fn lookup_classified(&self, id: &str, seed: u64, params: &Params) -> Lookup {
-        let path = self.run_path(id, seed, params);
+        let path = self.dir.join(run_entry_file(id, seed, params));
         let (verdict, len) = match std::fs::read_to_string(&path) {
             Ok(text) => (self.classify(&text, seed), text.len() as u64),
             // `store` writes only UTF-8, so such an entry is damaged, not
@@ -574,10 +570,8 @@ impl RunCache {
     /// trail body for read-time verification.
     pub fn store(&self, id: &str, seed: u64, params: &Params, rec: &RunRecord) -> io::Result<()> {
         let out = RunEntry::render(self.fingerprint, rec);
-        let path = self.run_path(id, seed, params);
-        let bytes = out.len() as u64;
-        self.write_atomic(&path, &out)?;
-        let evicted = self.note_store(&path, bytes);
+        let path = write_atomic(&self.dir, &run_entry_file(id, seed, params), &out)?;
+        let evicted = self.note_store(&path, out.len() as u64);
         self.bump(|s| {
             s.stores += 1;
             s.evictions += evicted;
@@ -585,25 +579,11 @@ impl RunCache {
         Ok(())
     }
 
-    /// Atomic write: the payload lands under a unique temp name in the
-    /// cache directory and is renamed over the target, so a killed
-    /// process can never leave a truncated entry at an addressable path.
-    fn write_atomic(&self, path: &Path, contents: &str) -> io::Result<()> {
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        let seq = TMP_SEQ.fetch_add(1, Ordering::SeqCst);
-        let stem = path.file_name().and_then(|n| n.to_str()).unwrap_or("entry");
-        let tmp = self.dir.join(format!("{stem}.{}.{seq}.tmp", std::process::id()));
-        std::fs::write(&tmp, contents)?;
-        std::fs::rename(&tmp, path).inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })
-    }
-
     /// Looks up a cached text artifact (e.g. a rendered table) by kind
     /// and tag, with the same fingerprint-invalidation rules as
     /// [`RunCache::lookup`].
     pub fn lookup_blob(&self, kind: &str, tag: &str) -> Option<String> {
-        let path = self.blob_path(kind, tag);
+        let path = self.dir.join(blob_entry_file(kind, tag));
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
             Err(_) => {
@@ -638,10 +618,8 @@ impl RunCache {
     /// Persists a text artifact under `(kind, tag)`.
     pub fn store_blob(&self, kind: &str, tag: &str, payload: &str) -> io::Result<()> {
         let out = render_blob_entry(self.fingerprint, payload);
-        let path = self.blob_path(kind, tag);
-        let bytes = out.len() as u64;
-        self.write_atomic(&path, &out)?;
-        let evicted = self.note_store(&path, bytes);
+        let path = write_atomic(&self.dir, &blob_entry_file(kind, tag), &out)?;
+        let evicted = self.note_store(&path, out.len() as u64);
         self.bump(|s| {
             s.blob_stores += 1;
             s.evictions += evicted;
@@ -679,8 +657,26 @@ impl RunCache {
     }
 }
 
-/// Removes `.tmp` droppings left by writers that died mid-`store`
-/// (temp names embed the writer's pid: `{stem}.{pid}.{seq}.tmp`). A tmp
+/// Writes `contents` to `dir/name` atomically and returns that path: the
+/// bytes land in a `{name}.{pid}.{seq}.tmp` spool beside the target and
+/// are renamed over it, so a killed writer never leaves a truncated file
+/// at an addressable path. Cache entries, attestation files and trace
+/// streams are all written here. A killed writer's spool is left behind;
+/// in a cache directory, the next [`RunCache`] open sweeps it.
+pub fn write_atomic(dir: &Path, name: &str, contents: &str) -> io::Result<PathBuf> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = TMP_SEQ.fetch_add(1, Ordering::SeqCst);
+    let path = dir.join(name);
+    let tmp = dir.join(format!("{name}.{}.{seq}.tmp", std::process::id()));
+    std::fs::write(&tmp, contents)?;
+    std::fs::rename(&tmp, &path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })?;
+    Ok(path)
+}
+
+/// Removes `.tmp` spools left by writers that died mid-[`write_atomic`]
+/// (spool names embed the writer's pid: `{name}.{pid}.{seq}.tmp`). A tmp
 /// is *orphaned* — and safe to unlink — only when its writer is gone:
 /// the pid is not ours and names no live process. Live writers' tmps are
 /// left alone so a concurrent open can never race an in-flight rename.
@@ -693,7 +689,7 @@ fn sweep_orphaned_tmp(dir: &Path) {
         if !name.ends_with(".tmp") {
             continue;
         }
-        // `{stem}.{pid}.{seq}.tmp` → pid is the third segment from the end.
+        // `{name}.{pid}.{seq}.tmp` → pid is the third segment from the end.
         let writer_pid = name.rsplit('.').nth(2).and_then(|p| p.parse::<u32>().ok());
         let live = match writer_pid {
             Some(pid) if pid == std::process::id() => true,
@@ -706,115 +702,6 @@ fn sweep_orphaned_tmp(dir: &Path) {
         if !live {
             let _ = std::fs::remove_file(entry.path());
         }
-    }
-}
-
-/// Magic header of a per-process stats sidecar.
-const STATS_MAGIC: &str = "treu-cache-stats v1";
-
-/// Renders a [`CacheStats`] snapshot in the sidecar format: one
-/// `field value` line per counter, fixed order.
-pub(crate) fn render_stats_file(s: &CacheStats) -> String {
-    format!(
-        "{STATS_MAGIC}\nlookups {}\nhits {}\nmisses {}\ninvalidations {}\ncorruptions {}\nstores {}\nblob_lookups {}\nblob_hits {}\nblob_misses {}\nblob_invalidations {}\nblob_stores {}\nevictions {}\n",
-        s.lookups,
-        s.hits,
-        s.misses,
-        s.invalidations,
-        s.corruptions,
-        s.stores,
-        s.blob_lookups,
-        s.blob_hits,
-        s.blob_misses,
-        s.blob_invalidations,
-        s.blob_stores,
-        s.evictions,
-    )
-}
-
-/// Exact inverse of [`render_stats_file`].
-pub(crate) fn parse_stats_file(text: &str) -> Result<CacheStats, codec::Error> {
-    let mut c = Cursor::new(text);
-    c.tag(STATS_MAGIC)?;
-    c.tag("\n")?;
-    let mut field = |name: &str| -> Result<u64, codec::Error> {
-        c.tag(name)?;
-        c.tag(" ")?;
-        c.until("\n")?.value()
-    };
-    let stats = CacheStats {
-        lookups: field("lookups")?,
-        hits: field("hits")?,
-        misses: field("misses")?,
-        invalidations: field("invalidations")?,
-        corruptions: field("corruptions")?,
-        stores: field("stores")?,
-        blob_lookups: field("blob_lookups")?,
-        blob_hits: field("blob_hits")?,
-        blob_misses: field("blob_misses")?,
-        blob_invalidations: field("blob_invalidations")?,
-        blob_stores: field("blob_stores")?,
-        evictions: field("evictions")?,
-    };
-    codec::canonical(text, &render_stats_file(&stats))?;
-    Ok(stats)
-}
-
-impl CacheStats {
-    /// Field-wise sum, for folding per-process sidecars into one view.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.lookups += other.lookups;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.invalidations += other.invalidations;
-        self.corruptions += other.corruptions;
-        self.stores += other.stores;
-        self.blob_lookups += other.blob_lookups;
-        self.blob_hits += other.blob_hits;
-        self.blob_misses += other.blob_misses;
-        self.blob_invalidations += other.blob_invalidations;
-        self.blob_stores += other.blob_stores;
-        self.evictions += other.evictions;
-    }
-}
-
-impl RunCache {
-    /// Writes this handle's counter snapshot to a per-process sidecar
-    /// (`stats-<pid>.stats`, atomic temp+rename like every entry write).
-    ///
-    /// This is the multi-process half of hit/miss accounting: worker
-    /// processes sharing a cache directory cannot share the in-memory
-    /// [`CacheStats`] mutex, so each writes its own sidecar at shutdown
-    /// and the coordinator folds them in at join with
-    /// [`RunCache::merge_stats_sidecars`] — counts are never torn because
-    /// no counter is ever written concurrently. Sidecars use a dedicated
-    /// `.stats` extension, so entry indexing and eviction never see them.
-    pub fn write_stats_sidecar(&self) -> io::Result<PathBuf> {
-        let path = self.dir.join(format!("stats-{}.stats", std::process::id()));
-        self.write_atomic(&path, &render_stats_file(&self.stats()))?;
-        Ok(path)
-    }
-
-    /// Folds every `.stats` sidecar under the cache directory into this
-    /// handle's counters, consuming (deleting) the sidecars. Returns how
-    /// many sidecars were merged. Unreadable or foreign-format files are
-    /// left in place and not counted.
-    pub fn merge_stats_sidecars(&self) -> io::Result<usize> {
-        let mut merged = 0usize;
-        let mut names: Vec<PathBuf> = std::fs::read_dir(&self.dir)?
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "stats"))
-            .collect();
-        names.sort();
-        for path in names {
-            let Ok(text) = std::fs::read_to_string(&path) else { continue };
-            let Ok(s) = parse_stats_file(&text) else { continue };
-            self.bump(|mine| mine.merge(&s));
-            let _ = std::fs::remove_file(&path);
-            merged += 1;
-        }
-        Ok(merged)
     }
 }
 
@@ -1459,62 +1346,5 @@ mod tests {
         assert!(own.exists(), "a live writer's tmp is never swept");
         assert!(cache.stats().consistent());
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stats_sidecars_round_trip_merge_and_are_consumed() {
-        let dir = tmp_dir("sidecar");
-        let p = Params::new().with_int("n", 6);
-        let rec = run_once(&Noisy, 2, p.clone());
-
-        // "Worker" handle: one miss, one store, one hit — then sidecar.
-        let worker = RunCache::open_with_fingerprint(&dir, 5).unwrap();
-        assert!(worker.lookup("W", 2, &p).is_none());
-        worker.store("W", 2, &p, &rec).unwrap();
-        assert!(worker.lookup("W", 2, &p).is_some());
-        let sidecar = worker.write_stats_sidecar().unwrap();
-        assert!(sidecar.exists());
-        assert_eq!(sidecar.extension().unwrap(), "stats");
-
-        // "Coordinator" handle on the same directory: its own hit, plus
-        // the worker's counters folded in at join.
-        let coord = RunCache::open_with_fingerprint(&dir, 5).unwrap();
-        assert!(coord.lookup("W", 2, &p).is_some());
-        assert_eq!(coord.merge_stats_sidecars().unwrap(), 1);
-        assert!(!sidecar.exists(), "merged sidecars are consumed");
-        let s = coord.stats();
-        assert_eq!((s.lookups, s.hits, s.misses, s.stores), (3, 2, 1, 1));
-        assert!(s.consistent(), "merging classified counters preserves the invariant");
-        // Nothing left to merge.
-        assert_eq!(coord.merge_stats_sidecars().unwrap(), 0);
-
-        // Sidecars are invisible to entry indexing: a bounded reopen
-        // seeds only .run/.txt files.
-        worker.write_stats_sidecar().unwrap();
-        let bounded =
-            RunCache::open_bounded_with_fingerprint(&dir, CacheBound::entries(10), 5).unwrap();
-        assert_eq!(bounded.resident_entries().len(), 1, "only the .run entry is indexed");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stats_file_format_round_trips_every_counter() {
-        let s = CacheStats {
-            lookups: 12,
-            hits: 5,
-            misses: 4,
-            invalidations: 2,
-            corruptions: 1,
-            stores: 7,
-            blob_lookups: 3,
-            blob_hits: 1,
-            blob_misses: 2,
-            blob_invalidations: 0,
-            blob_stores: 1,
-            evictions: 9,
-        };
-        assert_eq!(parse_stats_file(&render_stats_file(&s)).ok(), Some(s));
-        assert_eq!(parse_stats_file("not a sidecar").ok(), None);
-        assert_eq!(parse_stats_file(&format!("{STATS_MAGIC}\nlookups nope\n")).ok(), None);
     }
 }

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use proptest::TestRng;
 
 use crate::attest::{AttestKey, Layout, Link, StepRule};
-use crate::cache::{self, CacheStats, RunEntry};
+use crate::cache::{self, RunEntry};
 use crate::codec::Error;
 use crate::exec::{FailureKind, RunFailure, RunOutcome};
 use crate::experiment::{Params, RunRecord};
@@ -218,7 +218,6 @@ impl Gen {
                 jobs: self.u64() as usize,
                 tracing: self.coin(),
                 plan: self.coin().then(|| self.plan()),
-                cache_dir: self.coin().then(|| self.text()),
             },
             1 => Frame::Ready { pid: self.u32() },
             2 => Frame::Shard {
@@ -362,27 +361,6 @@ proptest! {
         let text = cache::render_blob_entry(g.u64(), &g.text());
         let parse = |t: &str| cache::parse_blob_entry(t).map(|(fp, p)| (fp, p.to_string()));
         check(seed, &text, parse, |(fp, p)| cache::render_blob_entry(*fp, p));
-    }
-
-    #[test]
-    fn stats_sidecar(seed in any::<u64>()) {
-        let mut g = Gen::new(seed);
-        let stats = CacheStats {
-            lookups: g.u64(),
-            hits: g.u64(),
-            misses: g.u64(),
-            invalidations: g.u64(),
-            corruptions: g.u64(),
-            stores: g.u64(),
-            blob_lookups: g.u64(),
-            blob_hits: g.u64(),
-            blob_misses: g.u64(),
-            blob_invalidations: g.u64(),
-            blob_stores: g.u64(),
-            evictions: g.u64(),
-        };
-        let text = cache::render_stats_file(&stats);
-        check(seed, &text, cache::parse_stats_file, cache::render_stats_file);
     }
 
     #[test]

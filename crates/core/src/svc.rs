@@ -23,23 +23,26 @@
 //! addresses are bitwise-identical at every (process count, jobs-per-worker,
 //! kill schedule) topology.
 //!
-//! Attestation links ([`crate::attest`]) are emitted **coordinator-side
-//! only**, after the merged report is assembled: workers never see
-//! `--attest-dir`, cannot race on the chain, and because every address a
-//! link names is schedule-independent, the sealed link bytes — MAC
-//! included — are identical at every topology (DESIGN §15–16).
+//! The run cache and attestation links ([`crate::attest`]) are
+//! **coordinator-side only**. [`crate::batch`] looks up every id before it
+//! ships tasks and stores every result after the merge, so a worker never
+//! opens the cache: a killed worker takes no cache count with it, and a
+//! fully cached batch spawns no worker. Links are sealed after the merged
+//! report is assembled: workers never see `--attest-dir`, cannot race on
+//! the chain, and because every address a link names is
+//! schedule-independent, the sealed link bytes — MAC included — are
+//! identical at every topology (DESIGN §15–16).
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
-use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use crate::batch::{Batch, Dispatch, Mode};
+use crate::batch::{self, Batch, Dispatch, Mode};
 use crate::cache::{Lookup, RunCache};
 use crate::codec::{self, Cursor, Esc, Token};
-use crate::exec::{FailureKind, RunFailure, RunOutcome, SupervisePolicy, VerifyReport};
+use crate::exec::{emit, FailureKind, RunFailure, RunOutcome, SupervisePolicy, VerifyReport};
 use crate::experiment::{ParamValue, Params, RunRecord};
 use crate::fault::{backoff_millis, FaultKind, FaultPlan, KillPlan};
 use crate::provenance::Trail;
@@ -47,7 +50,7 @@ use crate::registry::ExperimentRegistry;
 use crate::trace::{RunTrace, TraceEvent};
 
 /// Wire protocol version spoken between coordinator and worker.
-pub const PROTO_VERSION: u32 = 2;
+pub const PROTO_VERSION: u32 = 3;
 
 /// How often an in-flight shard emits a keepalive beat when no task has
 /// completed — a fraction of any sane hang timeout, so slow-but-alive
@@ -113,7 +116,9 @@ pub struct TaskSpec {
     pub retries: u32,
     /// Per-attempt deadline in microseconds; 0 disarms the watchdog.
     pub deadline_us: u64,
-    /// Whether the worker should consult/populate its cache for this task.
+    /// Whether [`execute_task`] looks up and stores this task in the cache
+    /// its caller hands it. Batches leave it off and workers hold no
+    /// cache: the coordinator does all cache traffic ([`crate::batch`]).
     pub cache: bool,
 }
 
@@ -124,7 +129,8 @@ pub struct TaskOutput {
     pub index: usize,
     /// Run outcome (success record or classified failure).
     pub outcome: RunOutcome,
-    /// Whether the result came from the worker-side cache.
+    /// Whether [`execute_task`] served the result from the cache it was
+    /// handed; always false for batch tasks.
     pub cached: bool,
     /// Trace events the worker's ring evicted for this task.
     pub dropped: u64,
@@ -146,8 +152,6 @@ pub enum Frame {
         tracing: bool,
         /// Fault plan to run under.
         plan: Option<FaultPlan>,
-        /// Cache directory to open.
-        cache_dir: Option<String>,
     },
     /// Worker → coordinator: ready for shards.
     Ready {
@@ -175,7 +179,7 @@ pub enum Frame {
         /// One output per task, in index order.
         outputs: Vec<TaskOutput>,
     },
-    /// Coordinator → worker: flush stats and exit.
+    /// Coordinator → worker: exit.
     Shutdown,
     /// Worker → coordinator: exiting.
     Bye,
@@ -186,15 +190,10 @@ impl Frame {
     pub fn render(&self) -> String {
         let mut out = String::new();
         match self {
-            Frame::Hello { jobs, tracing, plan, cache_dir } => {
+            Frame::Hello { jobs, tracing, plan } => {
                 out.push_str(&format!(
-                    "{{\"msg\":\"hello\",\"proto\":{PROTO_VERSION},\"jobs\":{jobs},\"tracing\":{tracing}"
+                    "{{\"msg\":\"hello\",\"proto\":{PROTO_VERSION},\"jobs\":{jobs},\"tracing\":{tracing}}}\n"
                 ));
-                if let Some(dir) = cache_dir {
-                    out.push(',');
-                    codec::json_field(&mut out, "cache_dir", dir);
-                }
-                out.push_str("}\n");
                 out.push_str(&plan.as_ref().map(encode_plan).unwrap_or_default());
             }
             Frame::Ready { pid } => out.push_str(&format!("{{\"msg\":\"ready\",\"pid\":{pid}}}\n")),
@@ -283,13 +282,9 @@ impl Frame {
                 }
                 let jobs = c.value("jobs")?;
                 let tracing = c.value("tracing")?;
-                let cache_dir = match c.peek_key() {
-                    Some("cache_dir") => Some(c.str("cache_dir")?),
-                    _ => None,
-                };
                 c.close()?;
                 let plan = if c.done() { None } else { Some(read_plan(&mut c)?) };
-                Frame::Hello { jobs, tracing, plan, cache_dir }
+                Frame::Hello { jobs, tracing, plan }
             }
             "ready" => Frame::Ready { pid: c.value("pid")? },
             "shard" => {
@@ -442,7 +437,9 @@ fn read_plan(c: &mut Cursor<'_>) -> Result<FaultPlan, codec::Error> {
 /// Execute one task deterministically. This is the same code path whether it
 /// runs inside a `treu worker` subprocess, in-process after degradation, or
 /// in an in-process [`Batch`], which is what makes topology unable to change
-/// results or hashed trace content.
+/// results or hashed trace content. Batches hand it no cache; a caller that
+/// does (with `t.cache` set) goes through the batch's own `lookup` and
+/// `store`.
 pub fn execute_task(
     reg: &ExperimentRegistry,
     t: &TaskSpec,
@@ -456,9 +453,9 @@ pub fn execute_task(
     if t.deadline_us > 0 {
         policy = policy.with_deadline_secs(t.deadline_us as f64 / 1e6);
     }
-    if let Some(rt) = rt.as_mut() {
-        rt.push(TraceEvent::Claim { replica: t.replica }, epoch.elapsed().as_secs_f64());
-    }
+    let mut tracer = rt.as_mut().map(|r| (r, epoch));
+    emit(&mut tracer, TraceEvent::Claim { replica: t.replica });
+    let cache = cache.filter(|_| t.cache);
     let (outcome, cached) = match reg.get(&t.id) {
         None => (
             RunOutcome::Failed(RunFailure {
@@ -469,24 +466,10 @@ pub fn execute_task(
             false,
         ),
         Some(entry) => {
-            let mut hit = None;
-            if t.cache {
-                if let Some(cache) = cache {
-                    let found = cache.lookup_classified(&t.id, t.seed, &t.params);
-                    if let Some(rt) = rt.as_mut() {
-                        rt.push(
-                            TraceEvent::Cache { result: crate::exec::cache_result(&found) },
-                            epoch.elapsed().as_secs_f64(),
-                        );
-                    }
-                    if let Lookup::Hit(rec) = found {
-                        hit = Some(rec);
-                    }
-                }
-            }
-            match hit {
-                Some(record) => (RunOutcome::Ok { record, attempts: 1 }, true),
-                None => {
+            let found = cache.map(|c| batch::lookup(c, &t.id, t.seed, &t.params, &mut tracer));
+            match found {
+                Some(Lookup::Hit(record)) => (RunOutcome::Ok { record, attempts: 1 }, true),
+                _ => {
                     let outcome = crate::exec::run_supervised_traced(
                         entry.runner(),
                         &t.id,
@@ -495,16 +478,10 @@ pub fn execute_task(
                         &policy,
                         plan,
                         t.replica,
-                        rt.as_mut().map(|r| (r, epoch)),
+                        tracer.as_mut().map(|(r, at)| (&mut **r, *at)),
                     );
-                    if let (true, Some(cache), RunOutcome::Ok { record, .. }) =
-                        (t.cache, cache, &outcome)
-                    {
-                        if cache.store(&t.id, t.seed, &t.params, record).is_ok() {
-                            if let Some(rt) = rt.as_mut() {
-                                rt.push(TraceEvent::CacheStored, epoch.elapsed().as_secs_f64());
-                            }
-                        }
+                    if let (Some(c), Some(record)) = (cache, outcome.record()) {
+                        batch::store(c, &t.id, t.seed, &t.params, record, &mut tracer);
                     }
                     (outcome, false)
                 }
@@ -535,7 +512,6 @@ pub fn worker_loop(
     let mut jobs = 1usize;
     let mut tracing = false;
     let mut plan: Option<FaultPlan> = None;
-    let mut cache: Option<RunCache> = None;
     // treu-lint: allow(wall-clock, reason = "trace timestamps are an unhashed sidecar")
     let epoch = Instant::now();
     while let Some(payload) = read_frame(&mut input)? {
@@ -546,30 +522,20 @@ pub fn worker_loop(
             )
         })?;
         match frame {
-            Frame::Hello { jobs: j, tracing: t, plan: p, cache_dir } => {
+            Frame::Hello { jobs: j, tracing: t, plan: p } => {
                 jobs = j.max(1);
                 tracing = t;
                 plan = p;
-                cache = cache_dir.and_then(|dir| RunCache::open(Path::new(&dir)).ok());
                 write_frame(&mut output, &Frame::Ready { pid: std::process::id() }.render())?;
             }
             Frame::Shard { shard, tasks } => {
-                let outputs = run_shard(
-                    reg,
-                    &tasks,
-                    plan.as_ref(),
-                    cache.as_ref(),
-                    tracing,
-                    jobs,
-                    epoch,
-                    |done| write_frame(&mut output, &Frame::Beat { shard, done }.render()),
-                )?;
+                let outputs =
+                    run_shard(reg, &tasks, plan.as_ref(), tracing, jobs, epoch, |done| {
+                        write_frame(&mut output, &Frame::Beat { shard, done }.render())
+                    })?;
                 write_frame(&mut output, &Frame::Done { shard, outputs }.render())?;
             }
             Frame::Shutdown => {
-                if let Some(cache) = cache.as_ref() {
-                    let _ = cache.write_stats_sidecar();
-                }
                 write_frame(&mut output, &Frame::Bye.render())?;
                 return Ok(());
             }
@@ -587,12 +553,10 @@ pub fn worker_loop(
 /// Execute a shard's tasks with `jobs` threads work-stealing off a shared
 /// claim counter; outputs are re-sorted by index so shard-internal
 /// scheduling never leaks into the merged stream.
-#[allow(clippy::too_many_arguments)]
 fn run_shard(
     reg: &ExperimentRegistry,
     tasks: &[TaskSpec],
     plan: Option<&FaultPlan>,
-    cache: Option<&RunCache>,
     tracing: bool,
     jobs: usize,
     epoch: Instant,
@@ -609,7 +573,7 @@ fn run_shard(
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::SeqCst);
                 let Some(t) = tasks.get(i) else { break };
-                if tx.send(execute_task(reg, t, plan, cache, tracing, epoch)).is_err() {
+                if tx.send(execute_task(reg, t, plan, None, tracing, epoch)).is_err() {
                     break;
                 }
             });
@@ -659,8 +623,6 @@ pub struct SvcConfig {
     pub kill_plan: Option<KillPlan>,
     /// Override the worker command line; empty means `current_exe worker`.
     pub worker_cmd: Vec<String>,
-    /// Cache directory workers should open (run batches set it).
-    pub cache_dir: Option<PathBuf>,
 }
 
 impl SvcConfig {
@@ -675,7 +637,6 @@ impl SvcConfig {
             hang_timeout: Duration::from_secs(60),
             kill_plan: None,
             worker_cmd: Vec::new(),
-            cache_dir: None,
         }
     }
 
@@ -826,8 +787,7 @@ impl WorkerPool {
         };
         let mut cmd = Command::new(&argv[0]);
         // env_clear pins the worker environment: determinism must not hinge
-        // on whatever the parent shell happened to export (Environment::
-        // capture reads no env vars, so the cache fingerprint still agrees).
+        // on whatever the parent shell happened to export.
         cmd.args(&argv[1..])
             .env_clear()
             .stdin(Stdio::piped())
@@ -839,9 +799,9 @@ impl WorkerPool {
     /// Run `tasks` across the pool. `tasks[i].index` must equal `i`.
     ///
     /// Results come back complete: any task orphaned by crashes beyond the
-    /// respawn budget is executed in-process (`degraded_cache` is the
-    /// coordinator-side cache used only for those), so this never aborts
-    /// short of an I/O failure in the coordinator itself.
+    /// respawn budget is executed in-process (`degraded_cache` is handed to
+    /// [`execute_task`] for those; batches pass `None`), so this never
+    /// aborts short of an I/O failure in the coordinator itself.
     // Indexing keeps `slots[w]` borrows short: the dispatch and hang loops
     // hand `&mut slots[w]` to `fail_incarnation` mid-iteration.
     #[allow(clippy::needless_range_loop)]
@@ -869,13 +829,9 @@ impl WorkerPool {
             .map(|(shard, chunk)| Frame::Shard { shard, tasks: chunk.to_vec() }.render())
             .collect();
         let mut queue: VecDeque<usize> = (0..shards.len()).collect();
-        let hello = Frame::Hello {
-            jobs: self.cfg.jobs,
-            tracing: self.cfg.tracing,
-            plan: plan.cloned(),
-            cache_dir: self.cfg.cache_dir.as_ref().map(|d| d.to_string_lossy().into_owned()),
-        }
-        .render();
+        let hello =
+            Frame::Hello { jobs: self.cfg.jobs, tracing: self.cfg.tracing, plan: plan.cloned() }
+                .render();
         let (tx, rx) = mpsc::channel::<Wire>();
         let nslots = self.cfg.workers.min(shards.len());
         let mut slots: Vec<Slot> = Vec::with_capacity(nslots);
@@ -1041,8 +997,8 @@ impl WorkerPool {
                 }
             }
         }
-        // Orderly shutdown: ask live workers to flush stats sidecars, then
-        // give them a bounded grace period before reaping by force.
+        // Orderly shutdown: ask live workers to exit, then give them a
+        // bounded grace period before reaping by force.
         for slot in slots.iter_mut() {
             if let Some(mut inc) = slot.live.take() {
                 let _ = write_frame(&mut inc.stdin, &Frame::Shutdown.render());
@@ -1200,6 +1156,7 @@ mod tests {
     use super::*;
     use crate::exec::Executor;
     use crate::experiment::{Experiment, RunContext};
+    use std::path::Path;
 
     fn render_shard(shard: usize, tasks: &[TaskSpec]) -> String {
         Frame::Shard { shard, tasks: tasks.to_vec() }.render()
@@ -1472,11 +1429,8 @@ mod tests {
     fn worker_loop_in_memory_matches_direct_execution() {
         let reg = small_registry();
         let mut inbox = Vec::new();
-        write_frame(
-            &mut inbox,
-            &Frame::Hello { jobs: 2, tracing: true, plan: None, cache_dir: None }.render(),
-        )
-        .unwrap();
+        write_frame(&mut inbox, &Frame::Hello { jobs: 2, tracing: true, plan: None }.render())
+            .unwrap();
         let tasks: Vec<TaskSpec> = ["alpha", "beta", "gamma"]
             .iter()
             .enumerate()

@@ -35,6 +35,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::cache::write_atomic;
 use crate::codec::{self, Cursor, Esc, Token};
 use treu_math::parallel::SchedStats;
 
@@ -677,12 +678,13 @@ impl BatchTrace {
     }
 
     /// Writes the event stream and its timing sidecar under `dir`
-    /// (created if needed); returns the event-stream path.
+    /// (created if needed), each through [`write_atomic`], so a killed
+    /// writer never leaves a truncated stream at its own address; returns
+    /// the event-stream path.
     pub fn write(&self, dir: &Path) -> io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(self.file_name());
-        std::fs::write(&path, self.render_events())?;
-        std::fs::write(dir.join(self.times_file_name()), self.render_times())?;
+        let path = write_atomic(dir, &self.file_name(), &self.render_events())?;
+        write_atomic(dir, &self.times_file_name(), &self.render_times())?;
         Ok(path)
     }
 }

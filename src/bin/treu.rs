@@ -45,11 +45,12 @@
 //! sharded across N supervised `treu worker` subprocesses speaking a
 //! length-prefixed frame protocol over stdin/stdout. `--kill-plan SEED`
 //! arms a seeded chaos monkey that SIGKILLs workers mid-shard
-//! (`--kill-rate F` tunes it), `--respawn-budget N` bounds respawns per
-//! worker slot before the coordinator degrades gracefully to in-process
-//! execution, and `--shard-size N` overrides the auto shard size.
-//! Results, fingerprints and trace addresses are bitwise-identical at
-//! every topology and kill schedule.
+//! (`--kill-rate F` tunes it), and `--respawn-budget N` bounds respawns
+//! per worker slot before the coordinator degrades gracefully to
+//! in-process execution. Results, fingerprints and trace addresses are
+//! bitwise-identical at every topology and kill schedule. The coordinator
+//! does all cache traffic itself, so workers never open `--cache-dir`
+//! and a fully cached batch spawns none.
 //!
 //! Registry-wide `run` and `verify` also accept `--attest-dir DIR` (and
 //! `--attest-key FILE`): after the batch completes, the coordinator
@@ -356,7 +357,7 @@ fn main() {
              [--retries N] [--deadline-secs F] [--fault-seed S] \
              [--fault-rate F] [--fault-panic ID] [--deny none|warn|error] \
              [--workers N] [--kill-plan SEED] [--kill-rate F] \
-             [--respawn-budget N] [--shard-size N]",
+             [--respawn-budget N]",
         ),
     }
 }
@@ -873,16 +874,14 @@ struct SvcOpts {
     kill_seed: Option<u64>,
     kill_rate: Option<f64>,
     respawn_budget: Option<u32>,
-    shard_size: Option<usize>,
 }
 
 impl SvcOpts {
     /// Removes the sharded-service flags from `args`: `--workers N` routes
     /// run/verify/chaos/soak through the coordinator/worker service;
     /// `--kill-plan SEED` arms the seeded chaos-monkey that SIGKILLs
-    /// workers mid-shard, `--kill-rate F` tunes its aggression,
-    /// `--respawn-budget N` bounds respawns per slot before degradation,
-    /// and `--shard-size N` overrides the auto shard size.
+    /// workers mid-shard, `--kill-rate F` tunes its aggression, and
+    /// `--respawn-budget N` bounds respawns per slot before degradation.
     fn take(args: &mut Vec<String>) -> Option<Self> {
         let positive = "want a positive integer";
         let workers = take_parsed(args, "--workers", positive, |&w| w >= 1);
@@ -890,20 +889,13 @@ impl SvcOpts {
         let kill_rate =
             take_parsed(args, "--kill-rate", "want 0.0..=1.0", |r| (0.0..=1.0).contains(r));
         let respawn_budget = take_parsed(args, "--respawn-budget", "want an integer", |_| true);
-        let shard_size = take_parsed(args, "--shard-size", positive, |&s| s >= 1);
         let Some(workers) = workers else {
-            if kill_seed.is_some()
-                || kill_rate.is_some()
-                || respawn_budget.is_some()
-                || shard_size.is_some()
-            {
-                usage_err(
-                    "--kill-plan/--kill-rate/--respawn-budget/--shard-size require --workers N",
-                );
+            if kill_seed.is_some() || kill_rate.is_some() || respawn_budget.is_some() {
+                usage_err("--kill-plan/--kill-rate/--respawn-budget require --workers N");
             }
             return None;
         };
-        Some(SvcOpts { workers, kill_seed, kill_rate, respawn_budget, shard_size })
+        Some(SvcOpts { workers, kill_seed, kill_rate, respawn_budget })
     }
 
     /// The pool configuration these flags ask for. `jobs` is the
@@ -912,9 +904,6 @@ impl SvcOpts {
         let mut cfg = SvcConfig::new(self.workers).with_jobs(jobs).with_tracing(tracing);
         if let Some(n) = self.respawn_budget {
             cfg = cfg.with_respawn_budget(n);
-        }
-        if let Some(n) = self.shard_size {
-            cfg = cfg.with_shard_size(n);
         }
         if let Some(s) = self.kill_seed {
             let kp = match self.kill_rate {

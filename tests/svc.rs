@@ -7,12 +7,7 @@
 //! write the *same content-addressed trace file* as the fault-free
 //! in-process baseline.
 
-use std::io::{BufReader, Read as _};
-use std::process::{Command, Stdio};
-
-use treu::core::cache::{Lookup, RunCache};
-use treu::core::experiment::Params;
-use treu::core::svc::{read_frame, write_frame, Frame, TaskSpec};
+use std::process::Command;
 
 fn treu(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_treu")).args(args).output().expect("binary runs")
@@ -38,42 +33,78 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The `cache:` line of a batch's output, without its directory suffix.
+fn cache_line(stdout: &str) -> &str {
+    let line = stdout.lines().find(|l| l.starts_with("cache: ")).unwrap_or_else(|| {
+        panic!("missing cache stats line:\n{stdout}");
+    });
+    line.rsplit_once(" (").map_or(line, |(counts, _)| counts)
+}
+
 #[test]
 fn sharded_verify_writes_the_in_process_trace_bit_for_bit() {
     // Both batch modes go through one pipeline, so `run` traces are as
-    // topology-invariant as `verify` traces.
+    // topology-invariant as `verify` traces. With a cache, the coordinator
+    // does every lookup and store: a sharded batch whose workers are
+    // killed counts the same cache traffic as the in-process one, and its
+    // warm rerun spawns no worker.
+    let cold = "cache: 0 hit(s), 21 miss(es), 0 invalidation(s), 0 corrupt (self-healed), \
+                21 store(s) over 21 lookup(s)";
+    let warm = "cache: 21 hit(s), 0 miss(es), 0 invalidation(s), 0 corrupt (self-healed), \
+                0 store(s) over 21 lookup(s)";
+    let inputs: [(&str, &[&str], bool); 2] = [
+        ("w2", &["--workers", "2"], false),
+        ("kill", &["--workers", "3", "--kill-plan", "41"], true),
+    ];
     for cmd in ["verify", "run"] {
-        let base = temp_dir(&format!("{cmd}-base"));
-        let svc = temp_dir(&format!("{cmd}-svc"));
+        for (tag, topology, cached) in inputs {
+            let base = temp_dir(&format!("{cmd}-{tag}-base"));
+            let svc = temp_dir(&format!("{cmd}-{tag}-svc"));
+            let batch = |dir: &std::path::Path, flags: &[&str]| -> String {
+                let trace = dir.join("trace");
+                let cache = dir.join("cache");
+                let mut args =
+                    vec![cmd, "--conformance", "--trace-out", trace.to_str().expect("utf8 path")];
+                if cached {
+                    args.extend(["--cache-dir", cache.to_str().expect("utf8 path")]);
+                }
+                args.extend(flags);
+                let out = treu(&args);
+                assert!(
+                    out.status.success(),
+                    "{args:?} failed: {}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
+                String::from_utf8(out.stdout).expect("utf8")
+            };
 
-        let a = treu(&[cmd, "--conformance", "--trace-out", base.to_str().expect("utf8 path")]);
-        assert!(
-            a.status.success(),
-            "baseline {cmd} failed: {}",
-            String::from_utf8_lossy(&a.stderr)
-        );
+            let a = batch(&base, &[]);
+            let b = batch(&svc, topology);
+            let workers = format!("svc: workers={} ", topology[1]);
+            assert!(b.contains(&workers), "missing svc stats line:\n{b}");
 
-        let b = treu(&[
-            cmd,
-            "--workers",
-            "2",
-            "--conformance",
-            "--trace-out",
-            svc.to_str().expect("utf8 path"),
-        ]);
-        assert!(b.status.success(), "sharded {cmd} failed: {}", String::from_utf8_lossy(&b.stderr));
-        let stdout = String::from_utf8(b.stdout).expect("utf8");
-        assert!(stdout.contains("svc: workers=2"), "missing svc stats line:\n{stdout}");
+            // Content-addressed file names: equal names ⇒ equal bytes.
+            let base_name = trace_file_name(&base.join("trace"));
+            let svc_name = trace_file_name(&svc.join("trace"));
+            assert_eq!(base_name, svc_name, "sharded {cmd} ({tag}) trace diverged from baseline");
+            let ab = std::fs::read(base.join("trace").join(&base_name)).expect("baseline trace");
+            let bb = std::fs::read(svc.join("trace").join(&base_name)).expect("sharded trace");
+            assert_eq!(ab, bb, "same name but different bytes — content addressing is broken");
 
-        // Content-addressed file names: equal names ⇒ equal bytes.
-        let base_name = trace_file_name(&base);
-        assert_eq!(base_name, trace_file_name(&svc), "sharded {cmd} trace diverged from baseline");
-        let ab = std::fs::read(base.join(&base_name)).expect("baseline trace");
-        let bb = std::fs::read(svc.join(&base_name)).expect("sharded trace");
-        assert_eq!(ab, bb, "same name but different bytes — content addressing is broken");
+            if cached {
+                assert_eq!(cache_line(&a), cold, "in-process {cmd} cache counts");
+                assert_eq!(cache_line(&b), cold, "sharded {cmd} ({tag}) cache counts");
+                let again = batch(&svc, topology);
+                assert_eq!(cache_line(&again), warm, "warm sharded {cmd} cache counts");
+                assert!(
+                    again.contains(&format!("{workers}spawned=0 ")),
+                    "a fully cached {cmd} must spawn no worker:\n{again}"
+                );
+            }
 
-        let _ = std::fs::remove_dir_all(&base);
-        let _ = std::fs::remove_dir_all(&svc);
+            let _ = std::fs::remove_dir_all(&base);
+            let _ = std::fs::remove_dir_all(&svc);
+        }
     }
 }
 
@@ -140,84 +171,4 @@ fn respawn_budget_exhaustion_degrades_but_still_converges() {
 
     let _ = std::fs::remove_dir_all(&base);
     let _ = std::fs::remove_dir_all(&deg);
-}
-
-/// Satellite drill: SIGKILL a worker while it may be mid-store and prove
-/// the shared cache shrugs — no torn entry is ever visible, the killed
-/// writer's orphaned `.tmp` spool is swept on the next open, and the
-/// stats snapshot invariant holds throughout.
-#[test]
-fn killed_worker_never_leaves_a_torn_cache_entry() {
-    let dir = temp_dir("kill");
-
-    // Spawn a real worker over the wire protocol. `env_clear` mirrors the
-    // coordinator's own scrub: the child sees no ambient environment.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_treu"))
-        .arg("worker")
-        .env_clear()
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("worker spawns");
-    let mut stdin = child.stdin.take().expect("worker stdin");
-    let mut stdout = BufReader::new(child.stdout.take().expect("worker stdout"));
-
-    let hello = Frame::Hello {
-        jobs: 1,
-        tracing: false,
-        plan: None,
-        cache_dir: Some(dir.to_str().expect("utf8 path").to_string()),
-    };
-    write_frame(&mut stdin, &hello.render()).expect("hello");
-    let ready = read_frame(&mut stdout).expect("io").expect("ready frame");
-    assert!(ready.contains("\"msg\":\"ready\""), "unexpected frame: {ready}");
-
-    // One cache-enabled task, then SIGKILL while the store may be in
-    // flight. The exact interleaving doesn't matter: the invariant is
-    // that *no* interleaving can tear an entry.
-    let task = TaskSpec {
-        index: 0,
-        id: "T1".to_string(),
-        seed: 7,
-        replica: 0,
-        params: Params::new(),
-        retries: 0,
-        deadline_us: 0,
-        cache: true,
-    };
-    write_frame(&mut stdin, &Frame::Shard { shard: 0, tasks: vec![task] }.render()).expect("shard");
-    std::thread::sleep(std::time::Duration::from_millis(15));
-    child.kill().expect("SIGKILL");
-    child.wait().expect("reaped");
-    // Drain whatever the worker managed to flush before dying.
-    let mut rest = Vec::new();
-    let _ = stdout.read_to_end(&mut rest);
-
-    // Plant an orphan spool under a provably dead pid alongside whatever
-    // the killed worker left behind.
-    let planted = dir.join("deadbeefdeadbeef.run.4294967294.1.tmp");
-    std::fs::write(&planted, b"torn half-write").expect("plant orphan tmp");
-
-    // Next open sweeps every orphan: the planted one and any spool the
-    // killed worker abandoned (its pid is dead too).
-    let cache = RunCache::open(&dir).expect("reopen");
-    assert!(!planted.exists(), "planted orphan tmp survived the sweep");
-    let leftovers: Vec<String> = std::fs::read_dir(&dir)
-        .expect("cache dir readable")
-        .filter_map(|e| e.ok())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.ends_with(".tmp"))
-        .collect();
-    assert!(leftovers.is_empty(), "orphaned spools survived the sweep: {leftovers:?}");
-
-    // The entry is either wholly present or wholly absent — never torn.
-    let looked = cache.lookup_classified("T1", 7, &Params::new());
-    assert!(
-        !matches!(looked, Lookup::Corrupt),
-        "killed writer left a torn entry visible as Corrupt"
-    );
-    assert!(cache.stats().consistent(), "stats snapshot invariant broken after crash recovery");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
