@@ -10,7 +10,7 @@ use treu_histo::experiment::HistoExperiment;
 use treu_histo::model::{ModelConfig, MultiTaskModel};
 use treu_histo::PatchDataset;
 use treu_math::rng::SplitMix64;
-use treu_nn::layer::Layer;
+use treu_nn::layer::Trainable;
 
 fn print_reproduction() {
     let rec = run_once(&HistoExperiment, 2023, Params::new());
@@ -58,7 +58,7 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("histopathology/device_model", |b| {
         let m = MultiTaskModel::new(ModelConfig::default(), 0);
-        let fps = flops_per_sample(Layer::param_count(&m));
+        let fps = flops_per_sample(Trainable::param_count(&m));
         b.iter(|| {
             black_box(Device::gpu().speedup_over(&Device::cpu(), black_box(fps), 10_000, 128))
         })

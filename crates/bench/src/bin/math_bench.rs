@@ -38,6 +38,7 @@ use treu_autotune::ScheduleBook;
 use treu_math::rng::{derive_seed, SplitMix64};
 use treu_math::Matrix;
 use treu_nn::conv2d::Conv2d;
+use treu_nn::layer::Layer;
 
 /// Minimum tuned over ijk-naive speedup `--enforce` accepts on the large
 /// square class.
@@ -83,7 +84,7 @@ fn parse_args() -> Result<Config, String> {
 /// Times `f` `repeats` times and keeps the minimum — the standard
 /// estimator for the noise-free cost — returning the last output so the
 /// caller can bitwise-compare results across kernel variants.
-fn time_min<T>(repeats: usize, f: impl Fn() -> T) -> (f64, T) {
+fn time_min<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
     let mut last = None;
     for _ in 0..repeats {
@@ -175,13 +176,16 @@ struct ConvResult {
 fn bench_conv(quick: bool, seed: u64, repeats: usize) -> ConvResult {
     let (batch, cin, cout, kernel, h, w) =
         if quick { (8, 3, 8, 3, 32, 32) } else { (16, 3, 16, 3, 48, 48) };
-    let conv = Conv2d::new(cin, cout, kernel, h, w, derive_seed(seed, "math_bench.conv"));
+    let mut conv = Conv2d::new(cin, cout, kernel, h, w, derive_seed(seed, "math_bench.conv"));
     let mut rng = SplitMix64::new(derive_seed(seed, "math_bench.conv.x"));
     let x = Matrix::from_fn(batch, cin * h * w, |_, _| rng.next_gaussian());
 
     let (naive_secs, reference) = time_min(repeats, || conv.forward_naive(&x));
-    let (packed_secs, packed_out) = time_min(repeats, || conv.forward_ref(&x));
-    assert_bitwise(&reference, &packed_out, "conv packed");
+    // The packed path is the layer's forward, which writes its own buffer.
+    let (packed_secs, ()) = time_min(repeats, || {
+        conv.forward(&x, false);
+    });
+    assert_bitwise(&reference, conv.forward(&x, false), "conv packed");
 
     let (oh, ow) = (h - kernel + 1, w - kernel + 1);
     let flops = batch as f64 * (cout * oh * ow) as f64 * 2.0 * (cin * kernel * kernel) as f64;

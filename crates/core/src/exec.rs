@@ -891,10 +891,13 @@ impl ExecReport {
 
     /// Measured speedup: sequential cost over measured batch wall time.
     /// 1.0 (not 0 or NaN) when there is nothing to account — an empty
-    /// batch or one where every run was quarantined.
+    /// batch, one where every run was quarantined, or one served entirely
+    /// from the cache (its runs' costs are their original computations',
+    /// not this batch's, so dividing them by its wall time measures
+    /// nothing).
     pub fn speedup(&self) -> f64 {
         let total = self.total_seconds();
-        if self.runs.is_empty() || total <= 0.0 {
+        if self.runs.is_empty() || total <= 0.0 || self.all_cached() {
             return 1.0;
         }
         total / self.wall_seconds.max(1e-12)
@@ -908,9 +911,13 @@ impl ExecReport {
     /// wall time, at the spawned worker count — so scheduler idle time
     /// (imbalance) shows up as serial fraction instead of hiding inside
     /// batch wall time. Without worker stats it falls back to the
-    /// per-run-sum estimate. With one effective lane there is no
-    /// parallelism to attribute, so 1.0.
+    /// per-run-sum estimate. With one effective lane, or a batch served
+    /// entirely from the cache, there is no parallelism to attribute, so
+    /// 1.0.
     pub fn serial_fraction(&self) -> f64 {
+        if self.all_cached() {
+            return 1.0;
+        }
         let lanes = self.trace.workers.len();
         let (s, t) = if lanes >= 2 {
             (self.total_busy_seconds() / self.wall_seconds.max(1e-12), lanes as f64)
@@ -984,6 +991,10 @@ impl ExecReport {
         }
         if self.counters.events > 0 {
             out.push_str(&self.counters.render_line());
+        }
+        if self.all_cached() {
+            out.push_str("  speedup — (all cached)\n");
+            return out;
         }
         out.push_str(&format!(
             "  speedup {:.2}x (implied Amdahl serial fraction {:.3}{}; projected {:.2}x at {} threads)\n",
@@ -1447,6 +1458,36 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("— (all cached)"), "{rendered}");
         assert!(!rendered.contains("utilization 1"), "{rendered}");
+    }
+
+    #[test]
+    fn fully_cached_batch_reports_no_speedup() {
+        // The runs' 5s of original compute against this batch's 1ms wall
+        // once rendered as "speedup 5000.00x"; a batch that computed
+        // nothing has no speedup to report, with or without worker stats.
+        let runs = [("a".to_string(), 2.0), ("b".to_string(), 3.0)];
+        let sched = SchedStats {
+            workers: 2,
+            chunk: 1,
+            busy_seconds: vec![0.0004, 0.0003],
+            chunks_claimed: vec![1, 1],
+            items: vec![1, 1],
+        };
+        for report in [
+            ExecReport::from_labelled(2, runs.clone(), 0.001).with_cached(2),
+            ExecReport::from_labelled(2, runs.clone(), 0.001).with_workers(&sched).with_cached(2),
+        ] {
+            assert_eq!(report.speedup(), 1.0);
+            assert_eq!(report.serial_fraction(), 1.0);
+            let rendered = report.render();
+            assert!(rendered.contains("  speedup — (all cached)\n"), "{rendered}");
+            assert!(!rendered.contains("speedup 5000"), "{rendered}");
+            assert!(!rendered.contains("Amdahl"), "{rendered}");
+        }
+        // One recomputed run is enough for the measured line to return.
+        let partial = ExecReport::from_labelled(2, runs, 2.5).with_cached(1);
+        assert_eq!(partial.speedup(), 2.0);
+        assert!(partial.render().contains("speedup 2.00x"));
     }
 
     struct AlwaysPanics;

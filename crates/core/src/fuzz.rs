@@ -213,7 +213,7 @@ impl Gen {
     }
 
     fn frame(&mut self) -> Frame {
-        match self.below(7) {
+        match self.below(5) {
             0 => Frame::Hello {
                 jobs: self.u64() as usize,
                 tracing: self.coin(),
@@ -236,7 +236,7 @@ impl Gen {
                     .collect(),
             },
             3 => Frame::Beat { shard: self.below(100), done: self.u64() as usize },
-            4 => Frame::Done {
+            _ => Frame::Done {
                 shard: self.below(100),
                 outputs: (0..self.below(3))
                     .map(|index| TaskOutput {
@@ -256,8 +256,6 @@ impl Gen {
                     })
                     .collect(),
             },
-            5 => Frame::Shutdown,
-            _ => Frame::Bye,
         }
     }
 }

@@ -50,7 +50,7 @@ use crate::registry::ExperimentRegistry;
 use crate::trace::{RunTrace, TraceEvent};
 
 /// Wire protocol version spoken between coordinator and worker.
-pub const PROTO_VERSION: u32 = 3;
+pub const PROTO_VERSION: u32 = 4;
 
 /// How often an in-flight shard emits a keepalive beat when no task has
 /// completed — a fraction of any sane hang timeout, so slow-but-alive
@@ -179,10 +179,6 @@ pub enum Frame {
         /// One output per task, in index order.
         outputs: Vec<TaskOutput>,
     },
-    /// Coordinator → worker: exit.
-    Shutdown,
-    /// Worker → coordinator: exiting.
-    Bye,
 }
 
 impl Frame {
@@ -259,8 +255,6 @@ impl Frame {
                     }
                 }
             }
-            Frame::Shutdown => out.push_str("{\"msg\":\"shutdown\"}\n"),
-            Frame::Bye => out.push_str("{\"msg\":\"bye\"}\n"),
         }
         out
     }
@@ -374,8 +368,6 @@ impl Frame {
                 }
                 Frame::Done { shard, outputs }
             }
-            "shutdown" => Frame::Shutdown,
-            "bye" => Frame::Bye,
             other => return Err(codec::Error::new(at, format!("unknown frame {other:?}"))),
         };
         codec::canonical(payload, &frame.render())?;
@@ -534,10 +526,6 @@ pub fn worker_loop(
                         write_frame(&mut output, &Frame::Beat { shard, done }.render())
                     })?;
                 write_frame(&mut output, &Frame::Done { shard, outputs }.render())?;
-            }
-            Frame::Shutdown => {
-                write_frame(&mut output, &Frame::Bye.render())?;
-                return Ok(());
             }
             _ => {
                 return Err(io::Error::new(
@@ -997,11 +985,11 @@ impl WorkerPool {
                 }
             }
         }
-        // Orderly shutdown: ask live workers to exit, then give them a
+        // Orderly shutdown: closing a live worker's stdin ends its frame
+        // stream, and a worker exits at the end of its stream; give it a
         // bounded grace period before reaping by force.
         for slot in slots.iter_mut() {
             if let Some(mut inc) = slot.live.take() {
-                let _ = write_frame(&mut inc.stdin, &Frame::Shutdown.render());
                 drop(inc.stdin);
                 // treu-lint: allow(wall-clock, reason = "shutdown grace period")
                 let patience = Instant::now();
@@ -1188,8 +1176,6 @@ mod tests {
             Frame::Shard { .. } => "shard",
             Frame::Beat { .. } => "beat",
             Frame::Done { .. } => "done",
-            Frame::Shutdown => "shutdown",
-            Frame::Bye => "bye",
         })
     }
 
@@ -1399,6 +1385,9 @@ mod tests {
             shard.replace("\"cache\":true}", "\"cache\":true,\"extra\":1}"),
             shard.replace("\"id\":\"T1\"", "\"id\":\"T\\u00zz1\""),
             "{\"msg\":\"shard\",\"shard\":1,\"shard\":2}\n".to_string(),
+            // v3's exit handshake is gone: a closed stdin ends a worker.
+            "{\"msg\":\"shutdown\"}\n".to_string(),
+            "{\"msg\":\"bye\"}\n".to_string(),
         ] {
             assert!(Frame::parse(&bad).is_err(), "{bad}");
         }
@@ -1446,24 +1435,23 @@ mod tests {
             })
             .collect();
         write_frame(&mut inbox, &render_shard(0, &tasks)).unwrap();
-        write_frame(&mut inbox, &Frame::Shutdown.render()).unwrap();
+        // The inbox ends after the shard, as a coordinator's closed stdin
+        // does: the worker must treat that end as its exit and return Ok.
         let mut outbox = Vec::new();
-        worker_loop(&reg, io::BufReader::new(&inbox[..]), &mut outbox).unwrap();
+        worker_loop(&reg, io::BufReader::new(&inbox[..]), &mut outbox)
+            .expect("a worker exits cleanly at the end of its frame stream");
         let mut r = io::BufReader::new(&outbox[..]);
         let ready = read_frame(&mut r).unwrap().expect("ready frame");
         assert_eq!(msg(&ready), Some("ready"));
         let mut done = None;
         let mut beats = 0;
-        let mut bye = false;
         while let Some(frame) = read_frame(&mut r).unwrap() {
             match msg(&frame) {
                 Some("beat") => beats += 1,
                 Some("done") => done = Some(frame),
-                Some("bye") => bye = true,
                 other => panic!("unexpected frame {other:?}"),
             }
         }
-        assert!(bye, "worker acknowledges shutdown");
         assert_eq!(beats, 3, "one heartbeat per completed task");
         let (shard, outputs) = parse_done(&done.expect("done frame")).expect("parses");
         assert_eq!(shard, 0);

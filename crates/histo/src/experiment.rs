@@ -12,7 +12,7 @@ use crate::synth::PatchDataset;
 use treu_core::experiment::{Experiment, Params, RunContext};
 use treu_core::ExperimentRegistry;
 use treu_math::rng::{derive_seed, SplitMix64};
-use treu_nn::layer::Layer;
+use treu_nn::layer::Trainable;
 
 /// E2.7: all four studies in one harnessed run.
 pub struct HistoExperiment;
@@ -31,19 +31,26 @@ impl Experiment for HistoExperiment {
         let val = PatchDataset::generate(n_val, &mut rng);
         let base = ModelConfig { epochs, ..ModelConfig::default() };
 
+        // Each study's models are dropped as soon as they are evaluated: a
+        // model keeps its layers' buffers for as long as it lives.
         // Headline: multi-task vs single-task counting.
-        let mut multi = MultiTaskModel::new(base, derive_seed(ctx.seed(), "multi"));
-        multi.train(&train, true, true, derive_seed(ctx.seed(), "multi.t"));
-        let mq = multi.evaluate(&val);
+        let (mq, multi_params) = {
+            let mut multi = MultiTaskModel::new(base, derive_seed(ctx.seed(), "multi"));
+            multi.train(&train, true, true, derive_seed(ctx.seed(), "multi.t"));
+            (multi.evaluate(&val), multi.param_count())
+        };
         ctx.record("multitask_seg_iou", mq.seg_iou);
         ctx.record("multitask_count_mae", mq.count_mae);
 
-        let mut single = MultiTaskModel::new(base, derive_seed(ctx.seed(), "single"));
-        single.train(&train, false, true, derive_seed(ctx.seed(), "single.t"));
-        ctx.record("singletask_count_mae", single.evaluate(&val).count_mae);
+        let single_q = {
+            let mut single = MultiTaskModel::new(base, derive_seed(ctx.seed(), "single"));
+            single.train(&train, false, true, derive_seed(ctx.seed(), "single.t"));
+            single.evaluate(&val)
+        };
+        ctx.record("singletask_count_mae", single_q.count_mae);
 
         // (a) Device model: epoch time CPU vs GPU for this model.
-        let fps = flops_per_sample(Layer::param_count(&multi));
+        let fps = flops_per_sample(multi_params);
         let cpu = Device::cpu().epoch_seconds(fps, n_train, base.batch);
         let gpu = Device::gpu().epoch_seconds(fps, n_train, base.batch);
         ctx.record("cpu_epoch_seconds", cpu);
@@ -71,32 +78,40 @@ impl Experiment for HistoExperiment {
 
         // (c) Augmentation on a small training subset.
         let small = train.take(n_train / 6);
-        let mut plain = MultiTaskModel::new(base, derive_seed(ctx.seed(), "aug.plain"));
-        plain.train(&small, true, true, derive_seed(ctx.seed(), "aug.plain.t"));
-        let pq = plain.evaluate(&val);
-        let mut arng = SplitMix64::new(derive_seed(ctx.seed(), "aug.rng"));
-        let augmented = augment_dataset(&small, 5, &mut arng);
-        let mut aug = MultiTaskModel::new(base, derive_seed(ctx.seed(), "aug.aug"));
-        aug.train(&augmented, true, true, derive_seed(ctx.seed(), "aug.aug.t"));
-        let aq = aug.evaluate(&val);
+        let pq = {
+            let mut plain = MultiTaskModel::new(base, derive_seed(ctx.seed(), "aug.plain"));
+            plain.train(&small, true, true, derive_seed(ctx.seed(), "aug.plain.t"));
+            plain.evaluate(&val)
+        };
+        let aq = {
+            let mut arng = SplitMix64::new(derive_seed(ctx.seed(), "aug.rng"));
+            let augmented = augment_dataset(&small, 5, &mut arng);
+            let mut aug = MultiTaskModel::new(base, derive_seed(ctx.seed(), "aug.aug"));
+            aug.train(&augmented, true, true, derive_seed(ctx.seed(), "aug.aug.t"));
+            aug.evaluate(&val)
+        };
         ctx.record("small_plain_seg_iou", pq.seg_iou);
         ctx.record("small_augmented_seg_iou", aq.seg_iou);
 
         // (d) Fine-tuning: pretrain a trunk on plentiful seg-only data,
         // transplant, fine-tune briefly on the small set; compare to
         // scratch at the same (short) budget.
-        let mut pre_rng = SplitMix64::new(derive_seed(ctx.seed(), "pretrain.data"));
-        let pretrain_data = PatchDataset::generate(2 * n_train, &mut pre_rng);
-        let mut pretrained = MultiTaskModel::new(base, derive_seed(ctx.seed(), "pre"));
-        pretrained.train(&pretrain_data, true, false, derive_seed(ctx.seed(), "pre.t"));
         let short = ModelConfig { epochs: epochs / 4, ..base };
-        let mut finetuned = MultiTaskModel::new(short, derive_seed(ctx.seed(), "ft"));
-        finetuned.load_trunk_from(&pretrained);
-        finetuned.train(&small, true, true, derive_seed(ctx.seed(), "ft.t"));
-        let fq = finetuned.evaluate(&val);
-        let mut scratch = MultiTaskModel::new(short, derive_seed(ctx.seed(), "scratch"));
-        scratch.train(&small, true, true, derive_seed(ctx.seed(), "scratch.t"));
-        let sq = scratch.evaluate(&val);
+        let fq = {
+            let mut pre_rng = SplitMix64::new(derive_seed(ctx.seed(), "pretrain.data"));
+            let pretrain_data = PatchDataset::generate(2 * n_train, &mut pre_rng);
+            let mut pretrained = MultiTaskModel::new(base, derive_seed(ctx.seed(), "pre"));
+            pretrained.train(&pretrain_data, true, false, derive_seed(ctx.seed(), "pre.t"));
+            let mut finetuned = MultiTaskModel::new(short, derive_seed(ctx.seed(), "ft"));
+            finetuned.load_trunk_from(&pretrained);
+            finetuned.train(&small, true, true, derive_seed(ctx.seed(), "ft.t"));
+            finetuned.evaluate(&val)
+        };
+        let sq = {
+            let mut scratch = MultiTaskModel::new(short, derive_seed(ctx.seed(), "scratch"));
+            scratch.train(&small, true, true, derive_seed(ctx.seed(), "scratch.t"));
+            scratch.evaluate(&val)
+        };
         ctx.record("finetune_seg_iou", fq.seg_iou);
         ctx.record("scratch_seg_iou", sq.seg_iou);
     }

@@ -4,7 +4,7 @@ use crate::synth::{mask_iou, PatchDataset, PATCH_PIXELS};
 use treu_math::rng::{derive_seed, SplitMix64};
 use treu_math::Matrix;
 use treu_nn::dense::Dense;
-use treu_nn::layer::{Layer, Relu, Sigmoid};
+use treu_nn::layer::{Layer, Relu, Sigmoid, Trainable};
 use treu_nn::optimizer::{Adam, Optimizer};
 
 /// Relative weights of the two task losses.
@@ -82,12 +82,13 @@ impl MultiTaskModel {
         *self.trunk.weights_mut() = other.trunk.weights().clone();
     }
 
-    /// Forward pass on a batch: returns `(seg probs, counts)`.
-    fn forward(&mut self, x: &Matrix, train: bool) -> (Matrix, Matrix) {
+    /// Forward pass on a batch: returns `(seg probs, counts)`, each from
+    /// its head's own buffer.
+    fn forward(&mut self, x: &Matrix, train: bool) -> (&Matrix, &Matrix) {
         let h = self.trunk.forward(x, train);
-        let h = self.trunk_act.forward(&h, train);
-        let seg = self.seg_act.forward(&self.seg_head.forward(&h, train), train);
-        let count = self.count_head.forward(&h, train);
+        let h = self.trunk_act.forward(h, train);
+        let seg = self.seg_act.forward(self.seg_head.forward(h, train), train);
+        let count = self.count_head.forward(h, train);
         (seg, count)
     }
 
@@ -101,8 +102,8 @@ impl MultiTaskModel {
         train_count: bool,
     ) -> f64 {
         let n = x.rows().max(1) as f64;
-        let (seg, count) = self.forward(x, true);
         let w = self.cfg.weights;
+        let (seg, count) = self.forward(x, true);
         // Per-task gradients.
         let mut seg_grad = Matrix::zeros(seg.rows(), seg.cols());
         let mut loss = 0.0;
@@ -122,11 +123,11 @@ impl MultiTaskModel {
             }
         }
         // Backward through both heads into the shared trunk.
-        let g_seg = self.seg_head.backward(&self.seg_act.backward(&seg_grad));
+        let g_seg = self.seg_head.backward(self.seg_act.backward(&seg_grad));
         let g_count = self.count_head.backward(&count_grad);
-        let g_h = g_seg.add(&g_count);
+        let g_h = g_seg.add(g_count);
         let g_h = self.trunk_act.backward(&g_h);
-        self.trunk.backward(&g_h);
+        self.trunk.backward(g_h);
         let mut opt = std::mem::replace(&mut self.opt, Adam::new(0.0));
         opt.step(self);
         self.opt = opt;
@@ -169,15 +170,9 @@ impl MultiTaskModel {
     }
 }
 
-impl Layer for MultiTaskModel {
-    fn forward(&mut self, _input: &Matrix, _train: bool) -> Matrix {
-        panic!("MultiTaskModel: use train/evaluate");
-    }
-
-    fn backward(&mut self, _grad: &Matrix) -> Matrix {
-        panic!("MultiTaskModel: use train/evaluate");
-    }
-
+/// Two heads, so not a [`Layer`]: use `train`/`evaluate`. Its parameters
+/// are what the optimizer steps.
+impl Trainable for MultiTaskModel {
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         self.trunk.for_each_param(f);
         self.seg_head.for_each_param(f);

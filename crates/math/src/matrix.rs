@@ -11,6 +11,12 @@
 //! parallelism comes from running whole experiments on executor jobs, not
 //! from splitting one product.
 //!
+//! The default-plan products also come as `*_into` kernels
+//! (`matmul_into`, `matmul_tn_into`, `matmul_nt_into`) that write into a
+//! caller-owned matrix, reshaping it and reusing its buffer; the owned
+//! forms are wrappers over them. A training loop that keeps its outputs
+//! (as `treu-nn` layers do) multiplies without touching the heap.
+//!
 //! # The ascending-k rule
 //!
 //! Every multiplication path computes each output element as **one
@@ -30,12 +36,27 @@ use crate::vector;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// A dense row-major matrix of `f64`.
-#[derive(Clone, PartialEq)]
+/// A dense row-major matrix of `f64`. The default is the empty `0 x 0`
+/// matrix, which holds no allocation.
+#[derive(PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Self { rows: self.rows, cols: self.cols, data: self.data.clone() }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s buffer when it is
+    /// large enough (the derived form would allocate a fresh one).
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl fmt::Debug for Matrix {
@@ -101,6 +122,16 @@ impl Matrix {
             }
         }
         Self { rows, cols, data }
+    }
+
+    /// Reshapes `self` to `rows x cols` and sets every element to `+0.0`,
+    /// reusing the buffer's capacity: the in-place equivalent of
+    /// `*self = Matrix::zeros(rows, cols)`.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Number of rows.
@@ -208,9 +239,22 @@ impl Matrix {
     ///
     /// Panics if inner dimensions disagree.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul`] into `out`, which is reshaped to
+    /// `self.rows() x other.cols()` and overwritten; its buffer is reused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if inner dimensions disagree.
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul: dimension mismatch");
         let plan = GemmPlan::default_for(ShapeClass::of(self.rows, self.cols, other.cols));
-        self.matmul_with_plan(other, &plan)
+        out.reset(self.rows, other.cols);
+        Self::mul_into(self, other, &mut out.data, &plan);
     }
 
     /// Multiplication under an explicit [`GemmPlan`] — the entry point the
@@ -239,36 +283,60 @@ impl Matrix {
     ///
     /// Panics if the shared `k` extents disagree (`self.rows != other.rows`).
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_tn_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_tn`] into `out`, which is reshaped to
+    /// `self.cols() x other.cols()` and overwritten; its buffer is reused.
+    /// It is [`Matrix::add_matmul_tn`] onto zeros: a chain from `+0.0` is
+    /// never `-0.0`, so adding it to `+0.0` returns it unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shared `k` extents disagree (`self.rows != other.rows`).
+    pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_tn: dimension mismatch");
-        let (kdim, m, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        if out.data.is_empty() || kdim == 0 {
-            return out;
-        }
-        let plan = GemmPlan::default_for(ShapeClass::of(m, kdim, n)).clamped(m, kdim, n);
-        let mut bpack = Vec::new();
-        // A's logical row i is the stored column i: gather it per KC panel
-        // into a contiguous buffer so the same ascending-k microkernel runs.
-        let mut apack = vec![0.0; plan.kc];
-        for jc in (0..n).step_by(plan.nc) {
-            let ncur = plan.nc.min(n - jc);
-            let bstrip = b_strip(&other.data, n, kdim, jc, ncur, &mut bpack);
-            for ic in (0..m).step_by(plan.mc) {
-                let iend = (ic + plan.mc).min(m);
-                for pc in (0..kdim).step_by(plan.kc) {
-                    let kcur = plan.kc.min(kdim - pc);
-                    let bpanel = &bstrip[pc * ncur..(pc + kcur) * ncur];
-                    for i in ic..iend {
-                        for kk in 0..kcur {
-                            apack[kk] = self.data[(pc + kk) * m + i];
-                        }
-                        let crow = &mut out.data[i * n + jc..i * n + jc + ncur];
-                        microkernel_row(&apack[..kcur], bpanel, crow, ncur, plan.nr);
+        out.reset(self.cols, other.cols);
+        out.add_matmul_tn(self, other);
+    }
+
+    /// `self += aᵀ · b` without a product-sized buffer: each product
+    /// element is its own ascending-k chain from `+0.0`, added to `self`
+    /// once, so the result is bitwise `self.add_in_place(&a.matmul_tn(b))`.
+    /// This is a weight-gradient accumulation, `grad_w += xᵀg`, whose
+    /// product would otherwise need scratch as large as the weights. A's
+    /// logical row `i` is its stored column `i`, read in place; the
+    /// chains of one output row run in a stack strip of at most 96
+    /// columns, each advanced by one row of B per `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.rows() != b.rows()` or `self` is not
+    /// `a.cols() x b.cols()`.
+    pub fn add_matmul_tn(&mut self, a: &Matrix, b: &Matrix) {
+        assert_eq!(a.rows, b.rows, "add_matmul_tn: dimension mismatch");
+        assert_eq!(self.shape(), (a.cols, b.cols), "add_matmul_tn: shape mismatch");
+        let (kdim, m, n) = (a.rows, a.cols, b.cols);
+        let mut strip = [0.0f64; TN_STRIP];
+        for i in 0..m {
+            for jc in (0..n).step_by(TN_STRIP) {
+                let chains = &mut strip[..TN_STRIP.min(n - jc)];
+                chains.fill(0.0);
+                for k in 0..kdim {
+                    let av = a.data[k * m + i];
+                    let brow = &b.data[k * n + jc..k * n + jc + chains.len()];
+                    for (c, bv) in chains.iter_mut().zip(brow) {
+                        *c += av * bv;
                     }
+                }
+                let orow = &mut self.data[i * n + jc..i * n + jc + chains.len()];
+                for (o, c) in orow.iter_mut().zip(chains.iter()) {
+                    *o += c;
                 }
             }
         }
-        out
     }
 
     /// Transpose-free `self · otherᵀ`: `other` is stored `n×k`, so both
@@ -282,11 +350,23 @@ impl Matrix {
     ///
     /// Panics if the shared `k` extents disagree (`self.cols != other.cols`).
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_nt_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_nt`] into `out`, which is reshaped to
+    /// `self.rows() x other.rows()` and overwritten; its buffer is reused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shared `k` extents disagree (`self.cols != other.cols`).
+    pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_nt: dimension mismatch");
         let (m, kdim, n) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(m, n);
+        out.reset(m, n);
         if out.data.is_empty() {
-            return out;
+            return;
         }
         for i in 0..m {
             let arow = self.row(i);
@@ -318,7 +398,6 @@ impl Matrix {
                 j += 1;
             }
         }
-        out
     }
 
     /// Computes `a * b` into `out` (row-major, zeroed), blocked and packed
@@ -417,6 +496,11 @@ impl Matrix {
         self.data.iter().all(|v| v.is_finite())
     }
 }
+
+/// Widest strip of product chains [`Matrix::add_matmul_tn`] holds on the
+/// stack: 768 bytes, L1-resident, and wide enough that the layers'
+/// weight gradients run in one or a few strips per row.
+const TN_STRIP: usize = 96;
 
 /// B's column strip `[0..kdim) × [jc, jc+ncur)` as a contiguous row-major
 /// `kdim × ncur` panel. A strip spanning all `n` columns already is one —
@@ -587,6 +671,36 @@ mod tests {
             let want = at.transpose().matmul(&b);
             assert_bitwise_eq(&at.matmul_tn(&b), &want, &format!("tn ({k},{m},{n})"));
         }
+    }
+
+    #[test]
+    fn into_kernels_and_add_matmul_tn_match_the_owned_products_bitwise() {
+        let mut rng = SplitMix64::new(13);
+        // One reused output, dirty and of the wrong shape on each call.
+        let mut out = random_matrix(&mut rng, 3, 200);
+        for &(k, m, n) in &[(1, 1, 1), (5, 3, 4), (16, 256, 48), (31, 17, 200), (130, 40, 70)] {
+            let at = random_matrix(&mut rng, k, m);
+            let b = random_matrix(&mut rng, k, n);
+            at.matmul_tn_into(&b, &mut out);
+            assert_bitwise_eq(&out, &at.matmul_tn(&b), &format!("tn_into ({k},{m},{n})"));
+            let a = random_matrix(&mut rng, m, k);
+            a.matmul_into(&b, &mut out);
+            assert_bitwise_eq(&out, &a.matmul(&b), &format!("into ({k},{m},{n})"));
+            let bt = random_matrix(&mut rng, n, k);
+            a.matmul_nt_into(&bt, &mut out);
+            assert_bitwise_eq(&out, &a.matmul_nt(&bt), &format!("nt_into ({k},{m},{n})"));
+            // A -0.0 accumulator and signed-zero products: the product
+            // chain must start at +0.0 and be added once, never seeded.
+            let mut acc = random_matrix(&mut rng, m, n);
+            acc.as_mut_slice()[0] = -0.0;
+            let mut want = acc.clone();
+            want.add_in_place(&at.matmul_tn(&b));
+            acc.add_matmul_tn(&at, &b);
+            assert_bitwise_eq(&acc, &want, &format!("add_matmul_tn ({k},{m},{n})"));
+        }
+        let mut zero = Matrix::from_rows(&[&[-0.0]]);
+        zero.add_matmul_tn(&Matrix::from_rows(&[&[-0.0]]), &Matrix::from_rows(&[&[1.0]]));
+        assert_eq!(zero[(0, 0)].to_bits(), (-0.0f64 + 0.0).to_bits());
     }
 
     #[test]

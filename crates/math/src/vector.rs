@@ -174,13 +174,28 @@ pub fn argmin(x: &[f64]) -> Option<usize> {
 /// Subtracts the maximum before exponentiating, so inputs of any magnitude
 /// produce a valid probability vector.
 pub fn softmax(x: &[f64]) -> Vec<f64> {
-    if x.is_empty() {
-        return Vec::new();
-    }
+    let mut out = vec![0.0; x.len()];
+    softmax_into(x, &mut out);
+    out
+}
+
+/// [`softmax`] written into `out`, without allocating: the same max
+/// shift, the same `iter().sum()` denominator and the same division per
+/// element, so the two agree bit for bit.
+///
+/// # Panics
+///
+/// Panics if `out.len() != x.len()`.
+pub fn softmax_into(x: &[f64], out: &mut [f64]) {
+    assert_eq!(x.len(), out.len(), "softmax_into: length mismatch");
     let m = x.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = x.iter().map(|v| (v - m).exp()).collect();
-    let z: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / z).collect()
+    for (o, v) in out.iter_mut().zip(x) {
+        *o = (v - m).exp();
+    }
+    let z: f64 = out.iter().sum();
+    for o in out.iter_mut() {
+        *o /= z;
+    }
 }
 
 /// Kahan-compensated sum, for long accumulations where naive summation

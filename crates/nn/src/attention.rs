@@ -12,15 +12,17 @@
 //! students' single-GPU transformer ran).
 
 use crate::init;
-use crate::layer::Layer;
+use crate::layer::{Layer, Trainable};
 use treu_math::rng::SplitMix64;
 use treu_math::{vector, Matrix};
 
-/// A learned token-embedding table.
+/// A learned token-embedding table. It maps token ids, not feature rows,
+/// so it is [`Trainable`] but not a [`Layer`].
 pub struct Embedding {
     table: Matrix,      // vocab x dim
     grad: Matrix,       // vocab x dim
     tokens: Vec<usize>, // cached token ids from the last forward
+    out: Matrix,        // len x dim
 }
 
 impl Embedding {
@@ -40,31 +42,32 @@ impl Embedding {
             table: init::scaled_normal(&mut rng, vocab, dim, scale),
             grad: Matrix::zeros(vocab, dim),
             tokens: Vec::new(),
+            out: Matrix::default(),
         }
     }
 
-    /// Embeds a token sequence into an `(len x dim)` matrix.
+    /// Embeds a token sequence into an `(len x dim)` matrix the embedding
+    /// owns (the layer buffer contract, [`crate::layer`]).
     ///
     /// # Panics
     ///
     /// Panics if any token id is out of vocabulary.
-    pub fn forward_tokens(&mut self, tokens: &[usize]) -> Matrix {
-        let dim = self.table.cols();
-        let mut out = Matrix::zeros(tokens.len(), dim);
+    pub fn forward_tokens(&mut self, tokens: &[usize]) -> &Matrix {
+        self.out.reset(tokens.len(), self.table.cols());
         for (i, &t) in tokens.iter().enumerate() {
             assert!(t < self.table.rows(), "token {t} out of vocab {}", self.table.rows());
-            out.row_mut(i).copy_from_slice(self.table.row(t));
+            self.out.row_mut(i).copy_from_slice(self.table.row(t));
         }
-        self.tokens = tokens.to_vec();
-        out
+        self.tokens.clear();
+        self.tokens.extend_from_slice(tokens);
+        &self.out
     }
 
     /// Accumulates gradients for the last embedded sequence.
     pub fn backward_tokens(&mut self, grad_out: &Matrix) {
         assert_eq!(grad_out.rows(), self.tokens.len(), "Embedding: grad length mismatch");
         for (i, &t) in self.tokens.iter().enumerate() {
-            let g = grad_out.row(i).to_vec();
-            vector::axpy(1.0, &g, self.grad.row_mut(t));
+            vector::axpy(1.0, grad_out.row(i), self.grad.row_mut(t));
         }
     }
 
@@ -79,17 +82,7 @@ impl Embedding {
     }
 }
 
-impl Layer for Embedding {
-    /// Not supported: embeddings consume token ids, not feature rows. Use
-    /// [`Embedding::forward_tokens`].
-    fn forward(&mut self, _input: &Matrix, _train: bool) -> Matrix {
-        panic!("Embedding::forward: use forward_tokens for token input");
-    }
-
-    fn backward(&mut self, _grad_out: &Matrix) -> Matrix {
-        panic!("Embedding::backward: use backward_tokens for token input");
-    }
-
+impl Trainable for Embedding {
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         f(self.table.as_mut_slice(), self.grad.as_mut_slice());
     }
@@ -103,15 +96,18 @@ impl Layer for Embedding {
     }
 }
 
-/// Sinusoidal positional encoding, added in place to an `(len x dim)`
-/// sequence. Parameter-free; gradients pass through unchanged.
+/// Sinusoidal positional encoding, added to an `(len x dim)` sequence.
+/// Parameter-free; gradients pass through unchanged.
 #[derive(Debug, Default)]
-pub struct PositionalEncoding;
+pub struct PositionalEncoding {
+    out: Matrix,
+    grad_in: Matrix,
+}
 
 impl PositionalEncoding {
     /// Creates the encoding layer.
     pub fn new() -> Self {
-        Self
+        Self::default()
     }
 
     /// The encoding value at `(position, channel)` for width `dim`.
@@ -126,21 +122,24 @@ impl PositionalEncoding {
     }
 }
 
+impl Trainable for PositionalEncoding {}
+
 impl Layer for PositionalEncoding {
-    fn forward(&mut self, input: &Matrix, _train: bool) -> Matrix {
+    fn forward(&mut self, input: &Matrix, _train: bool) -> &Matrix {
         let dim = input.cols();
-        let mut out = input.clone();
-        for p in 0..out.rows() {
-            let row = out.row_mut(p);
+        self.out.clone_from(input);
+        for p in 0..self.out.rows() {
+            let row = self.out.row_mut(p);
             for (c, v) in row.iter_mut().enumerate() {
                 *v += Self::value(p, c, dim);
             }
         }
-        out
+        &self.out
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        grad_out.clone()
+    fn backward(&mut self, grad_out: &Matrix) -> &Matrix {
+        self.grad_in.clone_from(grad_out);
+        &self.grad_in
     }
 }
 
@@ -159,7 +158,18 @@ pub struct SelfAttention {
     q: Matrix,
     k: Matrix,
     v: Matrix,
+    scores: Matrix,
     attn: Matrix,
+    out: Matrix,
+    // Backward intermediates.
+    d_attn: Matrix,
+    d_scores: Matrix,
+    d_q: Matrix,
+    d_k: Matrix,
+    d_v: Matrix,
+    /// One `d · Wᵀ` addend of the input gradient.
+    prod: Matrix,
+    grad_in: Matrix,
 }
 
 impl SelfAttention {
@@ -177,11 +187,20 @@ impl SelfAttention {
             grad_wq: Matrix::zeros(dim, dim),
             grad_wk: Matrix::zeros(dim, dim),
             grad_wv: Matrix::zeros(dim, dim),
-            x: Matrix::zeros(0, 0),
-            q: Matrix::zeros(0, 0),
-            k: Matrix::zeros(0, 0),
-            v: Matrix::zeros(0, 0),
-            attn: Matrix::zeros(0, 0),
+            x: Matrix::default(),
+            q: Matrix::default(),
+            k: Matrix::default(),
+            v: Matrix::default(),
+            scores: Matrix::default(),
+            attn: Matrix::default(),
+            out: Matrix::default(),
+            d_attn: Matrix::default(),
+            d_scores: Matrix::default(),
+            d_q: Matrix::default(),
+            d_k: Matrix::default(),
+            d_v: Matrix::default(),
+            prod: Matrix::default(),
+            grad_in: Matrix::default(),
         }
     }
 
@@ -192,56 +211,60 @@ impl SelfAttention {
 }
 
 impl Layer for SelfAttention {
-    fn forward(&mut self, input: &Matrix, _train: bool) -> Matrix {
+    fn forward(&mut self, input: &Matrix, _train: bool) -> &Matrix {
         assert_eq!(input.cols(), self.dim, "SelfAttention: width mismatch");
-        self.x = input.clone();
-        self.q = input.matmul(&self.wq);
-        self.k = input.matmul(&self.wk);
-        self.v = input.matmul(&self.wv);
+        self.x.clone_from(input);
+        input.matmul_into(&self.wq, &mut self.q);
+        input.matmul_into(&self.wk, &mut self.k);
+        input.matmul_into(&self.wv, &mut self.v);
         let scale = 1.0 / (self.dim as f64).sqrt();
-        let mut scores = self.q.matmul_nt(&self.k);
-        scores.scale_in_place(scale);
-        let l = scores.rows();
-        let mut attn = Matrix::zeros(l, l);
+        self.q.matmul_nt_into(&self.k, &mut self.scores);
+        self.scores.scale_in_place(scale);
+        let l = self.scores.rows();
+        self.attn.reset(l, l);
         for r in 0..l {
-            let sm = vector::softmax(scores.row(r));
-            attn.row_mut(r).copy_from_slice(&sm);
+            vector::softmax_into(self.scores.row(r), self.attn.row_mut(r));
         }
-        self.attn = attn;
-        self.attn.matmul(&self.v)
+        self.attn.matmul_into(&self.v, &mut self.out);
+        &self.out
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+    fn backward(&mut self, grad_out: &Matrix) -> &Matrix {
         let scale = 1.0 / (self.dim as f64).sqrt();
         // dA = dY V^T ; dV = A^T dY — transposed operands are read in
         // place (matmul_nt / matmul_tn), as everywhere below: no
         // transpose() allocations in the backward pass.
-        let d_attn = grad_out.matmul_nt(&self.v);
-        let d_v = self.attn.matmul_tn(grad_out);
+        grad_out.matmul_nt_into(&self.v, &mut self.d_attn);
+        self.attn.matmul_tn_into(grad_out, &mut self.d_v);
         // Softmax backward per row: dS_i = A_i ⊙ (dA_i - <dA_i, A_i>)
         let l = self.attn.rows();
-        let mut d_scores = Matrix::zeros(l, l);
+        self.d_scores.reset(l, l);
         for r in 0..l {
             let a = self.attn.row(r);
-            let da = d_attn.row(r);
+            let da = self.d_attn.row(r);
             let inner = vector::dot(da, a);
-            for c in 0..l {
-                d_scores[(r, c)] = a[c] * (da[c] - inner) * scale;
+            for (c, ds) in self.d_scores.row_mut(r).iter_mut().enumerate() {
+                *ds = a[c] * (da[c] - inner) * scale;
             }
         }
         // dQ = dS K ; dK = dS^T Q
-        let d_q = d_scores.matmul(&self.k);
-        let d_k = d_scores.matmul_tn(&self.q);
-        // Parameter grads and input grad.
-        self.grad_wq.add_in_place(&self.x.matmul_tn(&d_q));
-        self.grad_wk.add_in_place(&self.x.matmul_tn(&d_k));
-        self.grad_wv.add_in_place(&self.x.matmul_tn(&d_v));
-        let mut grad_in = d_q.matmul_nt(&self.wq);
-        grad_in.add_in_place(&d_k.matmul_nt(&self.wk));
-        grad_in.add_in_place(&d_v.matmul_nt(&self.wv));
-        grad_in
+        self.d_scores.matmul_into(&self.k, &mut self.d_q);
+        self.d_scores.matmul_tn_into(&self.q, &mut self.d_k);
+        // Parameter grads and input grad: each product is its own chain
+        // from +0.0, then added, as the owned-product form did.
+        self.grad_wq.add_matmul_tn(&self.x, &self.d_q);
+        self.grad_wk.add_matmul_tn(&self.x, &self.d_k);
+        self.grad_wv.add_matmul_tn(&self.x, &self.d_v);
+        self.d_q.matmul_nt_into(&self.wq, &mut self.grad_in);
+        self.d_k.matmul_nt_into(&self.wk, &mut self.prod);
+        self.grad_in.add_in_place(&self.prod);
+        self.d_v.matmul_nt_into(&self.wv, &mut self.prod);
+        self.grad_in.add_in_place(&self.prod);
+        &self.grad_in
     }
+}
 
+impl Trainable for SelfAttention {
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         f(self.wq.as_mut_slice(), self.grad_wq.as_mut_slice());
         f(self.wk.as_mut_slice(), self.grad_wk.as_mut_slice());
@@ -326,7 +349,7 @@ mod tests {
         let mut a = SelfAttention::new(3, 9);
         let mut rng = treu_math::rng::SplitMix64::new(10);
         let x = Matrix::from_fn(4, 3, |_, _| rng.next_gaussian() * 0.5);
-        let out = a.forward(&x, true);
+        let out = a.forward(&x, true).clone();
         a.zero_grads();
         a.backward(&out);
         let analytic = a.grad_wq.clone();
@@ -345,14 +368,5 @@ mod tests {
                 analytic.as_slice()[i]
             );
         }
-    }
-
-    #[test]
-    fn embedding_layer_api_panics() {
-        let mut e = Embedding::new(4, 2, 0);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            e.forward(&Matrix::zeros(1, 2), true)
-        }));
-        assert!(r.is_err());
     }
 }

@@ -8,7 +8,7 @@
 //! `t`.
 
 use crate::init;
-use crate::layer::Layer;
+use crate::layer::{Layer, Trainable};
 use treu_math::rng::SplitMix64;
 use treu_math::Matrix;
 
@@ -28,6 +28,8 @@ pub struct Conv1d {
     grad_w: Matrix,
     grad_b: Vec<f64>,
     input: Matrix,
+    out: Matrix,
+    grad_in: Matrix,
 }
 
 impl Conv1d {
@@ -56,7 +58,9 @@ impl Conv1d {
             b: vec![0.0; out_channels],
             grad_w: Matrix::zeros(out_channels, fan_in),
             grad_b: vec![0.0; out_channels],
-            input: Matrix::zeros(0, 0),
+            input: Matrix::default(),
+            out: Matrix::default(),
+            grad_in: Matrix::default(),
         }
     }
 
@@ -75,11 +79,12 @@ impl Layer for Conv1d {
     // Both passes walk row slices in the loop order (r, oc, t, ic, k):
     // every output and gradient element sees its adds in the same order
     // as a plain indexed loop, without a bounds check per access.
-    fn forward(&mut self, input: &Matrix, _train: bool) -> Matrix {
+    fn forward(&mut self, input: &Matrix, _train: bool) -> &Matrix {
         assert_eq!(input.cols(), self.in_channels * self.len, "Conv1d: input width mismatch");
-        self.input = input.clone();
+        self.input.clone_from(input);
         let (len, kernel, out_len) = (self.len, self.kernel, self.out_len());
-        let mut out = Matrix::zeros(input.rows(), self.out_channels * out_len);
+        let out = &mut self.out;
+        out.reset(input.rows(), self.out_channels * out_len);
         for r in 0..input.rows() {
             let x = input.row(r);
             let filters = self.w.as_slice().chunks_exact(self.in_channels * kernel);
@@ -97,18 +102,19 @@ impl Layer for Conv1d {
                 }
             }
         }
-        out
+        &self.out
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+    fn backward(&mut self, grad_out: &Matrix) -> &Matrix {
         let (len, kernel, out_len) = (self.len, self.kernel, self.out_len());
         assert_eq!(grad_out.cols(), self.out_channels * out_len, "Conv1d: grad width mismatch");
         assert_eq!(grad_out.rows(), self.input.rows(), "Conv1d: grad batch mismatch");
         let fan_in = self.in_channels * kernel;
-        let mut grad_in = Matrix::zeros(self.input.rows(), self.in_channels * len);
+        // The input gradient is scattered into with `+=`, so it starts at zero.
+        self.grad_in.reset(self.input.rows(), self.in_channels * len);
         for r in 0..grad_out.rows() {
             let x = self.input.row(r);
-            let gin = grad_in.row_mut(r);
+            let gin = self.grad_in.row_mut(r);
             for (((gseg, gb), gw), filt) in grad_out
                 .row(r)
                 .chunks_exact(out_len)
@@ -140,9 +146,11 @@ impl Layer for Conv1d {
                 }
             }
         }
-        grad_in
+        &self.grad_in
     }
+}
 
+impl Trainable for Conv1d {
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         f(self.w.as_mut_slice(), self.grad_w.as_mut_slice());
         f(&mut self.b, &mut self.grad_b);
@@ -166,23 +174,31 @@ pub struct GlobalMaxPool1d {
     channels: usize,
     len: usize,
     argmax: Vec<usize>, // per (row, channel): winning time index
-    rows: usize,
+    out: Matrix,
+    grad_in: Matrix,
 }
 
 impl GlobalMaxPool1d {
     /// Creates a pool over `(channels x len)` rows.
     pub fn new(channels: usize, len: usize) -> Self {
         assert!(channels > 0 && len > 0, "GlobalMaxPool1d: zero dimension");
-        Self { channels, len, argmax: Vec::new(), rows: 0 }
+        Self {
+            channels,
+            len,
+            argmax: Vec::new(),
+            out: Matrix::default(),
+            grad_in: Matrix::default(),
+        }
     }
 }
 
+impl Trainable for GlobalMaxPool1d {}
+
 impl Layer for GlobalMaxPool1d {
-    fn forward(&mut self, input: &Matrix, _train: bool) -> Matrix {
+    fn forward(&mut self, input: &Matrix, _train: bool) -> &Matrix {
         assert_eq!(input.cols(), self.channels * self.len, "GlobalMaxPool1d: width mismatch");
-        self.rows = input.rows();
-        self.argmax = vec![0; input.rows() * self.channels];
-        let mut out = Matrix::zeros(input.rows(), self.channels);
+        self.argmax.resize(input.rows() * self.channels, 0);
+        self.out.reset(input.rows(), self.channels);
         for r in 0..input.rows() {
             let x = input.row(r);
             for c in 0..self.channels {
@@ -194,23 +210,25 @@ impl Layer for GlobalMaxPool1d {
                     }
                 }
                 self.argmax[r * self.channels + c] = best;
-                out[(r, c)] = seg[best];
+                self.out[(r, c)] = seg[best];
             }
         }
-        out
+        &self.out
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+    fn backward(&mut self, grad_out: &Matrix) -> &Matrix {
+        let rows = self.out.rows();
         assert_eq!(grad_out.cols(), self.channels, "GlobalMaxPool1d: grad width mismatch");
-        assert_eq!(grad_out.rows(), self.rows, "GlobalMaxPool1d: grad batch mismatch");
-        let mut grad_in = Matrix::zeros(self.rows, self.channels * self.len);
-        for r in 0..self.rows {
+        assert_eq!(grad_out.rows(), rows, "GlobalMaxPool1d: grad batch mismatch");
+        // Only the argmax positions are written: the rest must be zero.
+        self.grad_in.reset(rows, self.channels * self.len);
+        for r in 0..rows {
             for c in 0..self.channels {
                 let t = self.argmax[r * self.channels + c];
-                grad_in[(r, c * self.len + t)] = grad_out[(r, c)];
+                self.grad_in[(r, c * self.len + t)] = grad_out[(r, c)];
             }
         }
-        grad_in
+        &self.grad_in
     }
 }
 
@@ -255,7 +273,7 @@ mod tests {
         let mut c = Conv1d::new(1, 2, 2, 5, 5);
         let mut rng = SplitMix64::new(6);
         let x = Matrix::from_fn(3, 5, |_, _| rng.next_gaussian());
-        let out = c.forward(&x, true);
+        let out = c.forward(&x, true).clone();
         c.zero_grads();
         c.backward(&out);
         let analytic = c.grad_w.clone();

@@ -12,7 +12,7 @@
 //! a result bit.
 
 use crate::init;
-use crate::layer::Layer;
+use crate::layer::{Layer, Trainable};
 use treu_math::rng::SplitMix64;
 use treu_math::{vector, Matrix};
 
@@ -29,6 +29,12 @@ pub struct Conv2d {
     grad_w: Matrix,
     grad_b: Vec<f64>,
     input: Matrix,
+    out: Matrix,
+    grad_in: Matrix,
+    /// The sample-independent im2col gather map ([`Conv2d::im2col_map`]).
+    map: Vec<usize>,
+    /// One sample's packed patches, `(out_h*out_w) x fan_in`.
+    patches: Vec<f64>,
 }
 
 impl Conv2d {
@@ -50,7 +56,7 @@ impl Conv2d {
         assert!(kernel <= h && kernel <= w, "Conv2d: kernel larger than input");
         let mut rng = SplitMix64::new(treu_math::rng::derive_seed(seed, "conv2d.w"));
         let fan_in = in_channels * kernel * kernel;
-        Self {
+        let mut conv = Self {
             in_channels,
             out_channels,
             kernel,
@@ -60,8 +66,15 @@ impl Conv2d {
             bias: vec![0.0; out_channels],
             grad_w: Matrix::zeros(out_channels, fan_in),
             grad_b: vec![0.0; out_channels],
-            input: Matrix::zeros(0, 0),
-        }
+            input: Matrix::default(),
+            out: Matrix::default(),
+            grad_in: Matrix::default(),
+            map: Vec::new(),
+            patches: Vec::new(),
+        };
+        conv.map = conv.im2col_map();
+        conv.patches = vec![0.0; conv.map.len()];
+        conv
     }
 
     /// Output height.
@@ -115,18 +128,17 @@ impl Conv2d {
         }
     }
 
-    /// Convolves one sample's packed patches into one output row.
+    /// Convolves one sample's packed patches into one output row, given
+    /// the `out_channels x fan_in` filters and their biases.
     ///
     /// Per output element the accumulator starts at the bias and grows by
     /// one ascending-`f` chain — the naive loop's exact order. Four output
     /// pixels advance in lockstep for ILP; their chains stay independent.
-    fn forward_row(&self, patches: &[f64], orow: &mut [f64]) {
-        let fan = self.fan_in();
-        let pix_count = self.out_h() * self.out_w();
-        for oc in 0..self.out_channels {
-            let filt = self.weights.row(oc);
-            let b = self.bias[oc];
-            let oseg = &mut orow[oc * pix_count..(oc + 1) * pix_count];
+    fn forward_row(weights: &Matrix, bias: &[f64], patches: &[f64], orow: &mut [f64]) {
+        let fan = weights.cols();
+        let pix_count = orow.len() / bias.len();
+        for (oc, (oseg, &b)) in orow.chunks_exact_mut(pix_count).zip(bias).enumerate() {
+            let filt = weights.row(oc);
             let mut pix = 0;
             while pix + 4 <= pix_count {
                 let p0 = &patches[pix * fan..(pix + 1) * fan];
@@ -159,37 +171,11 @@ impl Conv2d {
         }
     }
 
-    /// Forward pass without caching the input — the reentrant (`&self`)
-    /// variant benches and inference paths use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input width disagrees with the layer geometry.
-    pub fn forward_ref(&self, input: &Matrix) -> Matrix {
-        assert_eq!(
-            input.cols(),
-            self.in_channels * self.h * self.w,
-            "Conv2d: input width mismatch"
-        );
-        let out_len = self.out_len();
-        let mut out = Matrix::zeros(input.rows(), out_len);
-        if out.as_slice().is_empty() {
-            return out;
-        }
-        let map = self.im2col_map();
-        let patch_len = self.out_h() * self.out_w() * self.fan_in();
-        let mut patches = vec![0.0; patch_len];
-        for (i, orow) in out.as_mut_slice().chunks_mut(out_len).enumerate() {
-            Self::gather_patches(input.row(i), &map, &mut patches);
-            self.forward_row(&patches, orow);
-        }
-        out
-    }
-
     /// The naive six-loop forward — the reference kernel the packed
-    /// im2col path must reproduce bit-for-bit (bias-seeded ascending-f
-    /// accumulation chain per output pixel). Kept public so benches can
-    /// price the packed path against the untransformed loop nest.
+    /// im2col path of [`Layer::forward`] must reproduce bit-for-bit
+    /// (bias-seeded ascending-f accumulation chain per output pixel). Kept
+    /// public so benches can price the packed path against the
+    /// untransformed loop nest.
     ///
     /// # Panics
     ///
@@ -229,23 +215,33 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Matrix, _train: bool) -> Matrix {
-        self.input = input.clone();
-        self.forward_ref(input)
+    fn forward(&mut self, input: &Matrix, _train: bool) -> &Matrix {
+        assert_eq!(
+            input.cols(),
+            self.in_channels * self.h * self.w,
+            "Conv2d: input width mismatch"
+        );
+        self.input.clone_from(input);
+        let out_len = self.out_len();
+        self.out.reset(input.rows(), out_len);
+        for (i, orow) in self.out.as_mut_slice().chunks_mut(out_len).enumerate() {
+            Self::gather_patches(input.row(i), &self.map, &mut self.patches);
+            Self::forward_row(&self.weights, &self.bias, &self.patches, orow);
+        }
+        &self.out
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+    fn backward(&mut self, grad_out: &Matrix) -> &Matrix {
         let (oh, ow) = (self.out_h(), self.out_w());
         assert_eq!(grad_out.cols(), self.out_channels * oh * ow, "Conv2d: grad width mismatch");
         assert_eq!(grad_out.rows(), self.input.rows(), "Conv2d: grad batch mismatch");
         let fan = self.fan_in();
         let pix_count = oh * ow;
-        let map = self.im2col_map();
-        let mut patches = vec![0.0; pix_count * fan];
-        let mut grad_in = Matrix::zeros(self.input.rows(), self.in_channels * self.h * self.w);
+        // The input gradient is scattered into with `+=`, so it starts at zero.
+        self.grad_in.reset(self.input.rows(), self.in_channels * self.h * self.w);
         for r in 0..grad_out.rows() {
-            Self::gather_patches(self.input.row(r), &map, &mut patches);
-            let girow = grad_in.row_mut(r);
+            Self::gather_patches(self.input.row(r), &self.map, &mut self.patches);
+            let girow = self.grad_in.row_mut(r);
             for oc in 0..self.out_channels {
                 let gseg = &grad_out.row(r)[oc * pix_count..(oc + 1) * pix_count];
                 let wrow = self.weights.row(oc);
@@ -258,18 +254,20 @@ impl Layer for Conv2d {
                     self.grad_b[oc] += g;
                     // dW row: one axpy over the packed patch — same
                     // ascending-f term order as the naive gather loop.
-                    vector::axpy(g, &patches[pix * fan..(pix + 1) * fan], gwrow);
+                    vector::axpy(g, &self.patches[pix * fan..(pix + 1) * fan], gwrow);
                     // dX: scatter back through the im2col map.
-                    let pmap = &map[pix * fan..(pix + 1) * fan];
+                    let pmap = &self.map[pix * fan..(pix + 1) * fan];
                     for f in 0..fan {
                         girow[pmap[f]] += g * wrow[f];
                     }
                 }
             }
         }
-        grad_in
+        &self.grad_in
     }
+}
 
+impl Trainable for Conv2d {
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         f(self.weights.as_mut_slice(), self.grad_w.as_mut_slice());
         f(&mut self.bias, &mut self.grad_b);
@@ -331,7 +329,7 @@ mod tests {
         }
         let x = Matrix::from_fn(3, 3 * 7 * 9, |_, _| rng.next_gaussian());
         let want = c.forward_naive(&x);
-        let got = c.forward_ref(&x);
+        let got = c.forward(&x, false);
         assert_eq!(got.shape(), want.shape());
         for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "elem {i}: {a} vs {b}");
@@ -351,7 +349,7 @@ mod tests {
         let mut c = Conv2d::new(1, 2, 2, 4, 4, 5);
         let mut rng = SplitMix64::new(6);
         let x = Matrix::from_fn(2, 16, |_, _| rng.next_gaussian());
-        let out = c.forward(&x, true);
+        let out = c.forward(&x, true).clone();
         c.zero_grads();
         c.backward(&out);
         let analytic = c.grad_w.clone();

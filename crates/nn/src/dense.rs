@@ -1,7 +1,7 @@
 //! Fully-connected (dense) layer.
 
 use crate::init;
-use crate::layer::Layer;
+use crate::layer::{Layer, Trainable};
 use treu_math::rng::SplitMix64;
 use treu_math::Matrix;
 
@@ -9,13 +9,15 @@ use treu_math::Matrix;
 ///
 /// Weights are He-initialized from the constructor seed; biases start at
 /// zero. Gradients accumulate across `backward` calls until
-/// [`Layer::zero_grads`].
+/// [`Trainable::zero_grads`].
 pub struct Dense {
     w: Matrix,        // in x out
     b: Vec<f64>,      // out
     grad_w: Matrix,   // in x out
     grad_b: Vec<f64>, // out
     input: Matrix,    // cached batch
+    out: Matrix,      // batch x out
+    grad_in: Matrix,  // batch x in
 }
 
 impl Dense {
@@ -28,7 +30,9 @@ impl Dense {
             b: vec![0.0; fan_out],
             grad_w: Matrix::zeros(fan_in, fan_out),
             grad_b: vec![0.0; fan_out],
-            input: Matrix::zeros(0, 0),
+            input: Matrix::default(),
+            out: Matrix::default(),
+            grad_in: Matrix::default(),
         }
     }
 
@@ -61,35 +65,39 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Matrix, _train: bool) -> Matrix {
+    fn forward(&mut self, input: &Matrix, _train: bool) -> &Matrix {
         assert_eq!(input.cols(), self.w.rows(), "Dense: input width mismatch");
-        self.input = input.clone();
-        let mut out = input.matmul(&self.w);
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
+        self.input.clone_from(input);
+        // The bias is added after the product, as a separate rounding.
+        input.matmul_into(&self.w, &mut self.out);
+        for r in 0..self.out.rows() {
+            let row = self.out.row_mut(r);
             for (o, bi) in row.iter_mut().zip(&self.b) {
                 *o += bi;
             }
         }
-        out
+        &self.out
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+    fn backward(&mut self, grad_out: &Matrix) -> &Matrix {
         assert_eq!(grad_out.rows(), self.input.rows(), "Dense: backward batch mismatch");
         assert_eq!(grad_out.cols(), self.w.cols(), "Dense: backward width mismatch");
         // dW = x^T g ; db = column sums of g ; dx = g W^T — both GEMMs
-        // read the transposed operand in place (matmul_tn / matmul_nt), so
-        // no transpose copies are allocated on the training hot path, and
-        // dW accumulates into grad_w without a fresh sum matrix.
-        self.grad_w.add_in_place(&self.input.matmul_tn(grad_out));
+        // read the transposed operand in place. dW adds this batch's
+        // product to grad_w, each element a chain from +0.0 added once:
+        // seeding the chain with grad_w would round differently.
+        self.grad_w.add_matmul_tn(&self.input, grad_out);
         for r in 0..grad_out.rows() {
             for (gb, g) in self.grad_b.iter_mut().zip(grad_out.row(r)) {
                 *gb += g;
             }
         }
-        grad_out.matmul_nt(&self.w)
+        grad_out.matmul_nt_into(&self.w, &mut self.grad_in);
+        &self.grad_in
     }
+}
 
+impl Trainable for Dense {
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         f(self.w.as_mut_slice(), self.grad_w.as_mut_slice());
         f(&mut self.b, &mut self.grad_b);
@@ -135,9 +143,9 @@ mod tests {
         let mut rng = SplitMix64::new(10);
         let x = Matrix::from_fn(4, 3, |_, _| rng.next_gaussian());
 
-        let out = d.forward(&x, true);
+        let out = d.forward(&x, true).clone();
         d.zero_grads();
-        d.backward(&out.clone());
+        d.backward(&out);
         let analytic = d.grad_w.clone();
 
         let eps = 1e-5;

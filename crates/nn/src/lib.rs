@@ -7,6 +7,13 @@
 //! SGD/Adam optimizers, and a [`model::Sequential`] container — all over the
 //! `treu-math` [`treu_math::Matrix`] type with batches as rows.
 //!
+//! A layer owns the buffers it returns: [`layer::Layer::forward`] and
+//! [`layer::Layer::backward`] hand back a `&Matrix` the layer overwrites on
+//! its next call, so a training step allocates nothing once its buffers
+//! have their shapes (the buffer contract in [`layer`]). Optimizers take
+//! any [`layer::Trainable`], which is also all a token classifier or a
+//! multi-head model implements.
+//!
 //! The library is intentionally eager and entirely `f64`: the projects'
 //! findings are about *relative* behaviour of training regimes, which is
 //! preserved, while determinism — the REU's actual subject — is
@@ -28,14 +35,15 @@
 //! let y = vec![0usize, 1, 1, 0];
 //! let mut opt = Sgd::new(0.5, 0.9);
 //! for _ in 0..500 {
+//!     // `logits` borrows the model's last layer; the gradient is owned.
 //!     let logits = model.forward(&x, true);
-//!     let (loss, grad) = softmax_cross_entropy(&logits, &y);
+//!     let (loss, grad) = softmax_cross_entropy(logits, &y);
 //!     assert!(loss.is_finite());
 //!     model.backward(&grad);
 //!     opt.step(&mut model);
 //!     model.zero_grads();
 //! }
-//! let acc = accuracy(&model.forward(&x, false), &y);
+//! let acc = accuracy(model.forward(&x, false), &y);
 //! assert_eq!(acc, 1.0);
 //! ```
 
@@ -63,7 +71,7 @@ pub mod prelude {
     pub use crate::conv::{Conv1d, GlobalMaxPool1d};
     pub use crate::conv2d::Conv2d;
     pub use crate::dense::Dense;
-    pub use crate::layer::{Layer, Relu, Sigmoid, Tanh};
+    pub use crate::layer::{Layer, Relu, Sigmoid, Tanh, Trainable};
     pub use crate::loss::{accuracy, mse, softmax_cross_entropy};
     pub use crate::model::Sequential;
     pub use crate::norm::LayerNorm;

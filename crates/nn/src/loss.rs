@@ -18,11 +18,12 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f64, Matrix)
     for r in 0..logits.rows() {
         let y = labels[r];
         assert!(y < logits.cols(), "label {y} out of range {}", logits.cols());
-        let p = vector::softmax(logits.row(r));
-        loss += -(p[y].max(1e-300)).ln();
+        // The row's probabilities, computed in place of its gradient.
         let grow = grad.row_mut(r);
-        for (c, pc) in p.iter().enumerate() {
-            grow[c] = (pc - if c == y { 1.0 } else { 0.0 }) / n;
+        vector::softmax_into(logits.row(r), grow);
+        loss += -(grow[y].max(1e-300)).ln();
+        for (c, pc) in grow.iter_mut().enumerate() {
+            *pc = (*pc - if c == y { 1.0 } else { 0.0 }) / n;
         }
     }
     (loss / n, grad)

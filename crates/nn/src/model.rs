@@ -1,20 +1,24 @@
 //! The [`Sequential`] container and training helpers.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Trainable};
 use crate::loss::softmax_cross_entropy;
 use crate::optimizer::Optimizer;
 use treu_math::rng::SplitMix64;
 use treu_math::Matrix;
 
-/// A stack of layers applied in order.
+/// A stack of layers applied in order. Each layer reads the previous
+/// layer's output buffer in place (the container clones neither input
+/// nor gradient); the model's result is its last layer's buffer.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    /// What an empty model returns: a copy of its input or gradient.
+    identity: Matrix,
 }
 
 impl Sequential {
     /// Builds a model from boxed layers.
     pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
-        Self { layers }
+        Self { layers, identity: Matrix::default() }
     }
 
     /// Number of layers.
@@ -40,22 +44,32 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
-        let mut x = input.clone();
-        for l in &mut self.layers {
-            x = l.forward(&x, train);
+    fn forward(&mut self, input: &Matrix, train: bool) -> &Matrix {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            self.identity.clone_from(input);
+            return &self.identity;
+        };
+        let mut x = first.forward(input, train);
+        for l in rest {
+            x = l.forward(x, train);
         }
         x
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut g = grad_out.clone();
-        for l in self.layers.iter_mut().rev() {
-            g = l.backward(&g);
+    fn backward(&mut self, grad_out: &Matrix) -> &Matrix {
+        let Some((last, rest)) = self.layers.split_last_mut() else {
+            self.identity.clone_from(grad_out);
+            return &self.identity;
+        };
+        let mut g = last.backward(grad_out);
+        for l in rest.iter_mut().rev() {
+            g = l.backward(g);
         }
         g
     }
+}
 
+impl Trainable for Sequential {
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         for l in &mut self.layers {
             l.for_each_param(f);
@@ -103,7 +117,7 @@ pub fn train_epoch(
             by.push(y[idx]);
         }
         let logits = model.forward(&bx, true);
-        let (loss, grad) = softmax_cross_entropy(&logits, &by);
+        let (loss, grad) = softmax_cross_entropy(logits, &by);
         model.backward(&grad);
         opt.step(model);
         model.zero_grads();
@@ -165,7 +179,7 @@ mod tests {
             last = train_epoch(&mut model, &mut opt, &x, &y, 16, &mut rng);
         }
         assert!(last < 0.1, "final loss {last}");
-        let acc = accuracy(&model.forward(&x, false), &y);
+        let acc = accuracy(model.forward(&x, false), &y);
         assert!(acc > 0.95, "accuracy {acc}");
     }
 
@@ -179,7 +193,7 @@ mod tests {
             for _ in 0..5 {
                 train_epoch(&mut model, &mut opt, &x, &y, 8, &mut rng);
             }
-            model.forward(&x, false)
+            model.forward(&x, false).clone()
         };
         let a = run();
         let b = run();
@@ -200,7 +214,7 @@ mod tests {
         let model = mlp(0);
         // 2*16+16 + 16*2+2 = 48 + 34 = 82
         let mut m = model;
-        assert_eq!(Layer::param_count(&m), 82);
+        assert_eq!(m.param_count(), 82);
         let mut seen = 0;
         m.for_each_param(&mut |p, _| seen += p.len());
         assert_eq!(seen, 82);
@@ -221,6 +235,7 @@ mod tests {
         let mut m = Sequential::new(vec![]);
         assert!(m.is_empty());
         let x = Matrix::from_rows(&[&[1.0, 2.0]]);
-        assert_eq!(m.forward(&x, true), x);
+        assert_eq!(m.forward(&x, true), &x);
+        assert_eq!(m.backward(&x), &x);
     }
 }

@@ -4,7 +4,7 @@
 //! learned per-channel affine transform — the stabilizer transformer
 //! blocks are built around.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Trainable};
 use treu_math::Matrix;
 
 /// Layer normalization over the last (feature) axis with learned
@@ -19,6 +19,10 @@ pub struct LayerNorm {
     // Forward cache.
     normalized: Matrix,
     inv_std: Vec<f64>,
+    out: Matrix,
+    // Backward scratch.
+    dz: Vec<f64>,
+    grad_in: Matrix,
 }
 
 impl LayerNorm {
@@ -32,19 +36,22 @@ impl LayerNorm {
             beta: vec![0.0; dim],
             grad_gamma: vec![0.0; dim],
             grad_beta: vec![0.0; dim],
-            normalized: Matrix::zeros(0, 0),
+            normalized: Matrix::default(),
             inv_std: Vec::new(),
+            out: Matrix::default(),
+            dz: vec![0.0; dim],
+            grad_in: Matrix::default(),
         }
     }
 }
 
 impl Layer for LayerNorm {
-    fn forward(&mut self, input: &Matrix, _train: bool) -> Matrix {
+    fn forward(&mut self, input: &Matrix, _train: bool) -> &Matrix {
         assert_eq!(input.cols(), self.dim, "LayerNorm: width mismatch");
         let n = self.dim as f64;
-        let mut out = Matrix::zeros(input.rows(), self.dim);
-        self.normalized = Matrix::zeros(input.rows(), self.dim);
-        self.inv_std = Vec::with_capacity(input.rows());
+        self.out.reset(input.rows(), self.dim);
+        self.normalized.reset(input.rows(), self.dim);
+        self.inv_std.clear();
         for r in 0..input.rows() {
             let row = input.row(r);
             let mean: f64 = row.iter().sum::<f64>() / n;
@@ -54,19 +61,19 @@ impl Layer for LayerNorm {
             for c in 0..self.dim {
                 let z = (row[c] - mean) * inv;
                 self.normalized[(r, c)] = z;
-                out[(r, c)] = self.gamma[c] * z + self.beta[c];
+                self.out[(r, c)] = self.gamma[c] * z + self.beta[c];
             }
         }
-        out
+        &self.out
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+    fn backward(&mut self, grad_out: &Matrix) -> &Matrix {
         assert_eq!(grad_out.rows(), self.normalized.rows(), "LayerNorm: backward before forward");
         let n = self.dim as f64;
-        let mut grad_in = Matrix::zeros(grad_out.rows(), self.dim);
+        self.grad_in.reset(grad_out.rows(), self.dim);
+        let dz = &mut self.dz;
         for r in 0..grad_out.rows() {
             // Accumulate parameter grads.
-            let mut dz = vec![0.0; self.dim];
             for c in 0..self.dim {
                 let g = grad_out[(r, c)];
                 self.grad_gamma[c] += g * self.normalized[(r, c)];
@@ -79,13 +86,15 @@ impl Layer for LayerNorm {
             let mean_dz_z: f64 =
                 dz.iter().enumerate().map(|(c, v)| v * self.normalized[(r, c)]).sum::<f64>() / n;
             for c in 0..self.dim {
-                grad_in[(r, c)] =
+                self.grad_in[(r, c)] =
                     self.inv_std[r] * (dz[c] - mean_dz - self.normalized[(r, c)] * mean_dz_z);
             }
         }
-        grad_in
+        &self.grad_in
     }
+}
 
+impl Trainable for LayerNorm {
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         f(&mut self.gamma, &mut self.grad_gamma);
         f(&mut self.beta, &mut self.grad_beta);
@@ -127,11 +136,11 @@ mod tests {
         // LayerNorm output is invariant to scaling the input row.
         let mut ln = LayerNorm::new(6);
         let x = Matrix::from_rows(&[&[1.0, -2.0, 0.5, 3.0, -1.0, 0.0]]);
-        let y1 = ln.forward(&x, true);
+        let y1 = ln.forward(&x, true).clone();
         let mut x2 = x.clone();
         x2.scale_in_place(7.0);
         let y2 = ln.forward(&x2, true);
-        assert!(y1.max_abs_diff(&y2) < 1e-4);
+        assert!(y1.max_abs_diff(y2) < 1e-4);
     }
 
     #[test]
@@ -149,7 +158,7 @@ mod tests {
     fn param_gradients_accumulate_and_zero() {
         let mut ln = LayerNorm::new(3);
         let x = Matrix::from_rows(&[&[1.0, 2.0, 4.0]]);
-        let y = ln.forward(&x, true);
+        let y = ln.forward(&x, true).clone();
         ln.backward(&y);
         assert!(ln.grad_beta.iter().any(|&g| g != 0.0));
         ln.zero_grads();

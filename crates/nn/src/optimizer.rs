@@ -1,23 +1,24 @@
 //! Parameter-update rules.
 //!
 //! Optimizers visit a model's parameters through
-//! [`crate::layer::Layer::for_each_param`]. Because visitation order is
+//! [`crate::layer::Trainable::for_each_param`]. Because visitation order is
 //! deterministic, stateful optimizers keep per-buffer state in a `Vec`
 //! indexed by visitation position — no parameter registry or interior
 //! mutability needed.
 
-use crate::layer::Layer;
+use crate::layer::Trainable;
 
-/// An update rule applicable to any [`Layer`] (including containers).
+/// An update rule applicable to any [`Trainable`] (layers, containers and
+/// models that are not layers).
 pub trait Optimizer {
     /// Applies one update step using the currently accumulated gradients.
-    /// Does not zero gradients; call [`Layer::zero_grads`] afterwards.
+    /// Does not zero gradients; call [`Trainable::zero_grads`] afterwards.
     ///
     /// # Panics
     ///
     /// Panics if a visited gradient buffer's length differs from its
     /// parameter buffer's, before that buffer's state is touched.
-    fn step(&mut self, model: &mut dyn Layer);
+    fn step(&mut self, model: &mut dyn Trainable);
 }
 
 /// Stochastic gradient descent with classical momentum.
@@ -46,7 +47,7 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, model: &mut dyn Layer) {
+    fn step(&mut self, model: &mut dyn Trainable) {
         let mut idx = 0usize;
         let lr = self.lr;
         let mu = self.momentum;
@@ -92,7 +93,7 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, model: &mut dyn Layer) {
+    fn step(&mut self, model: &mut dyn Trainable) {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
@@ -127,7 +128,7 @@ impl Optimizer for Adam {
 /// Clips every gradient buffer to a global L2 norm of at most `max_norm`.
 ///
 /// Used by the RL crate (DQN training is famously unstable without it).
-pub fn clip_grad_norm(model: &mut dyn Layer, max_norm: f64) -> f64 {
+pub fn clip_grad_norm(model: &mut dyn Trainable, max_norm: f64) -> f64 {
     let mut sq = 0.0;
     model.for_each_param(&mut |_, grads| {
         for g in grads.iter() {
@@ -163,13 +164,7 @@ mod tests {
             self.g[0] = self.p[0];
         }
     }
-    impl Layer for Scalar {
-        fn forward(&mut self, input: &treu_math::Matrix, _t: bool) -> treu_math::Matrix {
-            input.clone()
-        }
-        fn backward(&mut self, g: &treu_math::Matrix) -> treu_math::Matrix {
-            g.clone()
-        }
+    impl Trainable for Scalar {
         fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
             f(&mut self.p, &mut self.g);
         }

@@ -4,6 +4,7 @@
 use crate::env::{Env, StepResult, N_ACTIONS};
 use crate::estimators::{EstimatorKind, QNetwork};
 use treu_math::rng::{derive_seed, SplitMix64};
+use treu_nn::layer::copy_params;
 
 /// One replay transition.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,9 +56,17 @@ impl ReplayBuffer {
         self.buf.is_empty()
     }
 
-    /// Uniform random sample (with replacement).
-    pub fn sample<'a>(&'a self, n: usize, rng: &mut SplitMix64) -> Vec<&'a Transition> {
-        (0..n).map(|_| &self.buf[rng.next_bounded(self.buf.len() as u64) as usize]).collect()
+    /// Draws `n` uniform random indices (with replacement) into `picks`,
+    /// replacing its contents: a minibatch that borrows its transitions
+    /// through [`ReplayBuffer::get`] instead of cloning them.
+    pub fn sample_into(&self, n: usize, rng: &mut SplitMix64, picks: &mut Vec<usize>) {
+        picks.clear();
+        picks.extend((0..n).map(|_| rng.next_bounded(self.buf.len() as u64) as usize));
+    }
+
+    /// The transition at a sampled index.
+    pub fn get(&self, index: usize) -> &Transition {
+        &self.buf[index]
     }
 }
 
@@ -99,9 +108,11 @@ impl Default for DqnConfig {
 
 /// A DQN agent bound to an estimator family.
 pub struct DqnAgent {
-    online: Box<dyn QNetwork>,
-    target: Box<dyn QNetwork>,
+    online: QNetwork,
+    target: QNetwork,
     replay: ReplayBuffer,
+    /// The current minibatch's replay indices.
+    picks: Vec<usize>,
     config: DqnConfig,
     rng: SplitMix64,
     steps: usize,
@@ -114,12 +125,12 @@ impl DqnAgent {
     pub fn new(kind: EstimatorKind, config: DqnConfig, seed: u64) -> Self {
         let mut online = kind.build(config.lr, derive_seed(seed, "online"));
         let mut target = kind.build(config.lr, derive_seed(seed, "target"));
-        let params = online.export_params();
-        target.load_params_from(&params);
+        copy_params(target.params(), online.params());
         Self {
             online,
             target,
             replay: ReplayBuffer::new(config.replay_capacity),
+            picks: Vec::with_capacity(config.batch),
             config,
             rng: SplitMix64::new(derive_seed(seed, "agent")),
             steps: 0,
@@ -136,7 +147,7 @@ impl DqnAgent {
         if self.rng.next_f64() < eps {
             self.rng.next_bounded(N_ACTIONS as u64) as usize
         } else {
-            treu_math::vector::argmax(&self.online.q_values(obs)).unwrap_or(0)
+            treu_math::vector::argmax(self.online.q_values(obs)).unwrap_or(0)
         }
     }
 
@@ -144,10 +155,10 @@ impl DqnAgent {
         if self.replay.len() < self.config.batch {
             return;
         }
-        // Sample indices first (immutable borrow), then update.
-        let picks: Vec<Transition> =
-            self.replay.sample(self.config.batch, &mut self.rng).into_iter().cloned().collect();
-        for t in picks {
+        // Sample indices first, then update from borrowed transitions.
+        self.replay.sample_into(self.config.batch, &mut self.rng, &mut self.picks);
+        for &i in &self.picks {
+            let t = self.replay.get(i);
             let target = if t.done {
                 t.reward
             } else {
@@ -171,18 +182,12 @@ impl DqnAgent {
                 let action = self.act(&obs, eps);
                 let StepResult { obs: next, reward, done } = env.step(action, &mut self.rng);
                 ep_reward += reward;
-                self.replay.push(Transition {
-                    obs: obs.clone(),
-                    action,
-                    reward,
-                    next_obs: next.clone(),
-                    done,
-                });
+                // The replay takes this state; `next` becomes the next one.
+                self.replay.push(Transition { obs, action, reward, next_obs: next.clone(), done });
                 self.learn();
                 self.steps += 1;
                 if self.steps.is_multiple_of(self.config.target_sync) {
-                    let params = self.online.export_params();
-                    self.target.load_params_from(&params);
+                    copy_params(self.target.params(), self.online.params());
                 }
                 obs = next;
                 if done {
@@ -192,8 +197,7 @@ impl DqnAgent {
             self.episode_rewards.push(ep_reward);
         }
         let tail = (total / 5).max(1);
-        let last: Vec<f64> = self.episode_rewards[total - tail..].to_vec();
-        treu_math::stats::mean(&last)
+        treu_math::stats::mean(&self.episode_rewards[total - tail..])
     }
 
     /// Greedy evaluation over `episodes`, returning the mean total reward.

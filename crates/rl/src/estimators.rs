@@ -1,8 +1,8 @@
 //! The two Q-estimator families: convolutional and attention-based.
 //!
 //! Both consume the same flattened `GRID x GRID` observation and emit
-//! [`crate::env::N_ACTIONS`] Q-values; the DQN agent is generic over
-//! [`QNetwork`], so the reliability comparison isolates the estimator
+//! [`crate::env::N_ACTIONS`] Q-values; the DQN agent drives either through
+//! one [`QNetwork`], so the reliability comparison isolates the estimator
 //! family exactly as §2.8 isolates "CNNs vs. vision transformers for
 //! estimating Q values".
 
@@ -12,20 +12,9 @@ use treu_math::Matrix;
 use treu_nn::attention::SelfAttention;
 use treu_nn::conv::Conv1d;
 use treu_nn::dense::Dense;
-use treu_nn::layer::{Layer, Relu};
+use treu_nn::layer::{Layer, Relu, Trainable};
+use treu_nn::model::Sequential;
 use treu_nn::optimizer::{Adam, Optimizer};
-
-/// A trainable state-action value estimator.
-pub trait QNetwork {
-    /// Q-values for all actions in a state.
-    fn q_values(&mut self, obs: &[f64]) -> Vec<f64>;
-    /// One TD update: move `Q(obs, action)` toward `target`.
-    fn update(&mut self, obs: &[f64], action: usize, target: f64);
-    /// Copies all parameters from `other` (the target-network sync).
-    fn load_params_from(&mut self, params: &[Vec<f64>]);
-    /// Extracts all parameters (for target-network sync).
-    fn export_params(&mut self) -> Vec<Vec<f64>>;
-}
 
 /// Estimator family selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,150 +40,134 @@ impl EstimatorKind {
     }
 
     /// Builds an estimator with the given learning rate.
-    pub fn build(self, lr: f64, seed: u64) -> Box<dyn QNetwork> {
+    ///
+    /// The convolutional family reads the grid as one `1 x OBS_LEN` row:
+    /// grid rows as channels, Conv1d along columns, ReLU, dense head. The
+    /// attention family reads it as `GRID x GRID` tokens ([`AttnNet`]).
+    pub fn build(self, lr: f64, seed: u64) -> QNetwork {
         match self {
-            EstimatorKind::Conv => Box::new(ConvQNet::new(lr, seed)),
-            EstimatorKind::Attention => Box::new(AttnQNet::new(lr, seed)),
+            EstimatorKind::Conv => {
+                let conv = Conv1d::new(GRID, 8, 3, GRID, derive_seed(seed, "conv"));
+                let width = conv.out_width();
+                let net = Sequential::new(vec![
+                    Box::new(conv),
+                    Box::new(Relu::new()),
+                    Box::new(Dense::new(width, 32, derive_seed(seed, "fc1"))),
+                    Box::new(Relu::new()),
+                    Box::new(Dense::new(32, N_ACTIONS, derive_seed(seed, "fc2"))),
+                ]);
+                QNetwork::new(Box::new(net), (1, OBS_LEN), lr)
+            }
+            EstimatorKind::Attention => {
+                QNetwork::new(Box::new(AttnNet::new(seed)), (GRID, GRID), lr)
+            }
         }
     }
 }
 
-/// Shared helpers for the two nets.
-fn td_backward(
-    layers: &mut dyn Layer,
-    opt: &mut Adam,
-    logits: &Matrix,
-    action: usize,
-    target: f64,
-) {
-    // Squared TD error on the chosen action only.
-    let mut grad = Matrix::zeros(1, N_ACTIONS);
-    grad[(0, action)] = 2.0 * (logits[(0, action)] - target);
-    layers.backward(&grad);
-    treu_nn::optimizer::clip_grad_norm(layers, 5.0);
-    opt.step(layers);
-    layers.zero_grads();
-}
-
-fn export_params_of(layer: &mut dyn Layer) -> Vec<Vec<f64>> {
-    let mut out = Vec::new();
-    layer.for_each_param(&mut |p, _| out.push(p.to_vec()));
-    out
-}
-
-fn load_params_into(layer: &mut dyn Layer, params: &[Vec<f64>]) {
-    let mut i = 0;
-    layer.for_each_param(&mut |p, _| {
-        assert!(i < params.len(), "parameter bundle too short");
-        assert_eq!(p.len(), params[i].len(), "parameter shape mismatch");
-        p.copy_from_slice(&params[i]);
-        i += 1;
-    });
-    assert_eq!(i, params.len(), "parameter bundle too long");
-}
-
-/// Convolutional Q-network: grid rows as channels, Conv1d along columns,
-/// ReLU, dense head.
-pub struct ConvQNet {
-    net: treu_nn::model::Sequential,
+/// A trainable state-action value estimator: a network from an
+/// observation to one row of Q-values, the input and TD-gradient buffers
+/// it reads, and its optimizer. A step allocates nothing.
+pub struct QNetwork {
+    net: Box<dyn Layer>,
+    /// The observation, shaped as the family reads it.
+    x: Matrix,
+    /// The squared TD error's gradient on the Q-values (`1 x N_ACTIONS`).
+    grad: Matrix,
     opt: Adam,
 }
 
-impl ConvQNet {
-    /// Builds the network.
-    pub fn new(lr: f64, seed: u64) -> Self {
-        let conv = Conv1d::new(GRID, 8, 3, GRID, derive_seed(seed, "conv"));
-        let width = conv.out_width();
-        let net = treu_nn::model::Sequential::new(vec![
-            Box::new(conv),
-            Box::new(Relu::new()),
-            Box::new(Dense::new(width, 32, derive_seed(seed, "fc1"))),
-            Box::new(Relu::new()),
-            Box::new(Dense::new(32, N_ACTIONS, derive_seed(seed, "fc2"))),
-        ]);
-        Self { net, opt: Adam::new(lr) }
+impl QNetwork {
+    fn new(net: Box<dyn Layer>, (rows, cols): (usize, usize), lr: f64) -> Self {
+        Self { net, x: Matrix::zeros(rows, cols), grad: Matrix::default(), opt: Adam::new(lr) }
     }
-}
 
-impl QNetwork for ConvQNet {
-    fn q_values(&mut self, obs: &[f64]) -> Vec<f64> {
+    /// Q-values for all actions in a state, read from the network's own
+    /// output buffer.
+    pub fn q_values(&mut self, obs: &[f64]) -> &[f64] {
         assert_eq!(obs.len(), OBS_LEN, "observation length mismatch");
-        let x = Matrix::from_vec(1, OBS_LEN, obs.to_vec());
-        self.net.forward(&x, false).row(0).to_vec()
+        self.x.as_mut_slice().copy_from_slice(obs);
+        self.net.forward(&self.x, false).row(0)
     }
 
-    fn update(&mut self, obs: &[f64], action: usize, target: f64) {
-        let x = Matrix::from_vec(1, OBS_LEN, obs.to_vec());
-        let logits = self.net.forward(&x, true);
-        td_backward(&mut self.net, &mut self.opt, &logits, action, target);
+    /// One TD update: move `Q(obs, action)` toward `target`.
+    pub fn update(&mut self, obs: &[f64], action: usize, target: f64) {
+        self.x.as_mut_slice().copy_from_slice(obs);
+        let q = self.net.forward(&self.x, true)[(0, action)];
+        // Squared TD error on the chosen action only: every other entry
+        // of the gradient must be zero, so the buffer is reset.
+        self.grad.reset(1, N_ACTIONS);
+        self.grad[(0, action)] = 2.0 * (q - target);
+        self.net.backward(&self.grad);
+        treu_nn::optimizer::clip_grad_norm(self.net.as_mut(), 5.0);
+        self.opt.step(self.net.as_mut());
+        self.net.zero_grads();
     }
 
-    fn load_params_from(&mut self, params: &[Vec<f64>]) {
-        load_params_into(&mut self.net, params);
-    }
-
-    fn export_params(&mut self) -> Vec<Vec<f64>> {
-        export_params_of(&mut self.net)
+    /// The network's parameters; the target-network sync copies them with
+    /// [`treu_nn::layer::copy_params`].
+    pub fn params(&mut self) -> &mut dyn Trainable {
+        self.net.as_mut()
     }
 }
 
-/// Attention Q-network: grid rows as tokens (dim = GRID), one
+/// The attention family's network: grid rows as tokens (dim = GRID), one
 /// self-attention block, mean pool, dense head.
-pub struct AttnQNet {
+pub struct AttnNet {
     attn: SelfAttention,
     head1: Dense,
     relu: Relu,
     head2: Dense,
-    opt: Adam,
+    /// Token mean (`1 x GRID`).
+    pooled: Matrix,
+    /// The pooled gradient spread back over the tokens (`GRID x GRID`).
+    grad_tokens: Matrix,
 }
 
-impl AttnQNet {
+impl AttnNet {
     /// Builds the network.
-    pub fn new(lr: f64, seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         Self {
             attn: SelfAttention::new(GRID, derive_seed(seed, "attn")),
             head1: Dense::new(GRID, 32, derive_seed(seed, "fc1")),
             relu: Relu::new(),
             head2: Dense::new(32, N_ACTIONS, derive_seed(seed, "fc2")),
-            opt: Adam::new(lr),
+            pooled: Matrix::default(),
+            grad_tokens: Matrix::default(),
         }
-    }
-
-    fn forward(&mut self, obs: &[f64], train: bool) -> Matrix {
-        // Rows as tokens: GRID x GRID sequence.
-        let x = Matrix::from_vec(GRID, GRID, obs.to_vec());
-        let y = self.attn.forward(&x, train); // GRID x GRID
-                                              // Mean-pool tokens -> 1 x GRID.
-        let mut pooled = Matrix::zeros(1, GRID);
-        for t in 0..GRID {
-            for c in 0..GRID {
-                pooled[(0, c)] += y[(t, c)] / GRID as f64;
-            }
-        }
-        let h = self.head1.forward(&pooled, train);
-        let h = self.relu.forward(&h, train);
-        self.head2.forward(&h, train)
     }
 }
 
-impl Layer for AttnQNet {
-    fn forward(&mut self, _input: &Matrix, _train: bool) -> Matrix {
-        panic!("AttnQNet: use QNetwork methods");
-    }
-
-    fn backward(&mut self, grad: &Matrix) -> Matrix {
-        let g = self.head2.backward(grad);
-        let g = self.relu.backward(&g);
-        let g = self.head1.backward(&g); // 1 x GRID
-        let mut gy = Matrix::zeros(GRID, GRID);
+impl Layer for AttnNet {
+    fn forward(&mut self, tokens: &Matrix, train: bool) -> &Matrix {
+        let y = self.attn.forward(tokens, train); // GRID x GRID
+                                                  // Mean-pool tokens -> 1 x GRID, accumulated from zero.
+        self.pooled.reset(1, GRID);
         for t in 0..GRID {
             for c in 0..GRID {
-                gy[(t, c)] = g[(0, c)] / GRID as f64;
+                self.pooled[(0, c)] += y[(t, c)] / GRID as f64;
             }
         }
-        self.attn.backward(&gy)
+        let h = self.head1.forward(&self.pooled, train);
+        let h = self.relu.forward(h, train);
+        self.head2.forward(h, train)
     }
 
+    fn backward(&mut self, grad: &Matrix) -> &Matrix {
+        let g = self.head2.backward(grad);
+        let g = self.relu.backward(g);
+        let g = self.head1.backward(g); // 1 x GRID
+        self.grad_tokens.reset(GRID, GRID);
+        for t in 0..GRID {
+            for c in 0..GRID {
+                self.grad_tokens[(t, c)] = g[(0, c)] / GRID as f64;
+            }
+        }
+        self.attn.backward(&self.grad_tokens)
+    }
+}
+
+impl Trainable for AttnNet {
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         self.attn.for_each_param(f);
         self.head1.for_each_param(f);
@@ -206,33 +179,9 @@ impl Layer for AttnQNet {
         self.head1.zero_grads();
         self.head2.zero_grads();
     }
-}
 
-impl QNetwork for AttnQNet {
-    fn q_values(&mut self, obs: &[f64]) -> Vec<f64> {
-        assert_eq!(obs.len(), OBS_LEN, "observation length mismatch");
-        self.forward(obs, false).row(0).to_vec()
-    }
-
-    fn update(&mut self, obs: &[f64], action: usize, target: f64) {
-        let logits = self.forward(obs, true);
-        let mut grad = Matrix::zeros(1, N_ACTIONS);
-        grad[(0, action)] = 2.0 * (logits[(0, action)] - target);
-        Layer::backward(self, &grad);
-        treu_nn::optimizer::clip_grad_norm(self, 5.0);
-        // Adam is a field; borrow dance via std::mem swap.
-        let mut opt = std::mem::replace(&mut self.opt, Adam::new(0.0));
-        opt.step(self);
-        self.opt = opt;
-        self.zero_grads();
-    }
-
-    fn load_params_from(&mut self, params: &[Vec<f64>]) {
-        load_params_into(self, params);
-    }
-
-    fn export_params(&mut self) -> Vec<Vec<f64>> {
-        export_params_of(self)
+    fn param_count(&self) -> usize {
+        self.attn.param_count() + self.head1.param_count() + self.head2.param_count()
     }
 }
 
@@ -286,8 +235,7 @@ mod tests {
                 o
             };
             assert_ne!(a.q_values(&obs), b.q_values(&obs), "different seeds differ");
-            let params = a.export_params();
-            b.load_params_from(&params);
+            treu_nn::layer::copy_params(b.params(), a.params());
             assert_eq!(a.q_values(&obs), b.q_values(&obs), "{}", kind.name());
         }
     }
@@ -308,7 +256,7 @@ mod tests {
                 for i in 0..50 {
                     q.update(&obs, i % N_ACTIONS, 1.0);
                 }
-                q.q_values(&obs)
+                q.q_values(&obs).to_vec()
             };
             assert_eq!(run(), run(), "{}", kind.name());
         }

@@ -9,7 +9,7 @@
 
 use treu_math::rng::{derive_seed, SplitMix64};
 use treu_math::Matrix;
-use treu_nn::layer::Layer;
+use treu_nn::layer::{Layer, Trainable};
 use treu_nn::loss::softmax_cross_entropy;
 use treu_nn::model::Sequential;
 use treu_nn::optimizer::{Optimizer, Sgd};
@@ -75,7 +75,7 @@ pub fn unlearn(
     let mut rng = SplitMix64::new(derive_seed(seed, "forget"));
     for _ in 0..cfg.max_forget_epochs {
         let logits = model.forward(fx, false);
-        if treu_nn::loss::accuracy(&logits, fy) <= cfg.forget_stop_accuracy {
+        if treu_nn::loss::accuracy(logits, fy) <= cfg.forget_stop_accuracy {
             break;
         }
         let order = treu_math::rng::permutation(&mut rng, fy.len());
@@ -92,7 +92,7 @@ pub fn unlearn(
                 by.push(alt.min(classes - 1));
             }
             let logits = model.forward(&bx, true);
-            let (_, grad) = softmax_cross_entropy(&logits, &by);
+            let (_, grad) = softmax_cross_entropy(logits, &by);
             model.backward(&grad);
             treu_nn::optimizer::clip_grad_norm(model, 10.0);
             opt.step(model);

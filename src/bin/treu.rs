@@ -284,7 +284,7 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("worker") {
         // A verification worker: speak the length-prefixed frame protocol
-        // over stdin/stdout until the coordinator says shutdown. Injected
+        // over stdin/stdout until the coordinator closes stdin. Injected
         // faults panic by design and the in-worker supervisor catches
         // them, so the default per-panic stderr trace is noise.
         std::panic::set_hook(Box::new(|_| {}));
