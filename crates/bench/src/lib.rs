@@ -1,13 +1,11 @@
 //! Shared nothing between the criterion benches: each is self-contained.
 //! The exceptions are [`workload`], the synthetic skewed-cost task set
 //! shared by the `executor` criterion bench and the `exec_bench` binary so
-//! both measure the same thing, [`soak`], the sustained multi-tenant
-//! chaos soak driver behind `treu soak`, and [`svc`], the sharded
-//! verification-service soak behind `treu soak --workers N`.
+//! both measure the same thing, and [`soak`], the sustained multi-tenant
+//! chaos soak driver behind `treu soak`.
 #![forbid(unsafe_code)]
 
 pub mod soak;
-pub mod svc;
 
 pub mod workload {
     //! A skewed-cost workload for scheduler benchmarking.

@@ -41,7 +41,7 @@
 //! renders stored traces and `treu trace DIR --check` re-verifies them
 //! against their addresses.
 //!
-//! `run`, `verify`, `chaos` and `soak` accept `--workers N`: the batch is
+//! `run`, `verify` and `chaos` accept `--workers N`: the batch is
 //! sharded across N supervised `treu worker` subprocesses speaking a
 //! length-prefixed frame protocol over stdin/stdout. `--kill-plan SEED`
 //! arms a seeded chaos monkey that SIGKILLs workers mid-shard
@@ -50,7 +50,8 @@
 //! in-process execution. Results, fingerprints and trace addresses are
 //! bitwise-identical at every topology and kill schedule. The coordinator
 //! does all cache traffic itself, so workers never open `--cache-dir`
-//! and a fully cached batch spawns none.
+//! and a fully cached batch spawns none. Every other command rejects
+//! these four flags as unknown, as it does any flag it does not take.
 //!
 //! Registry-wide `run` and `verify` also accept `--attest-dir DIR` (and
 //! `--attest-key FILE`): after the batch completes, the coordinator
@@ -149,27 +150,32 @@ fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     args.len() < before
 }
 
-/// The lone positional argument left once a subcommand's flags are
-/// taken: a leftover flag is unknown to `what`, a second positional is
-/// unexpected.
-fn positional(args: Vec<String>, what: &str) -> Option<String> {
-    let mut found = None;
-    for arg in args {
-        if arg.starts_with('-') {
-            usage_err(format!("unknown {what} flag '{arg}'"));
-        }
-        if found.is_some() {
-            usage_err(format!("unexpected argument '{arg}'"));
-        }
-        found = Some(arg);
+/// The positional arguments left once a subcommand's flags are taken: a
+/// leftover flag is unknown to `what`, and an argument past the first
+/// `max` is unexpected.
+fn positionals<'a>(args: &'a [String], what: &str, max: usize) -> &'a [String] {
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        usage_err(format!("unknown {what} flag '{flag}'"));
     }
-    found
+    if let Some(extra) = args.get(max) {
+        usage_err(format!("unexpected argument '{extra}'"));
+    }
+    args
+}
+
+/// The lone positional argument (see [`positionals`]).
+fn positional(args: &[String], what: &str) -> Option<String> {
+    positionals(args, what, 1).first().cloned()
+}
+
+/// A positional seed: anything but an unsigned integer is unexpected.
+fn parse_seed(arg: &str) -> u64 {
+    arg.parse().unwrap_or_else(|_| usage_err(format!("unexpected argument '{arg}'")))
 }
 
 /// [`positional`] as a seed.
-fn seed_positional(args: Vec<String>, what: &str) -> Option<u64> {
-    positional(args, what)
-        .map(|s| s.parse().unwrap_or_else(|_| usage_err(format!("unexpected argument '{s}'"))))
+fn seed_positional(args: &[String], what: &str) -> Option<u64> {
+    positionals(args, what, 1).first().map(|s| parse_seed(s))
 }
 
 /// Supervision settings pulled from the shared command-line flags.
@@ -249,9 +255,12 @@ struct Opts {
 }
 
 impl Opts {
-    /// Takes the shared flags out of `args`. `lint` owns its own `--deny`,
-    /// so `supervision` is false for it and those flags stay in place.
-    fn take(args: &mut Vec<String>, supervision: bool) -> Self {
+    /// Takes the shared flags `cmd` accepts out of `args`. `lint` owns its
+    /// own `--deny`, so it takes no supervision flags, and only `run`,
+    /// `verify` and `chaos` dispatch a batch, so only they take the
+    /// service flags. A flag left in place is named by `cmd`'s positional
+    /// reader.
+    fn take(args: &mut Vec<String>, cmd: &str) -> Self {
         let jobs = take(args, "--jobs").or(take(args, "-j")).map_or_else(
             treu::math::parallel::default_threads,
             |v| {
@@ -265,9 +274,10 @@ impl Opts {
                 .unwrap_or_else(|e| usage_err(format!("cannot open cache dir '{d}': {e}")))
         });
         let trace_out = take(args, "--trace-out").map(PathBuf::from);
-        let svc = SvcOpts::take(args);
+        let svc =
+            if matches!(cmd, "run" | "verify" | "chaos") { SvcOpts::take(args) } else { None };
         let attest = AttestOpts::take(args);
-        let sup = if supervision { Supervision::take(args) } else { Supervision::default() };
+        let sup = if cmd != "lint" { Supervision::take(args) } else { Supervision::default() };
         Opts { jobs, cache, trace_out, svc, attest, sup }
     }
 
@@ -298,7 +308,7 @@ fn main() {
         return;
     }
     let cmd = args.first().cloned().unwrap_or_default();
-    let o = Opts::take(&mut args, cmd != "lint");
+    let o = Opts::take(&mut args, &cmd);
     if o.sup.plan().is_some() || cmd == "chaos" || cmd == "soak" {
         // Injected faults panic by design; the supervisor catches and
         // reports them, so the default per-panic stderr trace is noise.
@@ -307,11 +317,14 @@ fn main() {
     let exec = Executor::new(o.jobs);
     let reg = treu::full_registry();
     match cmd.as_str() {
-        "list" => print!("{}", reg.render_index()),
-        "run" => run_batch_cmd(&reg, &exec, &args, &o, Mode::Run),
-        "verify" => run_batch_cmd(&reg, &exec, &args, &o, Mode::Verify),
+        "list" => {
+            positionals(&args[1..], "list", 0);
+            print!("{}", reg.render_index());
+        }
+        "run" => run_batch_cmd(&reg, &exec, &args[1..], &o, Mode::Run),
+        "verify" => run_batch_cmd(&reg, &exec, &args[1..], &o, Mode::Verify),
         "tables" => {
-            let seed = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2023);
+            let seed = seed_positional(&args[1..], "tables").unwrap_or(2023);
             let cache = o.cache.as_ref();
             let tag = seed.to_string();
             let out = match cache.and_then(|c| c.lookup_blob("tables", &tag)) {
@@ -343,9 +356,12 @@ fn main() {
                 print!("{}", c.render_stats());
             }
         }
-        "env" => print!("{}", Environment::capture().render()),
+        "env" => {
+            positionals(&args[1..], "env", 0);
+            print!("{}", Environment::capture().render());
+        }
         "attest" => run_attest_cmd(&args[1..], &reg, &o),
-        "chaos" => run_chaos(&reg, &exec, &args, &o),
+        "chaos" => run_chaos(&reg, &exec, &args[1..], &o),
         "soak" => run_soak_cmd(&reg, &args[1..], &o),
         "trace" => run_trace(&args[1..]),
         "lint" => run_lint(&args[1..], o.jobs),
@@ -355,9 +371,9 @@ fn main() {
              [...] [--jobs N] [--cache-dir DIR] [--trace-out DIR] \
              [--attest-dir DIR] [--attest-key FILE] [--conformance] \
              [--retries N] [--deadline-secs F] [--fault-seed S] \
-             [--fault-rate F] [--fault-panic ID] [--deny none|warn|error] \
-             [--workers N] [--kill-plan SEED] [--kill-rate F] \
-             [--respawn-budget N]",
+             [--fault-rate F] [--fault-panic ID] [--deny none|warn|error]; \
+             run, verify and chaos also take [--workers N] [--kill-plan SEED] \
+             [--kill-rate F] [--respawn-budget N]",
         ),
     }
 }
@@ -367,18 +383,18 @@ fn main() {
 /// single id prints its own line format (with the trail, for `run`); the
 /// registry prints one line per id plus the batch report.
 fn run_batch_cmd(reg: &ExperimentRegistry, exec: &Executor, args: &[String], o: &Opts, mode: Mode) {
-    let single = args.get(1).cloned();
+    let args = positionals(args, step(mode), 2);
+    let single = args.first().cloned();
     if let Some(id) = single.as_deref().filter(|id| reg.get(id).is_none()) {
         eprintln!("unknown experiment id '{id}'; try `treu list`");
         std::process::exit(1);
     }
-    let seed = args.get(if single.is_some() { 2 } else { 1 });
     let params =
         |id: &str, d: Params| if o.sup.conformance { treu::conformance_params(id) } else { d };
     let plan = o.sup.plan();
     let batch = Batch {
         mode,
-        seed: seed.and_then(|s| s.parse().ok()).unwrap_or(2023),
+        seed: args.get(1).map_or(2023, |s| parse_seed(s)),
         ids: single.clone().map(|id| vec![id]),
         params: &params,
         cache: o.cache.as_ref(),
@@ -517,7 +533,7 @@ fn finish(
 /// fault-free fingerprint.
 fn run_chaos(reg: &ExperimentRegistry, exec: &Executor, args: &[String], o: &Opts) {
     let sup = &o.sup;
-    let seed = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2023);
+    let seed = seed_positional(args, "chaos").unwrap_or(2023);
     let plan = FaultPlan::transient(sup.fault_seed.unwrap_or(7), sup.fault_rate.unwrap_or(0.2));
     let retries = sup.retries.unwrap_or_else(|| plan.max_transient_attempts());
     let mut policy = SupervisePolicy::new(retries);
@@ -599,10 +615,6 @@ fn run_soak_cmd(reg: &ExperimentRegistry, args: &[String], o: &Opts) {
     use treu_bench::soak::{generate, run_soak, SoakConfig, SoakReport};
 
     let sup = &o.sup;
-    if let Some(svc) = &o.svc {
-        run_svc_soak_cmd(reg, args, sup, svc);
-        return;
-    }
     let mut cfg = if sup.full { SoakConfig::full(o.jobs) } else { SoakConfig::quick(o.jobs) };
     if let Some(s) = sup.fault_seed {
         cfg.fault_seed = s;
@@ -631,7 +643,7 @@ fn run_soak_cmd(reg: &ExperimentRegistry, args: &[String], o: &Opts) {
     let out_path = take(&mut args, "--out").unwrap_or_else(|| "BENCH_soak.json".to_string());
     // The default shape; accepted so scripts can say what they mean.
     take_switch(&mut args, "--quick");
-    if let Some(s) = seed_positional(args, "soak") {
+    if let Some(s) = seed_positional(&args, "soak") {
         cfg.seed = s;
     }
     // Conformance parameters keep every submission fast — the soak's
@@ -747,51 +759,6 @@ fn run_soak_cmd(reg: &ExperimentRegistry, args: &[String], o: &Opts) {
     }
 }
 
-/// `treu soak --workers N [seed] [--passes N] [--out PATH] [--kill-plan
-/// SEED] [--kill-rate F] [--respawn-budget N] [--enforce]` — the
-/// sharded-service soak: registry-wide verification driven repeatedly
-/// through the coordinator/worker pool at a ladder of `(workers, jobs)`
-/// topologies, with the seeded kill plan SIGKILLing workers mid-shard
-/// when armed. Every pass must land on the fault-free in-process
-/// baseline's trace address and fingerprint digest; throughput per
-/// topology is written to `BENCH_svc.json` (or `--out`). `--enforce`
-/// turns any divergence into exit 1.
-fn run_svc_soak_cmd(reg: &ExperimentRegistry, args: &[String], sup: &Supervision, o: &SvcOpts) {
-    use treu_bench::svc::{run_svc_soak, SvcSoakConfig};
-
-    let mut cfg = SvcSoakConfig::new(o.workers);
-    cfg.kill_seed = o.kill_seed;
-    cfg.kill_rate = o.kill_rate;
-    cfg.respawn_budget = o.respawn_budget;
-    let mut args = args.to_vec();
-    if let Some(n) = take_parsed(&mut args, "--passes", "want a positive integer", |&n| n >= 1) {
-        cfg.passes = n;
-    }
-    let out_path = take(&mut args, "--out").unwrap_or_else(|| "BENCH_svc.json".to_string());
-    if let Some(s) = seed_positional(args, "svc soak") {
-        cfg.seed = s;
-    }
-    // Conformance parameters, as in the multi-tenant soak: the stress is
-    // process churn and shard traffic, not per-run cost.
-    let params_of = |id: &str, _d: Params| treu::conformance_params(id);
-    let report = run_svc_soak(reg, &params_of, &cfg).unwrap_or_else(|e| {
-        eprintln!("svc soak: {e}");
-        std::process::exit(2);
-    });
-    print!("{}", report.render());
-    match std::fs::write(&out_path, report.render_json()) {
-        Ok(()) => println!("svc soak: wrote {out_path}"),
-        Err(e) => {
-            eprintln!("svc soak: cannot write '{out_path}': {e}");
-            std::process::exit(2);
-        }
-    }
-    if sup.enforce && !report.all_converged() {
-        eprintln!("svc soak: FAILED — a topology diverged from the in-process baseline");
-        std::process::exit(1);
-    }
-}
-
 /// `treu lint [path] [--format human|json] [--deny none|warn|error]
 /// [--rules R1,wall-clock,...] [--flow|--no-flow] [--baseline FILE]
 /// [--write-baseline FILE]` — static reproducibility analysis over a
@@ -822,7 +789,7 @@ fn run_lint(args: &[String], jobs: usize) {
     let flow = last(&args, "--flow") >= last(&args, "--no-flow");
     take_switch(&mut args, "--flow");
     take_switch(&mut args, "--no-flow");
-    let root = positional(args, "lint");
+    let root = positional(&args, "lint");
     let root = root.unwrap_or_else(|| ".".to_string());
     let ws = Workspace::discover(std::path::Path::new(&root)).unwrap_or_else(|e| {
         eprintln!("lint: cannot walk '{root}': {e}");
@@ -878,7 +845,7 @@ struct SvcOpts {
 
 impl SvcOpts {
     /// Removes the sharded-service flags from `args`: `--workers N` routes
-    /// run/verify/chaos/soak through the coordinator/worker service;
+    /// run/verify/chaos through the coordinator/worker service;
     /// `--kill-plan SEED` arms the seeded chaos-monkey that SIGKILLs
     /// workers mid-shard, `--kill-rate F` tunes its aggression, and
     /// `--respawn-budget N` bounds respawns per slot before degradation.
@@ -927,7 +894,7 @@ fn run_trace(args: &[String]) {
     let mut args = args.to_vec();
     let top = take_parsed(&mut args, "--top", "want a positive integer", |&n| n >= 1).unwrap_or(5);
     let check = take_switch(&mut args, "--check");
-    let target = positional(args, "trace")
+    let target = positional(&args, "trace")
         .unwrap_or_else(|| usage_err("usage: treu trace <DIR|FILE> [--check] [--top N]"));
     let path = Path::new(&target);
     let files: Vec<PathBuf> = if path.is_dir() {
@@ -1170,6 +1137,9 @@ fn run_attest_cmd(args: &[String], reg: &ExperimentRegistry, o: &Opts) {
              [--attest-key FILE] [--cache-dir DIR] [--trace-out DIR] [--enforce] [seed]",
         )
     }
+    let op = args.first().map(String::as_str);
+    // Only `init` takes a second positional: its key seed.
+    let args = positionals(args, "attest", if op == Some("init") { 2 } else { 1 });
     let Some(at) = &o.attest else {
         eprintln!("attest: --attest-dir DIR is required");
         usage();
@@ -1187,9 +1157,9 @@ fn run_attest_cmd(args: &[String], reg: &ExperimentRegistry, o: &Opts) {
         registry_index_hash: Some(hash_bytes(reg.render_index().as_bytes())),
         env_fingerprint: Some(Environment::capture().fingerprint()),
     };
-    match args.first().map(String::as_str) {
+    match op {
         Some("init") => {
-            let seed = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(ATTEST_DEFAULT_KEY_SEED);
+            let seed = args.get(1).map_or(ATTEST_DEFAULT_KEY_SEED, |s| parse_seed(s));
             let key = at.load_or_init_key(seed);
             at.ensure_layout(&key);
             let layout = store.load_layout().unwrap_or_else(|e| exit_on(e));
@@ -1334,7 +1304,7 @@ fn run_tune_cmd(args: &[String], o: &Opts) {
     let repeats = take_parsed(&mut args, "--repeats", "want a positive integer", |&r| r >= 1);
     // The default shape; accepted so scripts can say what they mean.
     take_switch(&mut args, "--quick");
-    let seed = seed_positional(args, "tune").unwrap_or(2023);
+    let seed = seed_positional(&args, "tune").unwrap_or(2023);
     // Quick keeps CI latency low; --full runs the registry-default GA.
     let ga = if sup.full {
         GaParams::default()

@@ -492,6 +492,17 @@ fn bad_supervision_flags_fail_with_usage_error() {
         &["run", "T1", "--fault-rate", "1.5"],
         &["run", "T1", "--deny", "loudly"],
         &["chaos", "--rate", "nope"],
+        // Leftover arguments: an unknown flag, a seed that does not parse
+        // and a surplus argument are usage errors for every command.
+        &["run", "--help"],
+        &["run", "E3", "2023", "extra"],
+        &["verify", "E3", "notaseed"],
+        &["chaos", "--help"],
+        &["tables", "notaseed"],
+        &["list", "extra"],
+        &["env", "--bogus"],
+        // Only run, verify and chaos dispatch a batch to workers.
+        &["tables", "--workers", "2"],
     ] {
         let out = treu(bad);
         assert_eq!(out.status.code(), Some(2), "{bad:?}");
@@ -623,6 +634,7 @@ fn bad_soak_flags_fail_with_usage_error() {
         &["soak", "--epochs", "0"],
         &["soak", "--per-epoch"],
         &["soak", "not-a-seed"],
+        &["soak", "--workers", "2"],
     ] {
         let out = treu(bad);
         assert_eq!(out.status.code(), Some(2), "{bad:?}");

@@ -102,8 +102,8 @@ fn conformance_fingerprints_match_the_pinned_table() {
     let got: Vec<(&str, u64)> =
         report.outcomes.iter().map(|o| (o.id.as_str(), o.fingerprint)).collect();
     assert_eq!(got, PINNED_2023, "a registry result changed at seed 2023");
-    // The registry-wide digest BENCH_svc.json commits: id, fingerprint
-    // and outcome ("ok") per id, folded in registry order.
+    // The registry-wide digest perfbench gates its workloads on: id,
+    // fingerprint and outcome ("ok") per id, folded in registry order.
     let fps: Vec<[u8; 8]> = PINNED_2023.iter().map(|(_, fp)| fp.to_le_bytes()).collect();
     let parts: Vec<&[u8]> = PINNED_2023
         .iter()
