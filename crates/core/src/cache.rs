@@ -14,11 +14,12 @@
 //! order. The *validity* of an entry is governed separately by the
 //! **code+env fingerprint** stored inside it:
 //! [`Environment::capture`]`().fingerprint()`, which covers the harness
-//! version (code) plus OS, architecture and hardware threads (env). A
-//! lookup that finds the address but not the fingerprint is an
-//! **invalidation**, counted as such and recomputed — this is how a
-//! rebuilt harness or a new machine transparently refreshes the cache
-//! instead of serving stale bits.
+//! version (code) plus OS and architecture (env). The host's thread count
+//! is not part of it: results are bitwise-invariant to it, so a cache
+//! copied to a host with more cores stays valid. A lookup that finds the
+//! address but not the fingerprint is an **invalidation**, counted as
+//! such and recomputed — this is how a rebuilt harness or a new machine
+//! transparently refreshes the cache instead of serving stale bits.
 //!
 //! Storage is one plain-text file per entry (the provenance layer's
 //! [`Trail::render`]/[`Trail::parse`] round-trips metrics bitwise), so a
@@ -919,6 +920,25 @@ mod tests {
         // Overwriting refreshes it for the new fingerprint.
         new.store("E", 5, &p, &rec).unwrap();
         assert!(new.lookup("E", 5, &p).is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn entries_stay_valid_across_thread_counts() {
+        // Results are bitwise-invariant to the host's thread count, so a
+        // cache filled on a 2-thread host serves a 4-thread one.
+        let dir = tmp_dir("threads");
+        let two = Environment { threads: 2, ..Environment::capture() };
+        let four = Environment { threads: 4, ..two.clone() };
+        let p = Params::new();
+        let rec = run_once(&Noisy, 5, p.clone());
+        let filled = RunCache::open_with_fingerprint(&dir, two.fingerprint()).unwrap();
+        filled.store("E", 5, &p, &rec).unwrap();
+        let other = RunCache::open_with_fingerprint(&dir, four.fingerprint()).unwrap();
+        match other.lookup_classified("E", 5, &p) {
+            Lookup::Hit(hit) => assert_eq!(hit.trail, rec.trail),
+            _ => panic!("an entry from a host with another thread count must hit"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -7,8 +7,13 @@
 //! variables) so a [`crate::RunRecord`] can be interpreted later. Two
 //! captures can be diffed to explain why a numerically identical rerun was
 //! or was not expected.
+//!
+//! The thread count is reported, never fingerprinted: the determinism
+//! contract makes every result invariant to it, so a cache filled on a
+//! 2-core host stays valid on a 4-core one.
 
 use std::collections::BTreeMap;
+use treu_math::hash::fnv64;
 
 /// A snapshot of the execution environment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,27 +55,29 @@ impl Environment {
         }
     }
 
-    /// Stable fingerprint of the snapshot (FNV-1a over the canonical
-    /// rendering).
+    /// Stable fingerprint of what results may depend on: FNV-1a over os,
+    /// arch, harness version and vars, rendered canonically. `threads` is
+    /// left out, as results are bitwise-invariant to it.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in self.render().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        let (os, arch, harness) = (&self.os, &self.arch, &self.harness_version);
+        fnv64(format!("os={os} arch={arch} harness={harness}\n{}", self.var_lines()).as_bytes())
     }
 
     /// Canonical plain-text rendering.
     pub fn render(&self) -> String {
-        let mut s = format!(
-            "os={} arch={} threads={} harness={}\n",
-            self.os, self.arch, self.threads, self.harness_version
-        );
-        for (k, v) in &self.vars {
-            s.push_str(&format!("var {k}={v}\n"));
-        }
-        s
+        format!(
+            "os={} arch={} threads={} harness={}\n{}",
+            self.os,
+            self.arch,
+            self.threads,
+            self.harness_version,
+            self.var_lines()
+        )
+    }
+
+    /// One `var K=V` line per recorded variable, in key order.
+    fn var_lines(&self) -> String {
+        self.vars.iter().map(|(k, v)| format!("var {k}={v}\n")).collect()
     }
 
     /// Lists the fields on which two environments differ, as
@@ -135,6 +142,14 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert!(d.iter().any(|s| s.starts_with("threads:")));
         assert!(d.iter().any(|s| s.contains("ONLY_IN_B") && s.contains("<unset>")));
+    }
+
+    #[test]
+    fn fingerprint_ignores_threads() {
+        let a = Environment::capture();
+        let b = Environment { threads: a.threads + 2, ..a.clone() };
+        assert_ne!(a.render(), b.render(), "threads is still reported");
+        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

@@ -25,14 +25,12 @@
 //! merge keeps the output bitwise-identical to sequential regardless of
 //! which worker computed what.
 //!
-//! Observability: the `_report` variants return an [`ExecReport`] with
-//! per-run wall seconds, total vs critical-path time, per-worker busy
-//! time (load-imbalance ratio, utilization), and the measured speedup
-//! with its implied Amdahl serial fraction ([`treu_math::scaling`]) —
-//! fitted from measured per-worker busy time when available, not batch
-//! wall time alone — so the parallelism is itself a measured, reportable
-//! experiment: the paper's §4 performance-measurement lesson applied to
-//! the harness.
+//! Observability: a registry run batch returns an [`ExecReport`] of what
+//! it measured — per-run wall seconds, batch wall seconds, cached and
+//! quarantined counts — and derives no model from them. Per-worker busy
+//! time goes to the trace's timing sidecar, which `treu trace` renders;
+//! fitting a scaling model to measured timings is the §4 lesson module
+//! [`treu_math::scaling`]'s job.
 //!
 //! Registry-wide batches — run or verify, cached or not, in-process or
 //! sharded — all go through the one pipeline in [`crate::batch`], which
@@ -58,12 +56,9 @@ use crate::experiment::{run_once, Experiment, Params, RunRecord};
 use crate::fault::{backoff_millis, FaultPlan, FaultyExperiment};
 use crate::registry::ExperimentRegistry;
 use crate::sweep::{grid_points, Axis, SweepPoint};
-use crate::trace::{
-    worker_timings, AttemptOutcome, BatchTrace, CacheResult, RunTrace, TraceCounters, TraceEvent,
-};
+use crate::trace::{AttemptOutcome, BatchTrace, CacheResult, RunTrace, TraceCounters, TraceEvent};
 use std::time::{Duration, Instant};
 use treu_math::parallel::{adaptive_chunk, default_threads, par_map_dynamic_stats, SchedStats};
-use treu_math::scaling::amdahl_speedup;
 
 /// Deterministic parallel executor with a fixed worker count.
 #[derive(Debug, Clone)]
@@ -141,29 +136,6 @@ impl Executor {
         E: Experiment + Sync + ?Sized,
     {
         self.map_indexed(seeds.len(), |i| run_once(exp, seeds[i], params.clone()))
-    }
-
-    /// [`Executor::run_seeds`] plus an [`ExecReport`] for the batch.
-    pub fn run_seeds_report<E>(
-        &self,
-        exp: &E,
-        seeds: &[u64],
-        params: &Params,
-    ) -> (Vec<RunRecord>, ExecReport)
-    where
-        E: Experiment + Sync + ?Sized,
-    {
-        // treu-lint: allow(wall-clock, reason = "batch timing reported outside the fingerprint")
-        let start = Instant::now();
-        let (records, sched) =
-            self.map_indexed_stats(seeds.len(), |i| run_once(exp, seeds[i], params.clone()));
-        let report = ExecReport::from_labelled(
-            self.jobs,
-            records.iter().map(|r| (format!("seed {}", r.seed), r.wall_seconds)),
-            start.elapsed().as_secs_f64(),
-        )
-        .with_workers(&sched);
-        (records, report)
     }
 
     /// Parallel form of [`crate::sweep::sweep`]: the full cartesian grid
@@ -313,6 +285,19 @@ pub struct RunFailure {
     pub attempts: u32,
     /// The last attempt's error (panic message or deadline report).
     pub last_error: String,
+}
+
+impl std::fmt::Display for RunFailure {
+    /// The quarantine verdict every report prints after the id.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "QUARANTINED({}) after {} attempt(s): {}",
+            self.taxonomy.name(),
+            self.attempts,
+            self.last_error
+        )
+    }
 }
 
 /// The outcome of one supervised run.
@@ -621,12 +606,7 @@ impl VerifyOutcome {
         } else if let Some(f) =
             self.failure.as_ref().filter(|f| f.taxonomy != FailureKind::Nondeterministic)
         {
-            format!(
-                "QUARANTINED({}) after {} attempt(s): {}",
-                f.taxonomy.name(),
-                f.attempts,
-                f.last_error
-            )
+            f.to_string()
         } else {
             "MISMATCH — run is not deterministic".to_string()
         }
@@ -743,14 +723,16 @@ impl VerifyReport {
 /// Wall-clock accounting for one run inside a batch.
 #[derive(Debug, Clone)]
 pub struct RunTiming {
-    /// Display label (seed, id, or grid tag).
+    /// Display label (the run's experiment id).
     pub label: String,
     /// Wall seconds of that run alone.
     pub wall_seconds: f64,
 }
 
-/// Timing report for a parallel batch: where the time went, how well the
-/// fan-out paid off, and what Amdahl's law implies about pushing further.
+/// What a run batch measured: each run's wall time, the batch's wall
+/// time, and how many runs the cache served or the supervisor
+/// quarantined. Per-worker busy time lives in the trace's timing
+/// sidecar, where `treu trace` reads it.
 #[derive(Debug, Clone)]
 pub struct ExecReport {
     /// Worker count used.
@@ -766,9 +748,7 @@ pub struct ExecReport {
     /// (they contribute no [`RunTiming`]).
     pub failed_runs: usize,
     /// The batch's merged event trace (empty when tracing was disabled or
-    /// the batch did not go through a traced path). Its `workers` are the
-    /// report's per-worker load, in worker-spawn order; empty when the
-    /// batch did not go through the dynamic scheduler's stats path.
+    /// the batch did not go through a traced path).
     pub trace: BatchTrace,
     /// Aggregate counters folded from [`ExecReport::trace`].
     pub counters: TraceCounters,
@@ -796,13 +776,6 @@ impl ExecReport {
         }
     }
 
-    /// Attaches the dynamic scheduler's per-worker load accounting to the
-    /// report's trace (a later [`ExecReport::with_trace`] replaces it).
-    pub fn with_workers(mut self, sched: &SchedStats) -> Self {
-        self.trace.workers = worker_timings(sched);
-        self
-    }
-
     /// Records how many runs were served from the cache.
     pub fn with_cached(mut self, cached_runs: usize) -> Self {
         self.cached_runs = cached_runs;
@@ -822,160 +795,19 @@ impl ExecReport {
         self
     }
 
-    /// Total CPU-seconds across runs — the sequential cost.
-    pub fn total_seconds(&self) -> f64 {
-        self.runs.iter().map(|r| r.wall_seconds).sum()
-    }
-
-    /// The longest single run — no schedule can beat this.
-    pub fn critical_path_seconds(&self) -> f64 {
-        self.runs.iter().map(|r| r.wall_seconds).fold(0.0, f64::max)
-    }
-
-    /// Sum of per-worker busy seconds (0.0 when no worker stats).
-    pub fn total_busy_seconds(&self) -> f64 {
-        self.trace.workers.iter().map(|w| w.busy_seconds).sum()
-    }
-
-    /// Load-imbalance ratio: busiest over least-busy worker. 1.0 when
-    /// fewer than two workers reported, when every run was replayed from
-    /// the cache (the workers' busy time is replay, not compute), or when
-    /// nobody did measurable work (e.g. every run quarantined) — always
-    /// finite.
-    pub fn imbalance_ratio(&self) -> f64 {
-        if self.trace.workers.len() < 2 || self.all_cached() {
-            return 1.0;
-        }
-        let max = self.trace.workers.iter().map(|w| w.busy_seconds).fold(0.0, f64::max);
-        let min = self.trace.workers.iter().map(|w| w.busy_seconds).fold(f64::INFINITY, f64::min);
-        // A worker with ~zero busy seconds did no measurable work — a
-        // fully-cached batch, or more workers than items. max over ~0 is
-        // scheduling noise, not imbalance; the old `min.max(1e-9)` floor
-        // turned it into a ~1e9 "ratio".
-        if max <= 0.0 || !min.is_finite() || min <= 1e-9 {
-            return 1.0;
-        }
-        let ratio = max / min;
-        if ratio.is_finite() {
-            ratio
-        } else {
-            1.0
-        }
-    }
-
-    /// True when every run in the batch was served from the run cache —
-    /// nothing was computed, so busy/wall ratios describe replay, not
-    /// work.
-    pub fn all_cached(&self) -> bool {
-        !self.runs.is_empty() && self.cached_runs >= self.runs.len()
-    }
-
-    /// Worker utilization: busy seconds over `workers × wall` (1.0 = no
-    /// idle time anywhere). Falls back to run-time accounting when no
-    /// worker stats are attached.
-    pub fn utilization(&self) -> f64 {
-        // A fully-cached batch computed nothing, but its RunTimings carry
-        // the runs' *original* costs — dividing those by this batch's
-        // near-zero wall time reported utilization far above 100%.
-        if self.all_cached() {
-            return 0.0;
-        }
-        let wall = self.wall_seconds.max(1e-12);
-        let (busy, lanes) = if self.trace.workers.is_empty() {
-            (self.total_seconds(), self.jobs.max(1) as f64)
-        } else {
-            (self.total_busy_seconds(), self.trace.workers.len() as f64)
-        };
-        (busy / (lanes * wall)).clamp(0.0, 1.0)
-    }
-
-    /// Measured speedup: sequential cost over measured batch wall time.
-    /// 1.0 (not 0 or NaN) when there is nothing to account — an empty
-    /// batch, one where every run was quarantined, or one served entirely
-    /// from the cache (its runs' costs are their original computations',
-    /// not this batch's, so dividing them by its wall time measures
-    /// nothing).
-    pub fn speedup(&self) -> f64 {
-        let total = self.total_seconds();
-        if self.runs.is_empty() || total <= 0.0 || self.all_cached() {
-            return 1.0;
-        }
-        total / self.wall_seconds.max(1e-12)
-    }
-
-    /// The serial fraction Amdahl's law implies for the measured batch
-    /// (0 = perfect scaling, 1 = none).
-    ///
-    /// When per-worker busy times are attached, the fit uses what was
-    /// *measured at the workers*: speedup = total busy seconds over batch
-    /// wall time, at the spawned worker count — so scheduler idle time
-    /// (imbalance) shows up as serial fraction instead of hiding inside
-    /// batch wall time. Without worker stats it falls back to the
-    /// per-run-sum estimate. With one effective lane, or a batch served
-    /// entirely from the cache, there is no parallelism to attribute, so
-    /// 1.0.
-    pub fn serial_fraction(&self) -> f64 {
-        if self.all_cached() {
-            return 1.0;
-        }
-        let lanes = self.trace.workers.len();
-        let (s, t) = if lanes >= 2 {
-            (self.total_busy_seconds() / self.wall_seconds.max(1e-12), lanes as f64)
-        } else if lanes == 1 {
-            return 1.0;
-        } else {
-            (self.speedup(), self.jobs.min(self.runs.len().max(1)) as f64)
-        };
-        if t <= 1.0 || !s.is_finite() {
-            return 1.0;
-        }
-        let s = s.max(1e-12);
-        // S = 1 / (f + (1-f)/t)  =>  f = (1/S - 1/t) / (1 - 1/t)
-        ((1.0 / s - 1.0 / t) / (1.0 - 1.0 / t)).clamp(0.0, 1.0)
-    }
-
-    /// Projected speedup at `threads` workers under the fitted serial
-    /// fraction — the [`treu_math::scaling`] Amdahl hook.
-    pub fn projected_speedup(&self, threads: usize) -> f64 {
-        amdahl_speedup(self.serial_fraction(), threads)
-    }
-
-    /// Renders the accounting: per-run lines, per-worker load, then
-    /// totals and the scaling estimate.
+    /// Renders the per-run lines, the batch's wall time, then the cache,
+    /// quarantine and trace-counter lines that apply.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for r in &self.runs {
             out.push_str(&format!("  run    {:<24} {:>9.4}s\n", r.label, r.wall_seconds));
         }
-        for (w, load) in self.trace.workers.iter().enumerate() {
-            out.push_str(&format!(
-                "  worker {:<3} busy {:>9.4}s  {:>4} chunk(s)  {:>4} item(s)\n",
-                w, load.busy_seconds, load.chunks, load.items
-            ));
-        }
         out.push_str(&format!(
-            "  total {:.4}s over {} run(s); critical path {:.4}s; wall {:.4}s with {} job(s)\n",
-            self.total_seconds(),
-            self.runs.len(),
-            self.critical_path_seconds(),
+            "  wall {:.4}s over {} run(s) with {} job(s)\n",
             self.wall_seconds,
+            self.runs.len(),
             self.jobs
         ));
-        if !self.trace.workers.is_empty() {
-            if self.all_cached() {
-                out.push_str(&format!(
-                    "  load: utilization — (all cached), {} worker(s) idle\n",
-                    self.trace.workers.len()
-                ));
-            } else {
-                out.push_str(&format!(
-                    "  load: utilization {:.1}%, imbalance max/min {:.2} over {} worker(s)\n",
-                    100.0 * self.utilization(),
-                    self.imbalance_ratio(),
-                    self.trace.workers.len()
-                ));
-            }
-        }
         if self.cached_runs > 0 {
             out.push_str(&format!(
                 "  cache: {} of {} run(s) served from the run cache\n",
@@ -992,18 +824,6 @@ impl ExecReport {
         if self.counters.events > 0 {
             out.push_str(&self.counters.render_line());
         }
-        if self.all_cached() {
-            out.push_str("  speedup — (all cached)\n");
-            return out;
-        }
-        out.push_str(&format!(
-            "  speedup {:.2}x (implied Amdahl serial fraction {:.3}{}; projected {:.2}x at {} threads)\n",
-            self.speedup(),
-            self.serial_fraction(),
-            if self.trace.workers.len() >= 2 { " from per-worker busy time" } else { "" },
-            self.projected_speedup(2 * self.jobs.max(1)),
-            2 * self.jobs.max(1)
-        ));
         out
     }
 }
@@ -1186,47 +1006,6 @@ mod tests {
     }
 
     #[test]
-    fn report_accounts_time_and_fits_amdahl() {
-        let report = ExecReport::from_labelled(
-            4,
-            [("a".to_string(), 1.0), ("b".to_string(), 1.0), ("c".to_string(), 2.0)],
-            2.0,
-        );
-        assert_eq!(report.total_seconds(), 4.0);
-        assert_eq!(report.critical_path_seconds(), 2.0);
-        assert!((report.speedup() - 2.0).abs() < 1e-9);
-        let f = report.serial_fraction();
-        assert!((0.0..=1.0).contains(&f));
-        // Perfect scaling at t=3 effective workers would be 3x; measured
-        // 2x implies a nonzero serial fraction.
-        assert!(f > 0.0);
-        // The projection reproduces the measurement at the effective
-        // worker count by construction.
-        let t = report.jobs.min(report.runs.len());
-        assert!((report.projected_speedup(t) - report.speedup()).abs() < 1e-9);
-        let rendered = report.render();
-        assert!(rendered.contains("critical path"));
-        assert!(rendered.contains("speedup"));
-    }
-
-    #[test]
-    fn sequential_report_has_unit_serial_fraction() {
-        let report = ExecReport::from_labelled(1, [("a".to_string(), 1.0)], 1.0);
-        assert_eq!(report.serial_fraction(), 1.0);
-        assert_eq!(report.projected_speedup(8), 1.0);
-    }
-
-    #[test]
-    fn run_seeds_report_labels_every_seed() {
-        let (records, report) =
-            Executor::new(2).run_seeds_report(&Noisy, &[3, 1, 4], &Params::new());
-        assert_eq!(records.len(), 3);
-        assert_eq!(report.runs.len(), 3);
-        assert_eq!(report.runs[0].label, "seed 3");
-        assert!(report.wall_seconds > 0.0);
-    }
-
-    #[test]
     fn map_indexed_preserves_order_under_oversubscription() {
         let v = Executor::new(64).map_indexed(5, |i| i * i);
         assert_eq!(v, vec![0, 1, 4, 9, 16]);
@@ -1238,56 +1017,6 @@ mod tests {
         assert_eq!(v, (1..=40).collect::<Vec<_>>());
         assert!(sched.workers >= 1 && sched.workers <= 4);
         assert_eq!(sched.items.iter().sum::<usize>(), 40);
-    }
-
-    #[test]
-    fn report_with_workers_fits_amdahl_from_busy_time() {
-        // Two workers, each busy 1.0s, wall 1.0s: S = 2 at t = 2 ⇒ f = 0
-        // (perfect scaling), regardless of what the per-run sums say.
-        let sched = SchedStats {
-            workers: 2,
-            chunk: 1,
-            busy_seconds: vec![1.0, 1.0],
-            chunks_claimed: vec![2, 2],
-            items: vec![2, 2],
-        };
-        let report =
-            ExecReport::from_labelled(2, [("a".to_string(), 0.5), ("b".to_string(), 0.5)], 1.0)
-                .with_workers(&sched);
-        assert!((report.total_busy_seconds() - 2.0).abs() < 1e-12);
-        assert!(report.serial_fraction() < 1e-9, "balanced busy time ⇒ zero serial fraction");
-        assert!((report.utilization() - 1.0).abs() < 1e-9);
-        assert!((report.imbalance_ratio() - 1.0).abs() < 1e-9);
-
-        // One hot worker, one idle: S = 1.1/1.0 at t = 2 ⇒ large f.
-        let skew = SchedStats {
-            workers: 2,
-            chunk: 1,
-            busy_seconds: vec![1.0, 0.1],
-            chunks_claimed: vec![3, 1],
-            items: vec![3, 1],
-        };
-        let hot = ExecReport::from_labelled(2, [("a".to_string(), 1.1)], 1.0).with_workers(&skew);
-        assert!(hot.serial_fraction() > 0.5, "imbalance must surface as serial fraction");
-        assert!((hot.imbalance_ratio() - 10.0).abs() < 1e-9);
-        let rendered = hot.render();
-        assert!(rendered.contains("worker 0"));
-        assert!(rendered.contains("utilization"));
-        assert!(rendered.contains("from per-worker busy time"));
-    }
-
-    #[test]
-    fn single_worker_stats_mean_unit_serial_fraction() {
-        let sched = SchedStats {
-            workers: 1,
-            chunk: 4,
-            busy_seconds: vec![1.0],
-            chunks_claimed: vec![1],
-            items: vec![4],
-        };
-        let report =
-            ExecReport::from_labelled(1, [("a".to_string(), 1.0)], 1.0).with_workers(&sched);
-        assert_eq!(report.serial_fraction(), 1.0);
     }
 
     fn cache_dir(tag: &str) -> std::path::PathBuf {
@@ -1317,11 +1046,6 @@ mod tests {
             assert_eq!(a.trail, b.trail, "cache replay must round-trip trails bitwise");
         }
         assert!(warm_report.render().contains("served from the run cache"));
-        // Regression: an all-hit batch has zero-busy workers — that must
-        // read as unit imbalance and an "all cached" load line, not an
-        // astronomically large max/min ratio.
-        assert_eq!(warm_report.imbalance_ratio(), 1.0);
-        assert!(warm_report.utilization() <= 1.0);
         assert_eq!(warm_report.counters.cache_hits, reg.len() as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1382,112 +1106,28 @@ mod tests {
 
     #[test]
     fn empty_report_stats_are_finite_and_sane() {
-        // Zero successful runs (everything quarantined, or nothing ran):
-        // the accounting must stay finite and neutral, not NaN or 0x.
+        // Zero successful runs (everything quarantined, or nothing ran).
         let report = ExecReport::from_labelled(4, std::iter::empty(), 0.0).with_failed(3);
-        assert_eq!(report.speedup(), 1.0);
-        assert_eq!(report.serial_fraction(), 1.0);
-        assert_eq!(report.imbalance_ratio(), 1.0);
-        assert_eq!(report.utilization(), 0.0);
-        assert!(report.speedup().is_finite());
-        assert!(report.projected_speedup(8).is_finite());
         let rendered = report.render();
-        assert!(rendered.contains("quarantined: 3 run(s)"));
-        assert!(!rendered.contains("NaN") && !rendered.contains("inf"));
-
-        // An idle worker next to a busy one must not blow the ratio up
-        // to 1e12 — clamped finite.
-        let skew = SchedStats {
-            workers: 2,
-            chunk: 1,
-            busy_seconds: vec![1.0, 0.0],
-            chunks_claimed: vec![1, 0],
-            items: vec![1, 0],
-        };
-        let lop = ExecReport::from_labelled(2, [("a".to_string(), 1.0)], 1.0).with_workers(&skew);
-        assert!(lop.imbalance_ratio().is_finite());
-        assert!(lop.serial_fraction().is_finite());
-    }
-
-    #[test]
-    fn zero_busy_workers_report_unit_imbalance_not_huge_ratios() {
-        // Regression: an all-cache-hit batch leaves every worker with ~0
-        // busy seconds. The old `min.max(1e-9)` floor reported a ~1e9
-        // "imbalance" for the busy/idle pair below instead of treating
-        // near-zero busy time as no-signal.
-        let idle = SchedStats {
-            workers: 2,
-            chunk: 1,
-            busy_seconds: vec![0.0, 0.0],
-            chunks_claimed: vec![0, 0],
-            items: vec![0, 0],
-        };
-        let all_idle = ExecReport::from_labelled(2, std::iter::empty(), 0.01).with_workers(&idle);
-        assert_eq!(all_idle.imbalance_ratio(), 1.0);
-        let near = SchedStats {
-            workers: 2,
-            chunk: 1,
-            busy_seconds: vec![1.0, 1e-12],
-            chunks_claimed: vec![1, 1],
-            items: vec![1, 1],
-        };
-        let lop = ExecReport::from_labelled(2, [("a".to_string(), 1.0)], 1.0).with_workers(&near);
-        assert_eq!(lop.imbalance_ratio(), 1.0, "sub-nanosecond busy time is noise, not load");
+        assert!(rendered.contains("quarantined: 3 run(s)"), "{rendered}");
+        assert!(!rendered.contains("NaN") && !rendered.contains("inf"), "{rendered}");
     }
 
     #[test]
     fn fully_cached_batch_renders_all_cached_and_clamps_utilization() {
         // A warm-cache batch's RunTimings carry the original compute
-        // costs (here 5s against a 1ms wall): utilization must not report
-        // >100%, and the load line must say "all cached" instead of
-        // manufacturing a percentage out of replay time.
-        let sched = SchedStats {
-            workers: 2,
-            chunk: 1,
-            busy_seconds: vec![0.0, 0.0],
-            chunks_claimed: vec![0, 0],
-            items: vec![0, 0],
-        };
+        // costs (here 5s against a 1ms wall); the report prints them as
+        // measured and names the cache, with no ratio derived from them.
         let report =
             ExecReport::from_labelled(2, [("a".to_string(), 2.0), ("b".to_string(), 3.0)], 0.001)
-                .with_workers(&sched)
                 .with_cached(2);
-        assert!(report.all_cached());
-        assert_eq!(report.utilization(), 0.0);
-        assert!(report.utilization() <= 1.0);
         let rendered = report.render();
-        assert!(rendered.contains("— (all cached)"), "{rendered}");
-        assert!(!rendered.contains("utilization 1"), "{rendered}");
-    }
-
-    #[test]
-    fn fully_cached_batch_reports_no_speedup() {
-        // The runs' 5s of original compute against this batch's 1ms wall
-        // once rendered as "speedup 5000.00x"; a batch that computed
-        // nothing has no speedup to report, with or without worker stats.
-        let runs = [("a".to_string(), 2.0), ("b".to_string(), 3.0)];
-        let sched = SchedStats {
-            workers: 2,
-            chunk: 1,
-            busy_seconds: vec![0.0004, 0.0003],
-            chunks_claimed: vec![1, 1],
-            items: vec![1, 1],
-        };
-        for report in [
-            ExecReport::from_labelled(2, runs.clone(), 0.001).with_cached(2),
-            ExecReport::from_labelled(2, runs.clone(), 0.001).with_workers(&sched).with_cached(2),
-        ] {
-            assert_eq!(report.speedup(), 1.0);
-            assert_eq!(report.serial_fraction(), 1.0);
-            let rendered = report.render();
-            assert!(rendered.contains("  speedup — (all cached)\n"), "{rendered}");
-            assert!(!rendered.contains("speedup 5000"), "{rendered}");
-            assert!(!rendered.contains("Amdahl"), "{rendered}");
-        }
-        // One recomputed run is enough for the measured line to return.
-        let partial = ExecReport::from_labelled(2, runs, 2.5).with_cached(1);
-        assert_eq!(partial.speedup(), 2.0);
-        assert!(partial.render().contains("speedup 2.00x"));
+        assert!(
+            rendered.contains("  cache: 2 of 2 run(s) served from the run cache\n"),
+            "{rendered}"
+        );
+        assert!(rendered.contains("  wall 0.0010s over 2 run(s) with 2 job(s)\n"), "{rendered}");
+        assert!(!rendered.contains("speedup") && !rendered.contains("utilization"), "{rendered}");
     }
 
     struct AlwaysPanics;
@@ -1545,6 +1185,8 @@ mod tests {
                 assert_eq!(f.taxonomy, FailureKind::Panicked);
                 assert_eq!(f.attempts, 3, "retries + 1 attempts consumed");
                 assert!(f.last_error.contains("permanent failure"));
+                let verdict = "QUARANTINED(Panicked) after 3 attempt(s): permanent failure";
+                assert!(f.to_string().starts_with(verdict), "{f}");
             }
             RunOutcome::Ok { .. } => panic!("a permanent panic cannot succeed"),
         }

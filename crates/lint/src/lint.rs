@@ -82,32 +82,8 @@ impl Lint {
         // Phase 1: independent per-file scans, fanned out over contiguous
         // index chunks so reassembly is a no-op.
         let texts = read_all(ws, self.jobs)?;
-        let mut pres: Vec<PreFile> = Vec::with_capacity(ws.files.len());
-        if self.jobs <= 1 || ws.files.len() < 2 {
-            for (file, text) in ws.files.iter().zip(&texts) {
-                pres.push(self.scan_file(file, text));
-            }
-        } else {
-            let jobs = self.jobs.min(ws.files.len());
-            let chunk = ws.files.len().div_ceil(jobs);
-            let mut parts: Vec<Vec<PreFile>> = Vec::new();
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (files, texts) in ws.files.chunks(chunk).zip(texts.chunks(chunk)) {
-                    handles.push(scope.spawn(move || {
-                        files
-                            .iter()
-                            .zip(texts)
-                            .map(|(f, t)| self.scan_file(f, t))
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                for h in handles {
-                    parts.push(h.join().expect("scan worker panicked"));
-                }
-            });
-            pres = parts.into_iter().flatten().collect();
-        }
+        let mut pres =
+            par_bands(ws.files.len(), self.jobs, |i| self.scan_file(&ws.files[i], &texts[i]));
 
         // Phase 2: the serial cross-file flow pass.
         if self.flow && self.rules.iter().any(|r| r.is_flow()) {
@@ -344,34 +320,37 @@ impl Lint {
     }
 }
 
-/// Reads every workspace file, fanning the I/O out with the same
-/// chunking as phase 1. The first error (in workspace order) wins.
+/// Reads every workspace file, fanning the I/O out with the same bands
+/// as phase 1. The first error (in workspace order) wins.
 fn read_all(ws: &Workspace, jobs: usize) -> io::Result<Vec<String>> {
-    let read = |file: &SourceFile| {
-        std::fs::read_to_string(&file.path)
-            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", file.path.display())))
-    };
-    if jobs <= 1 || ws.files.len() < 2 {
-        return ws.files.iter().map(read).collect();
+    par_bands(ws.files.len(), jobs, |i| {
+        let path = &ws.files[i].path;
+        std::fs::read_to_string(path)
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Maps `f` over `0..n` on up to `jobs` scoped threads, one contiguous
+/// band of indices each, and returns the results in index order: the
+/// bands of `treu_math::parallel::par_map`, which this crate does not
+/// depend on.
+fn par_bands<T: Send>(n: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if jobs <= 1 || n < 2 {
+        return (0..n).map(f).collect();
     }
-    let jobs = jobs.min(ws.files.len());
-    let chunk = ws.files.len().div_ceil(jobs);
-    let mut parts: Vec<io::Result<Vec<String>>> = Vec::new();
+    let band = n.div_ceil(jobs.min(n));
+    let f = &f;
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for files in ws.files.chunks(chunk) {
-            handles
-                .push(scope.spawn(move || files.iter().map(read).collect::<io::Result<Vec<_>>>()));
-        }
-        for h in handles {
-            parts.push(h.join().expect("read worker panicked"));
-        }
-    });
-    let mut texts = Vec::with_capacity(ws.files.len());
-    for part in parts {
-        texts.extend(part?);
-    }
-    Ok(texts)
+        let bands: Vec<_> = (0..n)
+            .step_by(band)
+            .map(|start| {
+                scope.spawn(move || (start..n.min(start + band)).map(f).collect::<Vec<_>>())
+            })
+            .collect();
+        bands.into_iter().flat_map(|h| h.join().expect("lint worker panicked")).collect()
+    })
 }
 
 /// R7: crate roots must carry an unsafe_code attribute. Not suppressible.

@@ -1,9 +1,8 @@
 //! The HPC lesson module (§4, footnote 1): "how to conduct performance
 //! measurement of parallel computations" — measure a real parallel
 //! matmul's speedup curve (the §2.5 `parallelize` schedule primitive over
-//! row bands), fit Amdahl's law to it, then run a multi-seed experiment
-//! batch through the deterministic executor and read the same accounting
-//! off its report.
+//! row bands), fit Amdahl's law to it, then measure and fit a multi-seed
+//! experiment batch through the deterministic executor the same way.
 //!
 //! Run with: `cargo run --release --example parallel_measurement`
 
@@ -12,7 +11,7 @@ use treu::autotune::{Kernel, Schedule};
 use treu::core::exec::Executor;
 use treu::core::experiment::{Experiment, Params, RunContext};
 use treu_math::rng::SplitMix64;
-use treu_math::scaling::{amdahl_speedup, fit_amdahl, measure_speedup};
+use treu_math::scaling::{amdahl_speedup, fit_amdahl, measure_speedup, ScalingPoint};
 use treu_math::Matrix;
 
 /// One seeded unit of the batch workload: a Gaussian matmul whose trace is
@@ -34,6 +33,18 @@ impl Experiment for MatmulTrial {
     }
 }
 
+/// Prints a measured curve and its Amdahl fit; returns the fitted serial
+/// fraction.
+fn report_curve(unit: &str, points: &[ScalingPoint]) -> f64 {
+    println!("{unit:>8} {:>12} {:>9}", "seconds", "speedup");
+    for p in points {
+        println!("{:>8} {:>12.5} {:>8.2}x", p.threads, p.seconds, p.speedup);
+    }
+    let (f, rmse) = fit_amdahl(points);
+    println!("\nAmdahl fit: serial fraction f = {f:.3} (rmse {rmse:.3})");
+    f
+}
+
 fn main() {
     let mut rng = SplitMix64::new(1);
     let n = 384;
@@ -53,38 +64,25 @@ fn main() {
         assert!(w.c.iter().all(|v| v.is_finite()));
     });
 
-    println!("{:>8} {:>12} {:>9}", "threads", "seconds", "speedup");
-    for p in &points {
-        println!("{:>8} {:>12.5} {:>8.2}x", p.threads, p.seconds, p.speedup);
-    }
-
-    let (f, rmse) = fit_amdahl(&points);
-    println!("\nAmdahl fit: serial fraction f = {f:.3} (rmse {rmse:.3})");
+    let f = report_curve("threads", &points);
     println!(
         "Projected speedup at 64 threads under this fit: {:.1}x (perfect would be 64x)",
         amdahl_speedup(f, 64)
     );
     // The same lesson at the harness level: a batch of seeded experiment
-    // runs through the deterministic executor, sequential vs parallel.
+    // runs through the deterministic executor, timed and fitted the same
+    // way, with every job count's records checked against one job's.
     let seeds: Vec<u64> = (0..8).collect();
     let params = Params::new().with_int("n", 160);
-    let (seq_records, seq_report) =
-        Executor::sequential().run_seeds_report(&MatmulTrial, &seeds, &params);
-    let (par_records, par_report) =
-        Executor::new(hw).run_seeds_report(&MatmulTrial, &seeds, &params);
-    let identical = seq_records.iter().zip(&par_records).all(|(a, b)| a.trail == b.trail);
-    println!("\nExecutor batch: {} seeded matmul trials", seeds.len());
-    println!(
-        "  sequential wall {:.3}s, {} job(s) wall {:.3}s, measured speedup {:.2}x",
-        seq_report.wall_seconds,
-        hw,
-        par_report.wall_seconds,
-        par_report.speedup()
-    );
-    println!(
-        "  implied Amdahl serial fraction: {:.3}; results bitwise-identical: {identical}",
-        par_report.serial_fraction()
-    );
+    let baseline = Executor::sequential().run_seeds(&MatmulTrial, &seeds, &params);
+    let mut identical = true;
+    let batch = measure_speedup(&counts, 3, |jobs| {
+        let records = Executor::new(jobs).run_seeds(&MatmulTrial, &seeds, &params);
+        identical &= records.iter().zip(&baseline).all(|(a, b)| a.trail == b.trail);
+    });
+    println!("\nExecutor batch: {} seeded matmul trials per job count", seeds.len());
+    report_curve("jobs", &batch);
+    println!("Results bitwise-identical at every job count: {identical}");
     assert!(identical, "job count must never change results");
 
     println!("\nLesson: report the measurement protocol (reps, minimum-of), the");

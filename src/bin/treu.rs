@@ -15,15 +15,19 @@
 //! treu worker                # verification worker (spawned, not typed)
 //! ```
 //!
-//! Every run/tables/verify invocation accepts `--jobs N` (or `-j N`):
-//! work fans out over N workers through [`treu::core::exec::Executor`],
-//! and the output is bitwise-identical for every N — parallelism changes
-//! wall-clock time, never results. The default is one worker per
-//! hardware thread.
+//! Each command takes only the shared flags it reads, as the
+//! `SHARED_FLAGS` table lists them (`treu` alone prints it); any other
+//! flag is left to the command's positional reader, which names it and
+//! exits 2.
 //!
-//! The same commands accept `--cache-dir DIR`: completed runs are stored
-//! content-addressed under DIR and replayed on later invocations when the
-//! id, seed, parameters and code+environment fingerprint all match.
+//! `--jobs N` (or `-j N`) fans work out over N workers through
+//! [`treu::core::exec::Executor`], and the output is bitwise-identical for
+//! every N — parallelism changes wall-clock time, never results. The
+//! default is one worker per hardware thread.
+//!
+//! `--cache-dir DIR` stores completed runs content-addressed under DIR and
+//! replays them on later invocations when the id, seed, parameters and
+//! code+environment fingerprint all match.
 //!
 //! `run`, `verify` and `chaos` each build one batch request — over the
 //! whole registry, or over one id when one is named — for the pipeline in
@@ -50,8 +54,7 @@
 //! in-process execution. Results, fingerprints and trace addresses are
 //! bitwise-identical at every topology and kill schedule. The coordinator
 //! does all cache traffic itself, so workers never open `--cache-dir`
-//! and a fully cached batch spawns none. Every other command rejects
-//! these four flags as unknown, as it does any flag it does not take.
+//! and a fully cached batch spawns none.
 //!
 //! Registry-wide `run` and `verify` also accept `--attest-dir DIR` (and
 //! `--attest-key FILE`): after the batch completes, the coordinator
@@ -178,6 +181,27 @@ fn seed_positional(args: &[String], what: &str) -> Option<u64> {
     positionals(args, what, 1).first().map(|s| parse_seed(s))
 }
 
+/// The shared flags, each group with the commands that read it.
+const SHARED_FLAGS: [(&str, &[&str]); 10] = [
+    ("--jobs N (or -j N)", &["run", "verify", "chaos", "tables", "soak", "lint"]),
+    ("--cache-dir DIR", &["run", "verify", "tables", "tune", "attest"]),
+    ("--trace-out DIR", &["run", "verify", "chaos", "attest"]),
+    ("--attest-dir DIR --attest-key FILE", &["run", "verify", "attest"]),
+    ("--retries N --deadline-secs F", &["run", "verify", "chaos"]),
+    ("--fault-seed S --fault-rate F (or --rate F)", &["run", "verify", "chaos", "soak"]),
+    ("--fault-panic ID --deny none|warn|error --conformance", &["run", "verify"]),
+    ("--enforce", &["chaos", "soak", "attest"]),
+    ("--full", &["chaos", "soak", "tune"]),
+    ("--workers N --kill-plan SEED --kill-rate F --respawn-budget N", &["run", "verify", "chaos"]),
+];
+
+/// True when `cmd` reads the shared flag `flag` (see [`SHARED_FLAGS`]).
+fn reads(cmd: &str, flag: &str) -> bool {
+    SHARED_FLAGS
+        .iter()
+        .any(|(flags, cmds)| flags.split(' ').any(|f| f == flag) && cmds.contains(&cmd))
+}
+
 /// Supervision settings pulled from the shared command-line flags.
 #[derive(Default)]
 struct Supervision {
@@ -193,28 +217,32 @@ struct Supervision {
 }
 
 impl Supervision {
-    /// Removes `--retries N`, `--deadline-secs F`, `--fault-seed S`,
-    /// `--fault-rate F` (alias `--rate F`), `--fault-panic ID`
-    /// (repeatable), `--deny none|warn|error`, and the switches
-    /// `--enforce`, `--full` and `--conformance` from `args`.
-    fn take(args: &mut Vec<String>) -> Self {
-        let rate = |r: &f64| (0.0..=1.0).contains(r);
-        let fault_rate = take_parsed(args, "--fault-rate", "want 0.0..=1.0", rate);
-        Supervision {
-            retries: take_parsed(args, "--retries", "want an integer", |_| true),
-            deadline_secs: take_parsed(args, "--deadline-secs", "want seconds", |_| true),
-            fault_seed: take_parsed(args, "--fault-seed", "want an integer", |_| true),
-            fault_rate: fault_rate.or(take_parsed(args, "--rate", "want 0.0..=1.0", rate)),
-            fault_panic: take_all(args, "--fault-panic"),
-            deny: take(args, "--deny").map(|v| {
+    /// Removes from `args` the supervision flags `cmd` reads (see
+    /// [`SHARED_FLAGS`]).
+    fn take(args: &mut Vec<String>, cmd: &str) -> Self {
+        let mut sup = Supervision::default();
+        if reads(cmd, "--retries") {
+            sup.retries = take_parsed(args, "--retries", "want an integer", |_| true);
+            sup.deadline_secs = take_parsed(args, "--deadline-secs", "want seconds", |_| true);
+        }
+        if reads(cmd, "--fault-seed") {
+            let rate = |r: &f64| (0.0..=1.0).contains(r);
+            let fault_rate = take_parsed(args, "--fault-rate", "want 0.0..=1.0", rate);
+            sup.fault_seed = take_parsed(args, "--fault-seed", "want an integer", |_| true);
+            sup.fault_rate = fault_rate.or(take_parsed(args, "--rate", "want 0.0..=1.0", rate));
+        }
+        if reads(cmd, "--fault-panic") {
+            sup.fault_panic = take_all(args, "--fault-panic");
+            sup.deny = take(args, "--deny").map(|v| {
                 DenyPolicy::parse(&v).unwrap_or_else(|| {
                     usage_err(format!("invalid --deny '{v}' (want none|warn|error)"))
                 })
-            }),
-            enforce: take_switch(args, "--enforce"),
-            full: take_switch(args, "--full"),
-            conformance: take_switch(args, "--conformance"),
+            });
+            sup.conformance = take_switch(args, "--conformance");
         }
+        sup.enforce = reads(cmd, "--enforce") && take_switch(args, "--enforce");
+        sup.full = reads(cmd, "--full") && take_switch(args, "--full");
+        sup
     }
 
     /// The retry/deadline budget the flags ask for.
@@ -255,29 +283,30 @@ struct Opts {
 }
 
 impl Opts {
-    /// Takes the shared flags `cmd` accepts out of `args`. `lint` owns its
-    /// own `--deny`, so it takes no supervision flags, and only `run`,
-    /// `verify` and `chaos` dispatch a batch, so only they take the
-    /// service flags. A flag left in place is named by `cmd`'s positional
-    /// reader.
+    /// Takes out of `args` the shared flags `cmd` reads (see
+    /// [`SHARED_FLAGS`]). A flag left in place is named by `cmd`'s
+    /// positional reader.
     fn take(args: &mut Vec<String>, cmd: &str) -> Self {
-        let jobs = take(args, "--jobs").or(take(args, "-j")).map_or_else(
-            treu::math::parallel::default_threads,
-            |v| {
+        let jobs = reads(cmd, "--jobs")
+            .then(|| take(args, "--jobs").or(take(args, "-j")))
+            .flatten()
+            .map_or_else(treu::math::parallel::default_threads, |v| {
                 v.parse().ok().filter(|&j| j >= 1).unwrap_or_else(|| {
                     usage_err(format!("invalid --jobs value '{v}' (want a positive integer)"))
                 })
-            },
-        );
-        let cache = take(args, "--cache-dir").map(|d| {
-            RunCache::open(Path::new(&d))
-                .unwrap_or_else(|e| usage_err(format!("cannot open cache dir '{d}': {e}")))
-        });
-        let trace_out = take(args, "--trace-out").map(PathBuf::from);
-        let svc =
-            if matches!(cmd, "run" | "verify" | "chaos") { SvcOpts::take(args) } else { None };
-        let attest = AttestOpts::take(args);
-        let sup = if cmd != "lint" { Supervision::take(args) } else { Supervision::default() };
+            });
+        let cache =
+            reads(cmd, "--cache-dir").then(|| take(args, "--cache-dir")).flatten().map(|d| {
+                RunCache::open(Path::new(&d))
+                    .unwrap_or_else(|e| usage_err(format!("cannot open cache dir '{d}': {e}")))
+            });
+        let trace_out = reads(cmd, "--trace-out")
+            .then(|| take(args, "--trace-out"))
+            .flatten()
+            .map(PathBuf::from);
+        let svc = reads(cmd, "--workers").then(|| SvcOpts::take(args)).flatten();
+        let attest = reads(cmd, "--attest-dir").then(|| AttestOpts::take(args)).flatten();
+        let sup = Supervision::take(args, cmd);
         Opts { jobs, cache, trace_out, svc, attest, sup }
     }
 
@@ -366,15 +395,16 @@ fn main() {
         "trace" => run_trace(&args[1..]),
         "lint" => run_lint(&args[1..], o.jobs),
         "tune" => run_tune_cmd(&args[1..], &o),
-        _ => usage_err(
-            "usage: treu <list|run|tables|verify|chaos|trace|env|attest|lint|soak|tune|worker> \
-             [...] [--jobs N] [--cache-dir DIR] [--trace-out DIR] \
-             [--attest-dir DIR] [--attest-key FILE] [--conformance] \
-             [--retries N] [--deadline-secs F] [--fault-seed S] \
-             [--fault-rate F] [--fault-panic ID] [--deny none|warn|error]; \
-             run, verify and chaos also take [--workers N] [--kill-plan SEED] \
-             [--kill-rate F] [--respawn-budget N]",
-        ),
+        _ => {
+            let mut usage = String::from(
+                "usage: treu <list|run|tables|verify|chaos|trace|env|attest|lint|soak|tune|worker> \
+                 [...]\nshared flags, each taken only by the commands named:",
+            );
+            for (flags, cmds) in SHARED_FLAGS {
+                usage.push_str(&format!("\n  {flags}: {}", cmds.join(", ")));
+            }
+            usage_err(usage)
+        }
     }
 }
 
@@ -450,12 +480,7 @@ fn execute(batch: &Batch, reg: &ExperimentRegistry, dispatch: Dispatch) -> Batch
 fn print_run(id: &str, outcome: &RunOutcome, single: bool, cached: bool) {
     let label = if single { format!("{id}:") } else { format!("{id:<10}") };
     match outcome {
-        RunOutcome::Failed(f) => println!(
-            "{label} QUARANTINED({}) after {} attempt(s): {}",
-            f.taxonomy.name(),
-            f.attempts,
-            f.last_error
-        ),
+        RunOutcome::Failed(f) => println!("{label} {f}"),
         RunOutcome::Ok { record: r, attempts } => {
             let after =
                 if *attempts > 1 { format!(" [after {attempts} attempts]") } else { String::new() };
@@ -553,13 +578,7 @@ fn run_chaos(reg: &ExperimentRegistry, exec: &Executor, args: &[String], o: &Opt
         let base = base.record().map_or(0, |r| r.fingerprint());
         if let Some(f) = &v.failure {
             quarantined += 1;
-            println!(
-                "{:<10} QUARANTINED({}) after {} attempt(s): {}",
-                v.id,
-                f.taxonomy.name(),
-                f.attempts,
-                f.last_error
-            );
+            println!("{:<10} {f}", v.id);
         } else if v.fingerprint != base {
             diverged += 1;
             println!(
@@ -598,7 +617,7 @@ fn run_chaos(reg: &ExperimentRegistry, exec: &Executor, args: &[String], o: &Opt
 /// reliably lands well above it.
 const SOAK_HIT_RATE_FLOOR: f64 = 0.25;
 
-/// `treu soak [seed] [--quick|--full-soak] [--enforce] [--tenants N]
+/// `treu soak [seed] [--quick|--full] [--enforce] [--tenants N]
 /// [--epochs N] [--per-epoch N] [--cache-entries N] [--cache-bytes N]
 /// [--out PATH] [--fault-seed S] [--rate F] [--jobs N]` — the sustained
 /// multi-tenant drill: Zipf traffic from seeded tenants through fair

@@ -507,6 +507,43 @@ fn bad_supervision_flags_fail_with_usage_error() {
         let out = treu(bad);
         assert_eq!(out.status.code(), Some(2), "{bad:?}");
     }
+
+    // Each command takes only the shared flags it reads: its positional
+    // reader names any other, and nothing is opened or written for it.
+    let unread = cache_dir("unread");
+    let d = unread.to_str().expect("utf8 path");
+    let traced = trace_dir("unread");
+    let t = traced.to_str().expect("utf8 path");
+    assert!(treu(&["run", "T1", "7", "--trace-out", t]).status.success());
+    let soak_out =
+        std::env::temp_dir().join(format!("treu-cli-unread-{}.json", std::process::id()));
+    let soak_out = soak_out.to_str().expect("utf8 path");
+    let math = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/math");
+    for (bad, flag) in [
+        (&["tables", "--retries", "3"][..], "--retries"),
+        (&["list", "--conformance"], "--conformance"),
+        (&["env", "--fault-seed", "3"], "--fault-seed"),
+        (&["tables", "--trace-out", d], "--trace-out"),
+        (&["tables", "--attest-dir", d], "--attest-dir"),
+        (&["run", "T1", "--enforce"], "--enforce"),
+        (&["run", "T1", "--full"], "--full"),
+        (&["verify", "T1", "--full"], "--full"),
+        (&["chaos", "--fault-panic", "E3", "--attest-dir", d], "--fault-panic"),
+        (&["tune", "--jobs", "3", "--shapes", "8x8x8", "--repeats", "1"], "--jobs"),
+        (&["lint", math, "--cache-dir", d], "--cache-dir"),
+        (
+            &["soak", "--cache-dir", d, "--epochs", "1", "--per-epoch", "4", "--out", soak_out],
+            "--cache-dir",
+        ),
+        (&["trace", t, "--jobs", "3", "--cache-dir", d], "--jobs"),
+    ] {
+        let out = treu(bad);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(stderr.contains(&format!("flag '{flag}'")), "{bad:?}: {stderr}");
+        assert!(!unread.exists(), "{bad:?} created {d}");
+    }
+    std::fs::remove_dir_all(&traced).expect("cleanup");
 }
 
 /// A soak shape small enough for a CLI test: three tenants, two epochs,
@@ -645,7 +682,7 @@ fn bad_soak_flags_fail_with_usage_error() {
 fn tune_persists_a_schedule_book_and_reloads_it() {
     let dir = cache_dir("tune");
     let dirs = dir.to_str().expect("utf8 path");
-    let args = ["tune", "7", "--quick", "--shapes", "24x24x24", "--repeats", "1", "--jobs", "1"];
+    let args = ["tune", "7", "--quick", "--shapes", "24x24x24", "--repeats", "1"];
     let first = treu(&[&args[..], &["--cache-dir", dirs]].concat());
     assert!(first.status.success(), "{}", String::from_utf8_lossy(&first.stderr));
     let text = String::from_utf8_lossy(&first.stdout);
@@ -663,8 +700,6 @@ fn tune_persists_a_schedule_book_and_reloads_it() {
         "--shapes",
         "80x80x80",
         "--repeats",
-        "1",
-        "--jobs",
         "1",
         "--cache-dir",
         dirs,
