@@ -193,26 +193,31 @@ pub fn power_iteration(a: &Matrix, seed: u64, tol: f64, max_iters: usize) -> (f6
     let mut x: Vec<f64> = (0..n).map(|_| rng.next_gaussian()).collect();
     vector::normalize(&mut x);
     let mut lambda = 0.0;
-    // `A·x` for the current `x` when the last iteration already formed it:
-    // the Rayleigh product `A·y` of one iteration is the next iteration's
-    // `A·x`, since `x` becomes `y`. One matvec per iteration, not two.
-    let mut ax: Option<Vec<f64>> = None;
+    // `y` holds `A·x` for the current `x` when `ax_formed`: the Rayleigh
+    // product `A·y` of one iteration is the next iteration's `A·x`, since
+    // `x` becomes `y`. One matvec per iteration, not two, and the two
+    // buffers swap roles instead of being reallocated.
+    let mut y = Vec::with_capacity(n);
+    let mut ax_formed = false;
     for _ in 0..max_iters {
-        let mut y = ax.take().unwrap_or_else(|| a.matvec(&x));
+        if !ax_formed {
+            a.matvec_into(&x, &mut y);
+        }
         let norm = vector::normalize(&mut y);
         if norm == 0.0 {
-            // x was in the null space; restart from a fresh direction
-            // (`ax` is already empty, so the next A·x is formed anew).
+            // x was in the null space; restart from a fresh direction.
             for v in x.iter_mut() {
                 *v = rng.next_gaussian();
             }
             vector::normalize(&mut x);
+            ax_formed = false;
             continue;
         }
-        let ay = a.matvec(&y);
-        let new_lambda = vector::dot(&y, &ay);
-        x = y;
-        ax = Some(ay);
+        // `x` is spent: it takes `A·y`, then the buffers swap.
+        a.matvec_into(&y, &mut x);
+        let new_lambda = vector::dot(&y, &x);
+        std::mem::swap(&mut x, &mut y);
+        ax_formed = true;
         if (new_lambda - lambda).abs() <= tol * new_lambda.abs().max(1.0) {
             lambda = new_lambda;
             break;

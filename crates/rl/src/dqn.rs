@@ -36,13 +36,17 @@ impl ReplayBuffer {
         Self { buf: Vec::with_capacity(capacity), capacity, head: 0 }
     }
 
-    /// Stores a transition, evicting the oldest when full.
-    pub fn push(&mut self, t: Transition) {
+    /// Stores a transition, evicting the oldest when full, and returns the
+    /// slot (the index [`ReplayBuffer::get`] reads) it now occupies.
+    pub fn push(&mut self, t: Transition) -> usize {
         if self.buf.len() < self.capacity {
             self.buf.push(t);
+            self.buf.len() - 1
         } else {
-            self.buf[self.head] = t;
+            let slot = self.head;
+            self.buf[slot] = t;
             self.head = (self.head + 1) % self.capacity;
+            slot
         }
     }
 
@@ -113,6 +117,12 @@ pub struct DqnAgent {
     replay: ReplayBuffer,
     /// The current minibatch's replay indices.
     picks: Vec<usize>,
+    /// Per replay slot: the target network's max-Q of the slot's next
+    /// observation, and the target generation it was computed in.
+    target_max: Vec<(u64, f64)>,
+    /// Bumped by every target sync, so older memo entries read as stale.
+    /// Starts at 1; a slot's generation 0 means "never computed".
+    target_generation: u64,
     config: DqnConfig,
     rng: SplitMix64,
     steps: usize,
@@ -131,6 +141,8 @@ impl DqnAgent {
             target,
             replay: ReplayBuffer::new(config.replay_capacity),
             picks: Vec::with_capacity(config.batch),
+            target_max: vec![(0, 0.0); config.replay_capacity],
+            target_generation: 1,
             config,
             rng: SplitMix64::new(derive_seed(seed, "agent")),
             steps: 0,
@@ -162,9 +174,16 @@ impl DqnAgent {
             let target = if t.done {
                 t.reward
             } else {
-                let next_q = self.target.q_values(&t.next_obs);
-                t.reward
-                    + self.config.gamma * next_q.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
+                // The target network changes only at a sync, and its
+                // forward pass reads only its parameters and the input, so
+                // a slot drawn again within one sync window reuses its bits.
+                let (generation, max_q) = &mut self.target_max[i];
+                if *generation != self.target_generation {
+                    let next_q = self.target.q_values(&t.next_obs);
+                    *max_q = next_q.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                    *generation = self.target_generation;
+                }
+                t.reward + self.config.gamma * *max_q
             };
             self.online.update(&t.obs, t.action, target);
         }
@@ -183,11 +202,14 @@ impl DqnAgent {
                 let StepResult { obs: next, reward, done } = env.step(action, &mut self.rng);
                 ep_reward += reward;
                 // The replay takes this state; `next` becomes the next one.
-                self.replay.push(Transition { obs, action, reward, next_obs: next.clone(), done });
+                // The slot it fills has no memoised max-Q for it yet.
+                let transition = Transition { obs, action, reward, next_obs: next.clone(), done };
+                self.target_max[self.replay.push(transition)].0 = 0;
                 self.learn();
                 self.steps += 1;
                 if self.steps.is_multiple_of(self.config.target_sync) {
                     copy_params(self.target.params(), self.online.params());
+                    self.target_generation += 1;
                 }
                 obs = next;
                 if done {
@@ -196,7 +218,9 @@ impl DqnAgent {
             }
             self.episode_rewards.push(ep_reward);
         }
-        let tail = (total / 5).max(1);
+        // At least one episode, at most all of them: with none, the mean
+        // of the empty tail is 0.0.
+        let tail = (total / 5).max(1).min(total);
         treu_math::stats::mean(&self.episode_rewards[total - tail..])
     }
 
@@ -252,10 +276,11 @@ mod tests {
             next_obs: vec![],
             done: false,
         };
-        rb.push(t(1.0));
-        rb.push(t(2.0));
-        rb.push(t(3.0));
+        assert_eq!(rb.push(t(1.0)), 0);
+        assert_eq!(rb.push(t(2.0)), 1);
+        assert_eq!(rb.push(t(3.0)), 0);
         assert_eq!(rb.len(), 2);
+        assert_eq!(rb.get(0).reward, 3.0);
         let rewards: Vec<f64> = rb.buf.iter().map(|x| x.reward).collect();
         assert!(rewards.contains(&3.0));
         assert!(!rewards.contains(&1.0));
@@ -305,5 +330,14 @@ mod tests {
         let mut agent = DqnAgent::new(EstimatorKind::Attention, cfg, 6);
         agent.train(env.as_mut());
         assert_eq!(agent.episode_rewards.len(), 12);
+    }
+
+    #[test]
+    fn training_no_episodes_reports_a_zero_mean() {
+        let mut env = EnvKind::Catch.build();
+        let cfg = DqnConfig { episodes: 0, ..DqnConfig::default() };
+        let mut agent = DqnAgent::new(EstimatorKind::Conv, cfg, 6);
+        assert_eq!(agent.train(env.as_mut()), 0.0);
+        assert!(agent.episode_rewards.is_empty());
     }
 }
