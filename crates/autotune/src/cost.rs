@@ -2,8 +2,8 @@
 //!
 //! Harnessed experiments need seed-stable fitness, and wall-clock time is
 //! environment, not result — so the tuner's experiments run on this model
-//! while the criterion benches time the real executors to validate its
-//! ranking. The model is a standard loop-nest estimate: MAC count scaled by
+//! while the `autotune_kernels` example times the real executors to
+//! validate its ranking. The model is a standard loop-nest estimate: MAC count scaled by
 //! (a) a backend/kernel affinity factor for the inner-loop access pattern,
 //! (b) a cache factor from the tile working set, (c) loop-overhead factors
 //! for degenerate tiles, (d) an unroll-efficiency factor with a register-

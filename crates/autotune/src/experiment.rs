@@ -93,7 +93,7 @@ impl Experiment for AutotuneExperiment {
     }
 }
 
-/// Ablation over GA population size (DESIGN.md's `ablate_ga_population`):
+/// Ablation over GA population size (E2.5-abl, DESIGN.md §5):
 /// records the tuned cost of matmul for several population sizes under a
 /// fixed evaluation budget per generation.
 pub struct GaPopulationAblation;

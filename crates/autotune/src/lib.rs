@@ -20,8 +20,8 @@
 //! tuner ([`tuner`]) searches the real space, and correctness of every
 //! scheduled variant is checked against the naive kernel. A deterministic
 //! [`cost`] model provides seed-stable fitness for harnessed experiments;
-//! the criterion benches time the real executors to validate the model's
-//! ranking.
+//! the `autotune_kernels` example times the real executors to validate the
+//! model's ranking.
 
 #![forbid(unsafe_code)]
 // Indexed loops over multiple parallel arrays are the clearest idiom in

@@ -1,8 +1,6 @@
-//! Shared nothing between the criterion benches: each is self-contained.
-//! The exceptions are [`workload`], the synthetic skewed-cost task set
-//! shared by the `executor` criterion bench and the `exec_bench` binary so
-//! both measure the same thing, and [`soak`], the sustained multi-tenant
-//! chaos soak driver behind `treu soak`.
+//! The library behind the `exec_bench` binary and `treu soak`: [`workload`],
+//! the synthetic skewed-cost task set `exec_bench` schedules, and [`soak`],
+//! the sustained multi-tenant chaos soak driver. `math_bench` needs neither.
 #![forbid(unsafe_code)]
 
 pub mod soak;

@@ -112,9 +112,10 @@ fn registry_defaults(_: &str, defaults: Params) -> Params {
 
 /// Encodes an armed deadline for [`TaskSpec::deadline_us`], where 0 means
 /// "none": a sub-microsecond deadline rounds up to 1 µs rather than
-/// silently disarming the watchdog.
+/// silently disarming the watchdog, and one past `u64::MAX` µs saturates
+/// rather than wrapping to a short one.
 fn policy_deadline_us(policy: &SupervisePolicy) -> u64 {
-    policy.deadline.map_or(0, |d| (d.as_micros() as u64).max(1))
+    policy.deadline.map_or(0, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX).max(1))
 }
 
 impl<'a> Batch<'a> {
@@ -522,6 +523,12 @@ mod tests {
         assert_eq!(policy_deadline_us(&SupervisePolicy::default()), 0, "no deadline encodes as 0");
         let ms = SupervisePolicy::new(0).with_deadline_secs(0.25);
         assert_eq!(policy_deadline_us(&ms), 250_000);
+        let past_u64 = SupervisePolicy::new(0).with_deadline_secs(18_446_744_073_709.555);
+        assert_eq!(policy_deadline_us(&past_u64), u64::MAX, "a huge deadline must not wrap");
+        for unholdable in [f64::NAN, f64::INFINITY, 1e20] {
+            let p = SupervisePolicy::new(0).with_deadline_secs(unholdable);
+            assert_eq!(policy_deadline_us(&p), 0, "{unholdable} s is no deadline");
+        }
     }
 
     #[test]

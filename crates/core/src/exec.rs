@@ -239,9 +239,10 @@ impl SupervisePolicy {
         Self { retries, deadline: None }
     }
 
-    /// Arms the per-attempt watchdog (non-positive `secs` disarms it).
+    /// Arms the per-attempt watchdog. Non-positive `secs` disarms it, and
+    /// so does a value no [`Duration`] can hold (NaN, infinite or too big).
     pub fn with_deadline_secs(mut self, secs: f64) -> Self {
-        self.deadline = (secs > 0.0).then(|| Duration::from_secs_f64(secs));
+        self.deadline = Duration::try_from_secs_f64(secs).ok().filter(|_| secs > 0.0);
         self
     }
 }

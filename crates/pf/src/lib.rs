@@ -18,8 +18,8 @@
 //! The section's second finding — "a fast weighting function that ... is
 //! much faster and almost as accurate as the typical Gaussian weighting
 //! function" — is [`weighting::WeightFn::Triangular`] (and `Rational`),
-//! compared against `Gaussian` in experiment E2.2a and in the
-//! `pf_weighting` criterion bench.
+//! compared against `Gaussian` in experiment E2.2a and, per evaluation,
+//! in the `concert_tracking` example.
 //!
 //! # Example
 //!

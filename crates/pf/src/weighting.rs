@@ -7,9 +7,8 @@
 //!
 //! The Gaussian kernel costs one `exp` per particle per update; the fast
 //! kernels below are a handful of multiply/compare operations. The
-//! `pf_weighting` bench measures the wall-clock gap; experiment E2.2a
-//! measures the accuracy gap; the `ablate_weighting` bench sweeps the
-//! kernel family.
+//! `concert_tracking` example measures the wall-clock gap per evaluation;
+//! experiment E2.2a measures the accuracy gap across the kernel family.
 
 /// A likelihood kernel `w(d)` over the discrepancy `d` between a particle's
 /// implied event time and the observed event's nominal time.
@@ -58,7 +57,7 @@ impl WeightFn {
 
     /// Whether the kernel needs transcendental function evaluations — the
     /// deterministic cost proxy recorded by experiment E2.2a (wall-clock is
-    /// measured separately by criterion, since timing is environment).
+    /// environment, so the `concert_tracking` example times it instead).
     pub fn uses_transcendentals(self) -> bool {
         matches!(self, WeightFn::Gaussian)
     }

@@ -4,9 +4,30 @@
 //!
 //! Run with: `cargo run --release --example concert_tracking`
 
+use std::hint::black_box;
 use std::time::Instant;
 use treu::pf::experiment::{run_baseline, run_tracking, Workload};
 use treu::pf::WeightFn;
+
+/// Nanoseconds per [`WeightFn::eval`]: the minimum, over 200 rounds, of the
+/// mean over 10^4 evaluations spread across [-5, 5) at bandwidth 1.5. The
+/// minimum, because timing noise only ever adds.
+fn ns_per_eval(kernel: WeightFn) -> f64 {
+    const EVALS: usize = 10_000;
+    let kernel = black_box(kernel);
+    (0..200)
+        .map(|_| {
+            // treu-lint: allow(wall-clock, reason = "table prints advisory per-evaluation time")
+            let start = Instant::now();
+            let mut acc = 0.0;
+            for i in 0..EVALS {
+                acc += kernel.eval(black_box(i as f64 * 1e-3 - 5.0), 1.5);
+            }
+            black_box(acc);
+            start.elapsed().as_secs_f64() * 1e9 / EVALS as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
 
 fn main() {
     let workload = Workload::default();
@@ -19,8 +40,8 @@ fn main() {
 
     println!("== Weighting kernels (schedule-aware filter, 256 particles) ==");
     println!(
-        "{:<12} {:>8} {:>10} {:>14} {:>12}",
-        "kernel", "rmse", "final err", "kernel evals", "wall (ms)"
+        "{:<12} {:>8} {:>10} {:>14} {:>12} {:>10}",
+        "kernel", "rmse", "final err", "kernel evals", "wall (ms)", "eval (ns)"
     );
     for kernel in WeightFn::all() {
         let mut rmse = 0.0;
@@ -37,12 +58,13 @@ fn main() {
         }
         let ms = start.elapsed().as_secs_f64() * 1000.0 / trials as f64;
         println!(
-            "{:<12} {:>8.3} {:>10.3} {:>14} {:>12.2}",
+            "{:<12} {:>8.3} {:>10.3} {:>14} {:>12.2} {:>10.2}",
             kernel.name(),
             rmse,
             final_err,
             evals,
-            ms
+            ms,
+            ns_per_eval(kernel)
         );
     }
 

@@ -223,7 +223,10 @@ impl Supervision {
         let mut sup = Supervision::default();
         if reads(cmd, "--retries") {
             sup.retries = take_parsed(args, "--retries", "want an integer", |_| true);
-            sup.deadline_secs = take_parsed(args, "--deadline-secs", "want seconds", |_| true);
+            // Finite, with microseconds that fit a task's u64 encoding;
+            // zero and negative values disarm the watchdog.
+            let secs = |s: &f64| s.is_finite() && s * 1e6 < u64::MAX as f64;
+            sup.deadline_secs = take_parsed(args, "--deadline-secs", "want seconds", secs);
         }
         if reads(cmd, "--fault-seed") {
             let rate = |r: &f64| (0.0..=1.0).contains(r);

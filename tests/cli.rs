@@ -492,6 +492,11 @@ fn bad_supervision_flags_fail_with_usage_error() {
         &["run", "T1", "--fault-rate", "1.5"],
         &["run", "T1", "--deny", "loudly"],
         &["chaos", "--rate", "nope"],
+        // A deadline must be finite with microseconds that fit a u64.
+        &["run", "T1", "--deadline-secs", "inf"],
+        &["run", "T1", "--deadline-secs", "nan"],
+        &["verify", "E3", "--deadline-secs", "1e20"],
+        &["run", "E2.4", "--deadline-secs", "18446744073709.555"],
         // Leftover arguments: an unknown flag, a seed that does not parse
         // and a surplus argument are usage errors for every command.
         &["run", "--help"],
