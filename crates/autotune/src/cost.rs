@@ -3,12 +3,12 @@
 //! Harnessed experiments need seed-stable fitness, and wall-clock time is
 //! environment, not result — so the tuner's experiments run on this model
 //! while the `autotune_kernels` example times the real executors to
-//! validate its ranking. The model is a standard loop-nest estimate: MAC count scaled by
-//! (a) a backend/kernel affinity factor for the inner-loop access pattern,
-//! (b) a cache factor from the tile working set, (c) loop-overhead factors
-//! for degenerate tiles, (d) an unroll-efficiency factor with a register-
-//! pressure penalty at 8×, and (e) parallel speedup with a per-thread spawn
-//! overhead. Units are abstract "cycles".
+//! validate its ranking. The model is a standard loop-nest estimate: MAC
+//! count scaled by (a) a backend/kernel affinity factor for the inner-loop
+//! access pattern, (b) a cache factor from the tile working set, (c)
+//! loop-overhead factors for degenerate tiles, (d) an unroll-efficiency
+//! factor with a register-pressure penalty at 8×, and (e) parallel speedup
+//! with a per-thread spawn overhead. Units are abstract "cycles".
 
 use crate::executor::Backend;
 use crate::kernels::Kernel;

@@ -226,7 +226,8 @@ impl Supervision {
             // Finite, with microseconds that fit a task's u64 encoding;
             // zero and negative values disarm the watchdog.
             let secs = |s: &f64| s.is_finite() && s * 1e6 < u64::MAX as f64;
-            sup.deadline_secs = take_parsed(args, "--deadline-secs", "want seconds", secs);
+            let want = "want finite seconds below 1.8e13";
+            sup.deadline_secs = take_parsed(args, "--deadline-secs", want, secs);
         }
         if reads(cmd, "--fault-seed") {
             let rate = |r: &f64| (0.0..=1.0).contains(r);
