@@ -52,7 +52,7 @@ fn main() {
     println!("\n== Reviewing the TREU artifact itself ==");
     let artifact = Artifact::new("treu", env!("CARGO_PKG_VERSION"))
         .with_code("workspace crates", "rust", true, true)
-        .with_code("criterion benches", "rust", true, true)
+        .with_code("benchmarks", "rust", true, true)
         .with_doc("README.md", &["T1"])
         .with_doc("EXPERIMENTS.md", &["T1", "E2.10"])
         .with_claim("T1", "Table 1 reproduces exactly", 0.0)
