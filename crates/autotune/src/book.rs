@@ -21,6 +21,7 @@ use crate::tuner::{GaParams, Tuner};
 use std::collections::BTreeMap;
 use std::time::Instant;
 use treu_core::cache::RunCache;
+use treu_core::codec::{self, Cursor};
 use treu_math::gemm::{GemmPlan, ShapeClass};
 use treu_math::rng::{derive_seed, SplitMix64};
 use treu_math::Matrix;
@@ -233,46 +234,42 @@ impl ScheduleBook {
         out
     }
 
-    /// Parses a book serialized by [`ScheduleBook::serialize`]. Unknown or
-    /// malformed lines are skipped (forward compatibility), so a partially
-    /// readable book degrades to fewer tuned classes, never an error. Books
-    /// written with the retired `crossover <elems>` line load the same way.
-    pub fn parse(payload: &str) -> Self {
+    /// Parses a book serialized by [`ScheduleBook::serialize`], and only
+    /// that: any text `serialize` would not write back byte for byte (an
+    /// unknown line such as the retired `crossover <elems>`, a damaged
+    /// class key, a reformatted number, classes out of order) fails with
+    /// the byte offset where it departs ([`codec::canonical`]). Blob
+    /// payloads carry no checksum, so this is what keeps a damaged book
+    /// from loading as a smaller one.
+    pub fn parse(payload: &str) -> Result<Self, codec::Error> {
         let mut book = Self::new();
-        for line in payload.lines() {
-            let parts: Vec<&str> = line.split_whitespace().collect();
-            let ["matmul", key, m, k, n, ti, tj, tk, un, th, ng, tg] = parts.as_slice() else {
-                continue;
+        let mut c = Cursor::new(payload);
+        while !c.done() {
+            c.tag("matmul ")?;
+            let key = c.until(" ")?;
+            let class = ShapeClass::parse_key(key.text)
+                .ok_or_else(|| codec::Error::new(key.at, "expected a shape class key"))?;
+            let shape = (c.until(" ")?.value()?, c.until(" ")?.value()?, c.until(" ")?.value()?);
+            let schedule = Schedule {
+                tile_i: c.until(" ")?.value()?,
+                tile_j: c.until(" ")?.value()?,
+                tile_k: c.until(" ")?.value()?,
+                unroll: c.until(" ")?.value()?,
+                threads: c.until(" ")?.value()?,
             };
-            let parsed = (|| {
-                let class = ShapeClass::parse_key(key)?;
-                Some(TunedEntry {
-                    class,
-                    shape: (m.parse().ok()?, k.parse().ok()?, n.parse().ok()?),
-                    schedule: Schedule {
-                        tile_i: ti.parse().ok()?,
-                        tile_j: tj.parse().ok()?,
-                        tile_k: tk.parse().ok()?,
-                        unroll: un.parse().ok()?,
-                        threads: th.parse().ok()?,
-                    },
-                    naive_gflops: ng.parse().ok()?,
-                    tuned_gflops: tg.parse().ok()?,
-                })
-            })();
-            if let Some(e) = parsed {
-                book.entries.insert(e.class.key(), e);
-            }
+            let naive_gflops = c.until(" ")?.value()?;
+            let tuned_gflops = c.until("\n")?.value()?;
+            let entry = TunedEntry { class, shape, schedule, naive_gflops, tuned_gflops };
+            book.entries.insert(class.key(), entry);
         }
-        book
+        codec::canonical(payload, &book.serialize())?;
+        Ok(book)
     }
 
-    /// Loads the persisted book from a run cache; empty book on miss.
-    pub fn load(cache: &RunCache) -> Self {
-        match cache.lookup_blob(BOOK_KIND, BOOK_TAG) {
-            Some(payload) => Self::parse(&payload),
-            None => Self::new(),
-        }
+    /// Loads the persisted book from a run cache: an empty book on a miss,
+    /// the [`ScheduleBook::parse`] error when the stored book is damaged.
+    pub fn load(cache: &RunCache) -> Result<Self, codec::Error> {
+        cache.lookup_blob(BOOK_KIND, BOOK_TAG).map_or_else(|| Ok(Self::new()), |p| Self::parse(&p))
     }
 
     /// Persists the book through the cache's atomic content-addressed blob
@@ -373,7 +370,7 @@ mod tests {
         book.tune_matmul((20, 12, 16), tiny_ga(), 3, 1);
         book.tune_matmul((70, 12, 16), tiny_ga(), 4, 1);
         let text = book.serialize();
-        let parsed = ScheduleBook::parse(&text);
+        let parsed = ScheduleBook::parse(&text).unwrap();
         assert_eq!(parsed.len(), book.len());
         for (a, b) in parsed.entries().zip(book.entries()) {
             assert_eq!(a.class, b.class);
@@ -383,19 +380,31 @@ mod tests {
     }
 
     #[test]
-    fn parse_skips_garbage_lines() {
-        // A book persisted before GEMM plans lost their worker count: a
-        // `crossover` line and an entry tuned at 4 threads. Both load.
-        let text = "matmul zzz 1 2\nnot-a-line\ncrossover 100\n\
-                    matmul mmm 64 64 64 8 8 8 4 1 1.0 2.0\n\
-                    matmul lll 320 320 320 16 16 16 8 4 1.0 9.0\n";
-        let book = ScheduleBook::parse(text);
+    fn parse_fails_at_the_offset_of_a_line_serialize_would_not_write() {
+        // An entry tuned at 4 threads, from before GEMM plans lost their
+        // worker count, is a line `serialize` still writes: it loads.
+        let good = "matmul lll 320 320 320 16 16 16 8 4 1.0000 9.0000\n\
+                    matmul mmm 64 64 64 8 8 8 4 1 1.0000 2.0000\n";
+        let book = ScheduleBook::parse(good).unwrap();
         assert_eq!(book.len(), 2);
-        let e = book.entry(ShapeClass::of(64, 64, 64)).unwrap();
-        assert_eq!(e.schedule.unroll, 4);
+        assert_eq!(book.entry(ShapeClass::of(64, 64, 64)).unwrap().schedule.unroll, 4);
         let legacy = book.entry(ShapeClass::of(320, 320, 320)).unwrap();
         assert_eq!(legacy.schedule.threads, 4);
         assert_eq!(legacy.plan(), GemmPlan { mc: 64, kc: 64, nc: 64, nr: 8 });
+        // A garbage line and the retired `crossover` line each fail where
+        // they start, wherever they sit.
+        for bad in ["not-a-line\n", "crossover 100\n"] {
+            for (at, text) in [(0, format!("{bad}{good}")), (good.len(), format!("{good}{bad}"))] {
+                let err = ScheduleBook::parse(&text).unwrap_err();
+                assert_eq!(err.offset, at, "{bad:?}: {err}");
+            }
+        }
+        // A damaged class key fails at the key, a reformatted number at
+        // its first byte that `serialize` would write differently.
+        let err = ScheduleBook::parse(&good.replace("mmm", "mxm")).unwrap_err();
+        assert_eq!(err.offset, good.find("mmm").unwrap(), "{err}");
+        let err = ScheduleBook::parse(&good.replace("2.0000", "2.0")).unwrap_err();
+        assert_eq!(err.offset, good.find("2.0000").unwrap() + 3, "{err}");
     }
 
     #[test]
@@ -430,7 +439,7 @@ mod tests {
         let mut book = ScheduleBook::new();
         book.tune_matmul((20, 12, 16), tiny_ga(), 3, 1);
         book.persist(&cache).expect("persist");
-        let loaded = ScheduleBook::load(&cache);
+        let loaded = ScheduleBook::load(&cache).unwrap();
         assert_eq!(loaded.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

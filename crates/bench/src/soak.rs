@@ -21,11 +21,13 @@
 //!   [`SoakSchedule`]: fault classes cycle in and out across epochs,
 //!   transient-only, with the retry budget sized so every run converges
 //!   to its fault-free bits.
-//! * **The cache** runs under a hard [`CacheBound`] with logical-clock
-//!   LRU eviction. All cache traffic happens on the driver thread in
-//!   dispatch order — lookups first, parallel compute of the misses,
-//!   then stores in dispatch order — so eviction decisions are identical
-//!   at every `--jobs` count.
+//! * **Each dispatch round is one run [`Batch`]** over the round's
+//!   `(id, seed)` submissions, through the same pipeline as `treu run`:
+//!   its coordinator looks up every submission, computes the misses in
+//!   parallel and stores them, all cache traffic on the driver thread in
+//!   dispatch order. The cache runs under a hard [`CacheBound`] with
+//!   logical-clock LRU eviction, so eviction decisions are identical at
+//!   every `--jobs` count.
 //! * **Latencies are logical**: a submission's latency is the dispatch
 //!   round that served it (1-based), a pure function of queue state.
 //!   p50/p99 are therefore reproducible numbers, not wall-clock noise.
@@ -38,11 +40,11 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
+use treu_core::batch::{Batch, BatchReport, Dispatch, Mode};
 use treu_core::cache::{CacheBound, RunCache};
-use treu_core::exec::{run_supervised, Executor, RunOutcome, SupervisePolicy};
+use treu_core::exec::{Executor, RunOutcome, SupervisePolicy};
 use treu_core::experiment::Params;
 use treu_core::fault::SoakSchedule;
-use treu_core::registry::Entry;
 use treu_core::ExperimentRegistry;
 
 // Traffic shapes are drawn from the canonical separator-mixed FNV-1a
@@ -219,6 +221,8 @@ pub struct SoakReport {
     pub drift: u64,
     /// Cache evictions across the soak.
     pub evictions: u64,
+    /// Cache stores that failed to write (the run was still served).
+    pub failed_stores: u64,
     /// Total dispatch rounds.
     pub rounds: u64,
     /// p50 logical service latency, in rounds.
@@ -275,11 +279,15 @@ impl SoakReport {
             self.rounds,
         ));
         out.push_str(&format!(
-            "  cache: steady-state hit-rate {:.3}, {} eviction(s), {} resident\n",
+            "  cache: steady-state hit-rate {:.3}, {} eviction(s), {} resident",
             self.steady_hit_rate,
             self.evictions,
             self.final_entries.len(),
         ));
+        if self.failed_stores > 0 {
+            out.push_str(&format!(", {} failed store(s)", self.failed_stores));
+        }
+        out.push('\n');
         out.push_str(&format!(
             "  chaos: {} retried, {} quarantined, drift {} — zero drift: {}\n",
             self.retried,
@@ -462,7 +470,7 @@ impl TenantLedger {
 
     /// Ceil-rank `q`-quantile of service latency pooled across all
     /// tenants (0 when nothing served). At small n the p99 is the maximum,
-    /// never a smaller rank — see [`quantile_ceil_rank`].
+    /// never a smaller rank — see `quantile_ceil_rank`.
     pub fn latency_quantile(&self, q: f64) -> u64 {
         let mut sorted = self.latencies.clone();
         sorted.sort_unstable();
@@ -581,14 +589,14 @@ fn baseline_fingerprint(
     fp
 }
 
-/// Runs the soak: Zipf traffic through fair dispatch, supervised
-/// execution under the epoch schedule, bounded cache in the middle.
+/// Runs the soak: Zipf traffic through fair dispatch, one supervised run
+/// batch per round under the epoch schedule, bounded cache in the middle.
 ///
 /// `cache` should be opened with `cfg.bound` on an empty directory; the
 /// report's determinism claims are over cache operation order, which
-/// this driver serializes (lookups, then parallel compute, then stores,
-/// all in dispatch order) precisely so the `--jobs` count cannot leak
-/// into eviction decisions.
+/// each round's batch serializes (lookups, then parallel compute, then
+/// stores, all in dispatch order) so the `--jobs` count cannot leak into
+/// eviction decisions.
 pub fn run_soak(
     reg: &ExperimentRegistry,
     params_of: &dyn Fn(&str, Params) -> Params,
@@ -601,15 +609,13 @@ pub fn run_soak(
     let subs = generate(cfg, &ids);
     let schedule = SoakSchedule::new(cfg.fault_seed, cfg.fault_rate, cfg.epochs);
     let policy = SupervisePolicy::new(schedule.retry_budget());
-    let exec = Executor::new(cfg.jobs);
+    let exec = Executor::new(cfg.jobs).with_tracing(false);
 
     let mut memo: BTreeMap<(String, u64), u64> = BTreeMap::new();
     let mut ledger = TenantLedger::new();
     let mut trace = String::new();
     let mut epoch_hit_rates = Vec::new();
-    let (mut hits, mut computed, mut retried, mut quarantined, mut drift) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    let mut rounds = 0u64;
+    let (mut retried, mut quarantined, mut drift, mut rounds) = (0u64, 0u64, 0u64, 0u64);
 
     for epoch in 0..cfg.epochs {
         let plan = schedule.plan_for(epoch);
@@ -625,46 +631,27 @@ pub fn run_soak(
             epoch_round += 1;
             rounds += 1;
 
-            // Phase 1 — sequential lookups in dispatch order. Hits are
-            // served immediately; misses carry their params forward to
-            // the compute phase.
-            let mut missed: Vec<(&Submission, Params, &Entry)> = Vec::new();
-            for (tenant, sub) in &round {
-                let entry = reg.get(&sub.id).expect("soak submissions target registered ids");
-                let params = params_of(&sub.id, entry.defaults.clone());
-                match cache.lookup(&sub.id, sub.seed, &params) {
-                    Some(rec) => {
-                        let fp = rec.fingerprint();
-                        if fp != baseline_fingerprint(reg, params_of, &mut memo, &sub.id, sub.seed)
-                        {
-                            drift += 1;
-                        }
-                        hits += 1;
-                        epoch_hits += 1;
-                        epoch_served += 1;
-                        ledger.note_served(*tenant, epoch_round, true);
-                        trace.push_str(&format!(
-                            "sub={} epoch={epoch} round={epoch_round} tenant={tenant} id={} seed={} hit fp={fp:016x}\n",
-                            sub.index, sub.id, sub.seed
-                        ));
-                    }
-                    None => missed.push((sub, params, entry)),
-                }
-            }
+            let batch = Batch {
+                runs: Some(round.iter().map(|(_, sub)| (sub.id.clone(), sub.seed)).collect()),
+                params: params_of,
+                cache: Some(cache),
+                policy,
+                plan: plan.as_ref(),
+                ..Batch::new(Mode::Run, cfg.seed)
+            };
+            let out = batch.execute(reg, Dispatch::InProcess(&exec));
+            let BatchReport::Run { outcomes, cached, .. } =
+                out.expect("in-process dispatch does no fallible I/O").report
+            else {
+                unreachable!("a run batch reports runs")
+            };
 
-            // Phase 2 — parallel supervised compute of the misses. The
-            // executor merges in index order, so the outcome vector is
-            // schedule-independent.
-            let outcomes = exec.map_indexed(missed.len(), |k| {
-                let (sub, params, entry) = &missed[k];
-                run_supervised(entry.runner(), &sub.id, sub.seed, params, &policy, plan.as_ref(), 0)
-            });
-
-            // Phase 3 — sequential stores (and evictions) in dispatch
-            // order, on the driver thread.
-            for ((sub, params, _), outcome) in missed.iter().zip(outcomes) {
-                let tenant = sub.tenant;
-                match outcome {
+            // Hit lines first, then computed and quarantined ones, each
+            // group in dispatch order.
+            let (served_hits, rest): (Vec<_>, Vec<_>) =
+                round.iter().zip(outcomes).zip(cached).partition(|(_, hit)| *hit);
+            for (((tenant, sub), (_, outcome)), hit) in served_hits.into_iter().chain(rest) {
+                let how = match outcome {
                     RunOutcome::Ok { record, attempts } => {
                         let fp = record.fingerprint();
                         if fp != baseline_fingerprint(reg, params_of, &mut memo, &sub.id, sub.seed)
@@ -674,24 +661,20 @@ pub fn run_soak(
                         if attempts > 1 {
                             retried += 1;
                         }
-                        cache.store(&sub.id, sub.seed, params, &record).expect("soak cache store");
-                        computed += 1;
+                        epoch_hits += u64::from(hit);
                         epoch_served += 1;
-                        ledger.note_served(tenant, epoch_round, false);
-                        trace.push_str(&format!(
-                            "sub={} epoch={epoch} round={epoch_round} tenant={tenant} id={} seed={} computed fp={fp:016x}\n",
-                            sub.index, sub.id, sub.seed
-                        ));
+                        ledger.note_served(*tenant, epoch_round, hit);
+                        format!("{} fp={fp:016x}", if hit { "hit" } else { "computed" })
                     }
                     RunOutcome::Failed(f) => {
                         quarantined += 1;
-                        trace.push_str(&format!(
-                            "sub={} epoch={epoch} round={epoch_round} tenant={tenant} id={} seed={} quarantined taxonomy={}\n",
-                            sub.index, sub.id, sub.seed,
-                            f.taxonomy.name()
-                        ));
+                        format!("quarantined taxonomy={}", f.taxonomy.name())
                     }
-                }
+                };
+                trace.push_str(&format!(
+                    "sub={} epoch={epoch} round={epoch_round} tenant={tenant} id={} seed={} {how}\n",
+                    sub.index, sub.id, sub.seed
+                ));
             }
         }
         epoch_hit_rates.push(if epoch_served == 0 {
@@ -709,6 +692,9 @@ pub fn run_soak(
     let trace_address = fnv64_parts(&[trace.as_bytes()]);
 
     let steady_hit_rate = epoch_hit_rates.last().copied().unwrap_or(0.0);
+    let stats = cache.stats();
+    let (hits, computed) =
+        ledger.iter().fold((0, 0), |(h, c), (_, t)| (h + t.cache_hits, c + t.computed));
     SoakReport {
         config: cfg.clone(),
         served: hits + computed,
@@ -717,7 +703,8 @@ pub fn run_soak(
         retried,
         quarantined,
         drift,
-        evictions: cache.stats().evictions,
+        evictions: stats.evictions,
+        failed_stores: stats.failed_stores,
         rounds,
         p50_latency_rounds: ledger.latency_quantile(0.50),
         p99_latency_rounds: ledger.latency_quantile(0.99),
@@ -813,6 +800,7 @@ mod tests {
             quarantined: 0,
             drift: 0,
             evictions: 3,
+            failed_stores: 0,
             rounds: 5,
             p50_latency_rounds: 1,
             p99_latency_rounds: 4,

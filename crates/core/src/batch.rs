@@ -1,14 +1,18 @@
-//! The one batch pipeline: every registry-wide (or single-id) `run` and
-//! `verify`, in-process or sharded, goes through [`Batch::execute`].
+//! The one batch pipeline: every `run` and `verify`, in-process or
+//! sharded, goes through [`Batch::execute`]. A batch is the whole
+//! registry at one seed, one id (`treu run E3`), or any list of
+//! `(id, seed)` runs (one `treu soak` dispatch round).
 //!
 //! A batch runs in three phases:
 //!
-//! 1. **The coordinator looks up and builds tasks.** It looks up every id
+//! 1. **The coordinator looks up and builds tasks.** It looks up every run
 //!    in the run cache, then ships [`TaskSpec`]s for the misses only: one
-//!    per id for run, two replicas for verify. A run under an armed
-//!    [`FaultPlan`] skips the cache — a faulted trail must never be stored
+//!    per run for run, two replicas for verify. A run batch under a
+//!    [`FaultPlan`] that is not [`FaultPlan::is_transient_only`] skips the
+//!    cache — a panicked, corrupted or targeted trail must never be stored
 //!    as the experiment's record, and this is the one place that rule
-//!    lives.
+//!    lives. A transient-only plan (the soak's epoch plans) caches: a run
+//!    it lets succeed is the fault-free run, bit for bit.
 //! 2. **Dispatch.** [`Dispatch::InProcess`] maps [`execute_task`] over the
 //!    tasks with [`Executor::map_indexed_stats`]; [`Dispatch::Sharded`]
 //!    hands them to [`WorkerPool::run_tasks`], whose workers (and degraded
@@ -16,17 +20,19 @@
 //!    order, so the topology decides only *who* calls `execute_task`.
 //!    No task carries a cache: workers never open one.
 //! 3. **The coordinator merges and stores.** Verify cross-checks each
-//!    id's two replicas and stores a reproduced pair; run takes each
-//!    output as that id's outcome and stores a successful one. Task
-//!    events are absorbed in index order into one [`BatchTrace`], so
-//!    results and trace addresses are identical at every
-//!    `(jobs, workers, kills)`.
+//!    run's two replicas and stores a reproduced pair; run takes each
+//!    output as that run's outcome, stores a successful one, and reports
+//!    per run whether the cache served it. Task events are absorbed in
+//!    index order into one [`BatchTrace`], so results and trace addresses
+//!    are identical at every `(jobs, workers, kills)`.
 //!
-//! Every cache operation happens on the coordinator's thread, in id
-//! order, through [`lookup`] and [`store`], which also emit the `Cache`
-//! and `CacheStored` trace events. So one handle counts the whole batch
-//! at every topology, and a bounded cache evicts the same entries in the
-//! same order at every `jobs`.
+//! Every cache operation happens on the coordinator's thread, in request
+//! order, through this module's `lookup` and `store`, which also emit the
+//! `Cache` and `CacheStored` trace events. So one handle counts the whole
+//! batch at every topology, and a bounded cache evicts the same entries
+//! in the same order at every `jobs`. No other code looks up or stores a
+//! run (`execute_task`'s own cache branch calls the same two), so this
+//! module is the run cache's only client.
 //!
 //! "Plain" execution is the default [`SupervisePolicy`] with no plan:
 //! one `catch_unwind` per attempt, no watchdog thread (it is spawned only
@@ -68,10 +74,12 @@ pub enum Dispatch<'a> {
 pub struct Batch<'a> {
     /// Run or verify.
     pub mode: Mode,
-    /// Base seed for every run.
+    /// Seed of every run when `runs` is `None`; the batch's trace and
+    /// attestation link carry it either way.
     pub seed: u64,
-    /// Ids in output order; `None` is the whole registry in id order.
-    pub ids: Option<Vec<String>>,
+    /// `(id, seed)` runs in output order; `None` is the whole registry in
+    /// id order at `seed`.
+    pub runs: Option<Vec<(String, u64)>>,
     /// Parameter hook: receives each id and its registered defaults and
     /// returns the parameters to run at.
     pub params: &'a dyn Fn(&str, Params) -> Params,
@@ -86,10 +94,12 @@ pub struct Batch<'a> {
 /// A batch's report, by mode.
 #[derive(Debug, Clone)]
 pub enum BatchReport {
-    /// Per-id outcomes in request order, plus the batch's timing report.
+    /// Per-run outcomes in request order, plus the batch's timing report.
     Run {
         /// `(id, outcome)` pairs.
         outcomes: Vec<(String, RunOutcome)>,
+        /// Per outcome, whether the run cache served it.
+        cached: Vec<bool>,
         /// Timing, cache and trace accounting.
         report: ExecReport,
     },
@@ -125,7 +135,7 @@ impl<'a> Batch<'a> {
         Batch {
             mode,
             seed,
-            ids: None,
+            runs: None,
             params: &registry_defaults,
             cache: None,
             policy: SupervisePolicy::default(),
@@ -146,32 +156,33 @@ impl<'a> Batch<'a> {
             Dispatch::InProcess(exec) => (exec.tracing_enabled(), exec.jobs()),
             Dispatch::Sharded(cfg) => (cfg.tracing, cfg.workers * cfg.jobs),
         };
-        let ids: Vec<(String, Params)> = match &self.ids {
-            Some(ids) => ids
+        let runs: Vec<(String, u64, Params)> = match &self.runs {
+            Some(runs) => runs
                 .iter()
-                .map(|id| {
+                .map(|(id, seed)| {
                     let defaults = reg.get(id).map(|e| e.defaults.clone()).unwrap_or_default();
-                    (id.clone(), (self.params)(id, defaults))
+                    (id.clone(), *seed, (self.params)(id, defaults))
                 })
                 .collect(),
             None => reg
                 .iter()
-                .map(|(id, e)| (id.to_string(), (self.params)(id, e.defaults.clone())))
+                .map(|(id, e)| (id.to_string(), self.seed, (self.params)(id, e.defaults.clone())))
                 .collect(),
         };
         let mut traces: Vec<RunTrace> =
-            ids.iter().map(|(id, _)| RunTrace::new(id, self.seed)).collect();
+            runs.iter().map(|(id, seed, _)| RunTrace::new(id, *seed)).collect();
 
-        // Phase 1: look up, then ship tasks for the misses. A run under a
-        // fault plan never touches the cache: a faulted trail must never be
-        // stored as the experiment's record, and this is the one place that
-        // rule lives.
-        let cache = self.cache.filter(|_| self.mode == Mode::Verify || self.plan.is_none());
-        let looked: Vec<Lookup> = ids
+        // Phase 1: look up, then ship tasks for the misses. A run batch
+        // under a plan that can make a run fail for good or corrupt its
+        // trail never touches the cache (see the module doc).
+        let cache = self.cache.filter(|_| {
+            self.mode == Mode::Verify || self.plan.is_none_or(FaultPlan::is_transient_only)
+        });
+        let looked: Vec<Lookup> = runs
             .iter()
             .zip(traces.iter_mut())
-            .map(|((id, p), rt)| match cache {
-                Some(c) => lookup(c, id, self.seed, p, &mut tracing.then_some((rt, start))),
+            .map(|((id, seed, p), rt)| match cache {
+                Some(c) => lookup(c, id, *seed, p, &mut tracing.then_some((rt, start))),
                 None => Lookup::Miss,
             })
             .collect();
@@ -181,16 +192,16 @@ impl<'a> Batch<'a> {
         };
         // A verify miss's two replicas are independent tasks; replica =
         // k % 2 keeps the Claim numbering.
-        let tasks: Vec<TaskSpec> = ids
+        let tasks: Vec<TaskSpec> = runs
             .iter()
             .zip(&looked)
             .filter(|(_, l)| !matches!(l, Lookup::Hit(_)))
             .flat_map(|(e, _)| std::iter::repeat_n(e, replicas))
             .enumerate()
-            .map(|(k, (id, params))| TaskSpec {
+            .map(|(k, (id, seed, params))| TaskSpec {
                 index: k,
                 id: id.clone(),
-                seed: self.seed,
+                seed: *seed,
                 replica: (k % replicas) as u32,
                 params: params.clone(),
                 retries: self.policy.retries,
@@ -219,24 +230,22 @@ impl<'a> Batch<'a> {
         let mut fresh = outputs.into_iter();
         let report = match self.mode {
             Mode::Run => {
-                let mut outcomes = Vec::with_capacity(ids.len());
-                let mut cached = 0;
-                for (((id, p), found), rt) in ids.into_iter().zip(looked).zip(traces.iter_mut()) {
-                    let outcome = match found {
-                        Lookup::Hit(record) => {
-                            cached += 1;
-                            RunOutcome::Ok { record, attempts: 1 }
-                        }
+                let mut outcomes = Vec::with_capacity(runs.len());
+                let mut cached = Vec::with_capacity(runs.len());
+                for (((id, seed, p), found), rt) in runs.into_iter().zip(looked).zip(&mut traces) {
+                    let (outcome, hit) = match found {
+                        Lookup::Hit(record) => (RunOutcome::Ok { record, attempts: 1 }, true),
                         _ => {
                             let out = absorb(rt, fresh.next().expect("one task per miss"));
                             if let (Some(c), Some(record)) = (cache, out.record()) {
                                 let tracer = &mut tracing.then_some((rt, start));
-                                store(c, &id, self.seed, &p, record, tracer);
+                                store(c, &id, seed, &p, record, tracer);
                             }
-                            out
+                            (out, false)
                         }
                     };
                     outcomes.push((id, outcome));
+                    cached.push(hit);
                 }
                 let failed = outcomes.iter().filter(|(_, o)| !o.is_ok()).count();
                 let wall = start.elapsed().as_secs_f64();
@@ -244,15 +253,15 @@ impl<'a> Batch<'a> {
                     .iter()
                     .filter_map(|(id, o)| o.record().map(|r| (id.clone(), r.wall_seconds)));
                 let report = ExecReport::from_labelled(jobs, timings, wall)
-                    .with_cached(cached)
+                    .with_cached(cached.iter().filter(|&&hit| hit).count())
                     .with_failed(failed)
                     .with_trace(batch_trace("run", self.seed, traces, jobs, wall, &sched));
-                BatchReport::Run { outcomes, report }
+                BatchReport::Run { outcomes, cached, report }
             }
             Mode::Verify => {
                 let recomputed = fresh.len() / 2;
-                let mut outcomes = Vec::with_capacity(ids.len());
-                for (((id, p), found), rt) in ids.iter().zip(looked).zip(traces.iter_mut()) {
+                let mut outcomes = Vec::with_capacity(runs.len());
+                for (((id, seed, p), found), rt) in runs.iter().zip(looked).zip(&mut traces) {
                     outcomes.push(match found {
                         Lookup::Hit(rec) => {
                             let fingerprint = rec.fingerprint();
@@ -281,7 +290,7 @@ impl<'a> Batch<'a> {
                             let pair = [absorb(rt, replica()), absorb(rt, replica())];
                             let was_corrupt = matches!(not_hit, Lookup::Corrupt);
                             let tracer = tracing.then_some((rt, start));
-                            cross_check(id, self.seed, p, &pair, cache, was_corrupt, tracer)
+                            cross_check(id, *seed, p, &pair, cache, was_corrupt, tracer)
                         }
                     });
                 }
@@ -341,7 +350,7 @@ impl BatchReport {
     /// The run outcomes and report; panics on a verify batch.
     pub fn into_run(self) -> (Vec<(String, RunOutcome)>, ExecReport) {
         match self {
-            BatchReport::Run { outcomes, report } => (outcomes, report),
+            BatchReport::Run { outcomes, report, .. } => (outcomes, report),
             BatchReport::Verify(_) => panic!("a verify batch has no run outcomes"),
         }
     }
@@ -583,6 +592,86 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    fn fresh_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("treu-batch-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A transient-only plan retried to success yields the fault-free
+    /// runs, so a run batch under one caches them like a fault-free batch.
+    #[test]
+    fn transient_only_runs_are_cached_with_fault_free_bits() {
+        let reg = small_registry();
+        let seed = 3;
+        let exec = Executor::new(2);
+        let clean = Batch::new(Mode::Run, seed);
+        let (clean, _) = clean.execute(&reg, Dispatch::InProcess(&exec)).unwrap().report.into_run();
+        let dir = fresh_dir("transient");
+        let cache = RunCache::open(&dir).unwrap();
+        let plan = FaultPlan::transient(23, 1.0);
+        let chaotic = Batch {
+            cache: Some(&cache),
+            plan: Some(&plan),
+            policy: SupervisePolicy::new(plan.max_transient_attempts()),
+            ..Batch::new(Mode::Run, seed)
+        };
+        let (outcomes, _) =
+            chaotic.execute(&reg, Dispatch::InProcess(&exec)).unwrap().report.into_run();
+        assert!(outcomes.iter().all(|(_, o)| o.attempts() > 1), "rate 1.0 faults every run");
+        assert_eq!(cache.stats().stores, reg.len() as u64, "every converged run is stored");
+        for ((id, a), (_, b)) in outcomes.iter().zip(&clean) {
+            let fingerprint = |o: &RunOutcome| o.record().map(RunRecord::fingerprint);
+            assert_eq!(fingerprint(a), fingerprint(b), "{id}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Listed runs come back in request order, a repeated run included,
+    /// and a warm rerun flags every one as served by the cache.
+    #[test]
+    fn listed_runs_keep_request_order_and_flag_cache_hits() {
+        let reg = small_registry();
+        let dir = fresh_dir("listed");
+        let cache = RunCache::open(&dir).unwrap();
+        let runs = vec![("A".to_string(), 1), ("B".to_string(), 2), ("A".to_string(), 1)];
+        let batch = Batch { runs: Some(runs), cache: Some(&cache), ..Batch::new(Mode::Run, 0) };
+        for warm in [false, true] {
+            let out = batch.execute(&reg, Dispatch::InProcess(&Executor::new(2))).unwrap();
+            let BatchReport::Run { outcomes, cached, .. } = out.report else { panic!("run") };
+            let records: Vec<&RunRecord> =
+                outcomes.iter().map(|(_, o)| o.record().unwrap()).collect();
+            let got: Vec<(&str, u64)> =
+                outcomes.iter().zip(&records).map(|((id, _), r)| (id.as_str(), r.seed)).collect();
+            assert_eq!(got, [("A", 1), ("B", 2), ("A", 1)], "warm {warm}");
+            assert_eq!(records[0].trail, records[2].trail, "warm {warm}");
+            assert_eq!(cached, [warm; 3], "warm {warm}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store that cannot land is counted; the run it would have cached
+    /// still completes.
+    #[test]
+    fn a_failed_store_is_counted_and_the_batch_completes() {
+        let reg = small_registry();
+        let seed = 4;
+        let dir = fresh_dir("squatted");
+        let cache = RunCache::open(&dir).unwrap();
+        // A directory where B's entry belongs: the lookup misses and the
+        // store's rename onto it fails.
+        let entry = run_entry_file("B", seed, &reg.get("B").unwrap().defaults);
+        std::fs::create_dir(dir.join(entry)).unwrap();
+        let batch = Batch { cache: Some(&cache), ..Batch::new(Mode::Run, seed) };
+        let out = batch.execute(&reg, Dispatch::InProcess(&Executor::new(2))).unwrap();
+        let (outcomes, _) = out.report.into_run();
+        assert!(outcomes.iter().all(|(_, o)| o.is_ok()), "every run completes");
+        let s = cache.stats();
+        assert_eq!((s.stores, s.failed_stores), (reg.len() as u64 - 1, 1), "{s:?}");
+        assert!(cache.render_stats().contains("; 1 failed store(s)"), "{}", cache.render_stats());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Run-mode cache traffic happens on the coordinator in id order, so a

@@ -94,6 +94,9 @@ pub struct CacheStats {
     pub corruptions: u64,
     /// Run entries written.
     pub stores: u64,
+    /// Run entries whose write failed (the run's result stands; only its
+    /// entry is missing).
+    pub failed_stores: u64,
     /// Classified blob lookups ([`RunCache::lookup_blob`]): each lands in
     /// exactly one of hit / miss / invalidation (blobs carry no checksum,
     /// so there is no corrupt class).
@@ -568,10 +571,12 @@ impl RunCache {
 
     /// Persists a completed record under `(id, seed, params)`, stamped
     /// with this handle's code+env fingerprint and a checksum of the
-    /// trail body for read-time verification.
+    /// trail body for read-time verification. A write that fails is
+    /// counted in [`CacheStats::failed_stores`] and returned.
     pub fn store(&self, id: &str, seed: u64, params: &Params, rec: &RunRecord) -> io::Result<()> {
         let out = RunEntry::render(self.fingerprint, rec);
-        let path = write_atomic(&self.dir, &run_entry_file(id, seed, params), &out)?;
+        let path = write_atomic(&self.dir, &run_entry_file(id, seed, params), &out)
+            .inspect_err(|_| self.bump(|s| s.failed_stores += 1))?;
         let evicted = self.note_store(&path, out.len() as u64);
         self.bump(|s| {
             s.stores += 1;
@@ -635,9 +640,9 @@ impl RunCache {
         *self.stats.lock().expect("cache stats mutex poisoned")
     }
 
-    /// One-line accounting for CLI output. Blob and eviction counters
-    /// are appended only when they moved, so the common (run-only,
-    /// unbounded) line stays unchanged.
+    /// One-line accounting for CLI output. Blob, eviction and failed-store
+    /// counters are appended only when they moved, so the common
+    /// (run-only, unbounded, writable) line stays unchanged.
     pub fn render_stats(&self) -> String {
         let s = self.stats();
         let mut line = format!(
@@ -652,6 +657,9 @@ impl RunCache {
         }
         if self.bound.is_bounded() {
             line.push_str(&format!("; {} eviction(s)", s.evictions));
+        }
+        if s.failed_stores > 0 {
+            line.push_str(&format!("; {} failed store(s)", s.failed_stores));
         }
         line.push_str(&format!(" ({})\n", self.dir.display()));
         line

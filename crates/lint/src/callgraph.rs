@@ -1,6 +1,6 @@
 //! Workspace call graph over extracted items.
 //!
-//! Links every [`CallSite`](crate::items::CallSite) to the workspace
+//! Links every [`CallSite`] to the workspace
 //! `fn` definitions it can refer to. Resolution is name-based with three
 //! refinements applied in order — same-file definitions win, then
 //! written path prefixes and `use` imports confirm cross-file targets,

@@ -18,7 +18,7 @@
 //!   separator mixed in after each, so `("ab", "c")` never collides with
 //!   `("a", "bc")` (cache keys, fault draws).
 //!
-//! [`unit`] maps a hash to a uniform draw in `[0, 1)` using the top 53
+//! [`unit()`] maps a hash to a uniform draw in `[0, 1)` using the top 53
 //! bits — the same construction `SplitMix64::next_f64` uses — so seeded
 //! probability draws are one hash away everywhere.
 

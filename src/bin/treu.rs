@@ -426,10 +426,11 @@ fn run_batch_cmd(reg: &ExperimentRegistry, exec: &Executor, args: &[String], o: 
     let params =
         |id: &str, d: Params| if o.sup.conformance { treu::conformance_params(id) } else { d };
     let plan = o.sup.plan();
+    let seed = args.get(1).map_or(2023, |s| parse_seed(s));
     let batch = Batch {
         mode,
-        seed: args.get(1).map_or(2023, |s| parse_seed(s)),
-        ids: single.clone().map(|id| vec![id]),
+        seed,
+        runs: single.clone().map(|id| vec![(id, seed)]),
         params: &params,
         cache: o.cache.as_ref(),
         policy: o.sup.policy(),
@@ -437,9 +438,9 @@ fn run_batch_cmd(reg: &ExperimentRegistry, exec: &Executor, args: &[String], o: 
     };
     let out = execute(&batch, reg, o.dispatch(exec));
     match &out.report {
-        BatchReport::Run { outcomes, report } => {
-            for (id, outcome) in outcomes {
-                print_run(id, outcome, single.is_some(), report.cached_runs > 0);
+        BatchReport::Run { outcomes, cached, report } => {
+            for ((id, outcome), &cached) in outcomes.iter().zip(cached) {
+                print_run(id, outcome, single.is_some(), cached);
             }
             if single.is_none() {
                 println!();
@@ -1344,7 +1345,9 @@ fn run_tune_cmd(args: &[String], o: &Opts) {
     });
 
     let mut book = match cache {
-        Some(c) => ScheduleBook::load(c),
+        Some(c) => ScheduleBook::load(c).unwrap_or_else(|e| {
+            usage_err(format!("tune: the cached schedule book is damaged: {e}"))
+        }),
         None => ScheduleBook::new(),
     };
     for &shape in &shapes {

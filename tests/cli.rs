@@ -714,6 +714,23 @@ fn tune_persists_a_schedule_book_and_reloads_it() {
     assert!(text.contains("sss"), "first class survived the reload:\n{text}");
     assert!(text.contains("mmm"), "second class tuned:\n{text}");
     assert!(text.contains("schedule book persisted (2 entries)"), "book grew:\n{text}");
+
+    // A damaged class key makes the next tune exit 2 naming the byte
+    // offset in the book, instead of dropping that class.
+    let blob = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("dir entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "txt"))
+        .expect("the book blob");
+    let stored = std::fs::read_to_string(&blob).expect("book blob");
+    let payload_at = stored.find("payload\n").expect("blob header") + "payload\n".len();
+    let key_at = stored[payload_at..].find("matmul sss ").expect("sss line") + "matmul ".len();
+    std::fs::write(&blob, stored.replace("matmul sss ", "matmul sxs ")).expect("damage the book");
+    let damaged =
+        treu(&["tune", "7", "--shapes", "24x24x24", "--repeats", "1", "--cache-dir", dirs]);
+    assert_eq!(damaged.status.code(), Some(2), "{}", String::from_utf8_lossy(&damaged.stdout));
+    let err = String::from_utf8_lossy(&damaged.stderr);
+    assert!(err.contains(&format!("byte {key_at}: expected a shape class key")), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
