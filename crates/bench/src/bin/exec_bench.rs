@@ -196,22 +196,23 @@ fn main() {
         untraced_wall = untraced_wall.min(u);
         traced_wall = traced_wall.min(t);
         pair_overhead_pct.push((t - u) / u * 100.0);
-        measured = Some((untraced.0, traced.0, traced.1));
+        measured = Some((untraced, traced));
     }
-    let (untraced_recs, traced_recs, traced_report) = measured.expect("pairs >= 1");
+    let (untraced, traced) = measured.expect("pairs >= 1");
     let fingerprint = |o: &RunOutcome| o.record().map(|r| r.fingerprint());
-    let trace_identical = untraced_recs
+    let trace_identical = untraced
+        .outcomes
         .iter()
-        .zip(traced_recs.iter())
+        .zip(&traced.outcomes)
         .all(|((ia, ra), (ib, rb))| ia == ib && fingerprint(ra) == fingerprint(rb));
     assert!(trace_identical, "tracing changed batch results — determinism violation");
-    assert!(traced_report.counters.events > 0, "traced batch recorded no events");
+    let events = traced.trace.counters().events;
+    assert!(events > 0, "traced batch recorded no events");
     pair_overhead_pct.sort_by(f64::total_cmp);
     let trace_overhead_pct = pair_overhead_pct[TRACE_PAIRS / 2];
     eprintln!(
         "  trace off     : {untraced_wall:.4}s\n  trace on      : {traced_wall:.4}s  \
-         ({} event(s))\n  overhead      : {trace_overhead_pct:.2}%  (median of {TRACE_PAIRS} pairs)",
-        traced_report.counters.events
+         ({events} event(s))\n  overhead      : {trace_overhead_pct:.2}%  (median of {TRACE_PAIRS} pairs)"
     );
 
     let json = format!(

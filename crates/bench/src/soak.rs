@@ -40,9 +40,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
-use treu_core::batch::{Batch, BatchReport, Dispatch, Mode};
+use treu_core::batch::{Batch, Dispatch, Mode};
 use treu_core::cache::{CacheBound, RunCache};
-use treu_core::exec::{Executor, RunOutcome, SupervisePolicy};
+use treu_core::exec::{Executor, RunOutcome, RunReport, SupervisePolicy};
 use treu_core::experiment::Params;
 use treu_core::fault::SoakSchedule;
 use treu_core::ExperimentRegistry;
@@ -640,11 +640,8 @@ pub fn run_soak(
                 ..Batch::new(Mode::Run, cfg.seed)
             };
             let out = batch.execute(reg, Dispatch::InProcess(&exec));
-            let BatchReport::Run { outcomes, cached, .. } =
-                out.expect("in-process dispatch does no fallible I/O").report
-            else {
-                unreachable!("a run batch reports runs")
-            };
+            let RunReport { outcomes, cached, .. } =
+                out.expect("in-process dispatch does no fallible I/O").report.into_run();
 
             // Hit lines first, then computed and quarantined ones, each
             // group in dispatch order.

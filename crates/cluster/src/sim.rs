@@ -252,27 +252,8 @@ impl Cluster {
         fm: &FailureModel,
         recovery: RecoveryPolicy,
     ) -> FaultMetrics {
-        self.simulate_faulty_traced(jobs, scheduler, fm, recovery).0
-    }
-
-    /// [`Cluster::simulate_faulty`] plus a per-job event trace: every
-    /// job's failure draws and recovery cost land in a
-    /// `treu_core::trace::BatchTrace` of kind `cluster-sim`, so the
-    /// simulated chaos is as inspectable as the harness's real runs.
-    /// Simulated time has no wall clock, so every event's timestamp is
-    /// the job's recovery overhead itself (hours) — the sidecar doubles
-    /// as a per-job cost profile — and the hashed stream is a pure
-    /// function of `(jobs, failure model, recovery policy)`.
-    pub fn simulate_faulty_traced(
-        &self,
-        jobs: &[Job],
-        scheduler: Scheduler,
-        fm: &FailureModel,
-        recovery: RecoveryPolicy,
-    ) -> (FaultMetrics, treu_core::trace::BatchTrace) {
         let mut failures = 0usize;
         let mut wasted_gpu_hours = 0.0f64;
-        let mut trace = treu_core::trace::BatchTrace::empty("cluster-sim", fm.seed);
         let burdened: Vec<Job> = jobs
             .iter()
             .map(|j| {
@@ -286,21 +267,11 @@ impl Cluster {
                     }
                 };
                 wasted_gpu_hours += overhead * j.gpus as f64;
-                let mut rt = treu_core::trace::RunTrace::new(&format!("job{}", j.id), fm.seed);
-                rt.push(treu_core::trace::TraceEvent::SimFailures { failures: k }, overhead);
-                rt.push(
-                    treu_core::trace::TraceEvent::SimRecovery {
-                        policy: recovery.name(),
-                        overhead_millihours: (overhead * 1000.0).round() as u64,
-                    },
-                    overhead,
-                );
-                trace.runs.push(rt);
                 Job { duration: j.duration + overhead, ..j.clone() }
             })
             .collect();
         let metrics = self.simulate(&burdened, scheduler);
-        (FaultMetrics { metrics, failures, wasted_gpu_hours }, trace)
+        FaultMetrics { metrics, failures, wasted_gpu_hours }
     }
 }
 
@@ -452,40 +423,5 @@ mod tests {
     fn failure_count_is_capped() {
         let fm = FailureModel { mtbf: 1e-6, restart_cost: 0.1, seed: 1 };
         assert_eq!(fm.failures_for(0, 100.0), FailureModel::MAX_FAILURES);
-    }
-
-    #[test]
-    fn traced_simulation_matches_untraced_and_hashes_deterministically() {
-        let jobs = rush(20, 5);
-        let c = Cluster::default();
-        let fm = FailureModel { mtbf: 4.0, restart_cost: 0.25, seed: 11 };
-        let plain = c.simulate_faulty(&jobs, Scheduler::Backfill, &fm, RecoveryPolicy::Restage);
-        let (traced, trace) =
-            c.simulate_faulty_traced(&jobs, Scheduler::Backfill, &fm, RecoveryPolicy::Restage);
-        assert_eq!(plain, traced, "tracing must never perturb the simulation");
-        assert_eq!(trace.runs.len(), jobs.len(), "one run trace per job");
-        let counters = trace.counters();
-        assert_eq!(counters.events, 2 * jobs.len() as u64);
-        // The trace's failure events sum to the metric's failure count —
-        // the report-equals-trace property, simulator edition.
-        let parsed = treu_core::trace::parse_trace(&trace.render_events()).unwrap();
-        let traced_failures: usize = parsed
-            .runs
-            .iter()
-            .flat_map(|r| r.events())
-            .filter_map(|(_, e, _)| match e {
-                treu_core::TraceEvent::SimFailures { failures } => Some(*failures),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(traced_failures, traced.failures);
-        // Same inputs ⇒ same content address; different seed ⇒ different.
-        let (_, again) =
-            c.simulate_faulty_traced(&jobs, Scheduler::Backfill, &fm, RecoveryPolicy::Restage);
-        assert_eq!(trace.content_hash(), again.content_hash());
-        let other = FailureModel { seed: 12, ..fm };
-        let (_, moved) =
-            c.simulate_faulty_traced(&jobs, Scheduler::Backfill, &other, RecoveryPolicy::Restage);
-        assert_ne!(trace.content_hash(), moved.content_hash());
     }
 }

@@ -491,7 +491,9 @@ impl AttestStore {
     /// Loads and parses the layout document.
     pub fn load_layout(&self) -> io::Result<Layout> {
         let path = self.layout_path();
-        let text = std::fs::read_to_string(&path)?;
+        let text = std::fs::read_to_string(&path).map_err(|e| {
+            io::Error::new(e.kind(), format!("cannot read '{}': {e}", path.display()))
+        })?;
         Layout::parse(&text).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -1014,11 +1016,27 @@ mod tests {
         d
     }
 
-    fn temp_store(tag: &str) -> AttestStore {
+    /// A store in a fresh temp dir, removed when the guard drops.
+    struct TempStore(AttestStore);
+
+    impl std::ops::Deref for TempStore {
+        type Target = AttestStore;
+        fn deref(&self) -> &AttestStore {
+            &self.0
+        }
+    }
+
+    impl Drop for TempStore {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(self.0.dir());
+        }
+    }
+
+    fn temp_store(tag: &str) -> TempStore {
         let d = std::env::temp_dir().join(format!("treu-attest-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
-        AttestStore::open(&d)
+        TempStore(AttestStore::open(&d))
     }
 
     fn init(store: &AttestStore) -> AttestKey {

@@ -43,7 +43,7 @@ use std::time::Instant;
 
 use crate::cache::{Lookup, RunCache};
 use crate::exec::{
-    cache_result, emit, DenyPolicy, ExecReport, Executor, FailureKind, RunFailure, RunOutcome,
+    cache_result, emit, DenyPolicy, Executor, FailureKind, RunFailure, RunOutcome, RunReport,
     SupervisePolicy, VerifyOutcome, VerifyReport,
 };
 use crate::experiment::{Params, RunRecord};
@@ -94,15 +94,8 @@ pub struct Batch<'a> {
 /// A batch's report, by mode.
 #[derive(Debug, Clone)]
 pub enum BatchReport {
-    /// Per-run outcomes in request order, plus the batch's timing report.
-    Run {
-        /// `(id, outcome)` pairs.
-        outcomes: Vec<(String, RunOutcome)>,
-        /// Per outcome, whether the run cache served it.
-        cached: Vec<bool>,
-        /// Timing, cache and trace accounting.
-        report: ExecReport,
-    },
+    /// Per-run outcomes in request order.
+    Run(RunReport),
     /// The cross-checked verification report.
     Verify(VerifyReport),
 }
@@ -247,16 +240,14 @@ impl<'a> Batch<'a> {
                     outcomes.push((id, outcome));
                     cached.push(hit);
                 }
-                let failed = outcomes.iter().filter(|(_, o)| !o.is_ok()).count();
                 let wall = start.elapsed().as_secs_f64();
-                let timings = outcomes
-                    .iter()
-                    .filter_map(|(id, o)| o.record().map(|r| (id.clone(), r.wall_seconds)));
-                let report = ExecReport::from_labelled(jobs, timings, wall)
-                    .with_cached(cached.iter().filter(|&&hit| hit).count())
-                    .with_failed(failed)
-                    .with_trace(batch_trace("run", self.seed, traces, jobs, wall, &sched));
-                BatchReport::Run { outcomes, cached, report }
+                BatchReport::Run(RunReport {
+                    jobs,
+                    outcomes,
+                    cached,
+                    wall_seconds: wall,
+                    trace: batch_trace("run", self.seed, traces, jobs, wall, &sched),
+                })
             }
             Mode::Verify => {
                 let recomputed = fresh.len() / 2;
@@ -295,15 +286,12 @@ impl<'a> Batch<'a> {
                     });
                 }
                 let wall = start.elapsed().as_secs_f64();
-                let trace = batch_trace("verify", self.seed, traces, jobs, wall, &sched);
-                let counters = trace.counters();
                 BatchReport::Verify(VerifyReport {
                     jobs,
                     outcomes,
                     wall_seconds: wall,
                     recomputed,
-                    trace,
-                    counters,
+                    trace: batch_trace("verify", self.seed, traces, jobs, wall, &sched),
                 })
             }
         };
@@ -315,27 +303,17 @@ impl BatchReport {
     /// The batch's merged event trace.
     pub fn trace(&self) -> &BatchTrace {
         match self {
-            BatchReport::Run { report, .. } => &report.trace,
+            BatchReport::Run(r) => &r.trace,
             BatchReport::Verify(r) => &r.trace,
         }
     }
 
-    /// True when this report should flip the exit code under `policy`:
-    /// `Error` gates on any quarantined, failed or mismatched id; `Warn`
-    /// also on ids that needed retries (and, for verify, self-healed
-    /// cache corruption); `None` never gates.
+    /// True when this report should flip the exit code under `policy`
+    /// ([`RunReport::exceeds`], [`VerifyReport::exceeds`]).
     pub fn exceeds(&self, policy: DenyPolicy) -> bool {
         match self {
+            BatchReport::Run(r) => r.exceeds(policy),
             BatchReport::Verify(r) => r.exceeds(policy),
-            BatchReport::Run { outcomes, .. } => {
-                let failed = outcomes.iter().any(|(_, o)| !o.is_ok());
-                let retried = outcomes.iter().any(|(_, o)| o.is_ok() && o.attempts() > 1);
-                match policy {
-                    DenyPolicy::None => false,
-                    DenyPolicy::Error => failed,
-                    DenyPolicy::Warn => failed || retried,
-                }
-            }
         }
     }
 
@@ -343,15 +321,15 @@ impl BatchReport {
     pub fn into_verify(self) -> VerifyReport {
         match self {
             BatchReport::Verify(r) => r,
-            BatchReport::Run { .. } => panic!("a run batch has no verify report"),
+            BatchReport::Run(_) => panic!("a run batch has no verify report"),
         }
     }
 
-    /// The run outcomes and report; panics on a verify batch.
-    pub fn into_run(self) -> (Vec<(String, RunOutcome)>, ExecReport) {
+    /// The run report; panics on a verify batch.
+    pub fn into_run(self) -> RunReport {
         match self {
-            BatchReport::Run { outcomes, report, .. } => (outcomes, report),
-            BatchReport::Verify(_) => panic!("a verify batch has no run outcomes"),
+            BatchReport::Run(r) => r,
+            BatchReport::Verify(_) => panic!("a verify batch has no run report"),
         }
     }
 }
@@ -573,7 +551,7 @@ mod tests {
             let cache = RunCache::open(&dir).unwrap();
             let faulted =
                 Batch { cache: Some(&cache), plan: Some(&plan), ..Batch::new(Mode::Run, seed) };
-            let (outcomes, _) = faulted.execute(&reg, dispatch).unwrap().report.into_run();
+            let outcomes = faulted.execute(&reg, dispatch).unwrap().report.into_run().outcomes;
             assert!(outcomes.iter().all(|(_, o)| o.is_ok()), "corruption completes the run");
             assert_eq!(cache.stats().stores, 0, "dispatch {k}: a faulted trail was cached");
 
@@ -608,7 +586,7 @@ mod tests {
         let seed = 3;
         let exec = Executor::new(2);
         let clean = Batch::new(Mode::Run, seed);
-        let (clean, _) = clean.execute(&reg, Dispatch::InProcess(&exec)).unwrap().report.into_run();
+        let clean = clean.execute(&reg, Dispatch::InProcess(&exec)).unwrap().report.into_run();
         let dir = fresh_dir("transient");
         let cache = RunCache::open(&dir).unwrap();
         let plan = FaultPlan::transient(23, 1.0);
@@ -618,11 +596,11 @@ mod tests {
             policy: SupervisePolicy::new(plan.max_transient_attempts()),
             ..Batch::new(Mode::Run, seed)
         };
-        let (outcomes, _) =
-            chaotic.execute(&reg, Dispatch::InProcess(&exec)).unwrap().report.into_run();
+        let outcomes =
+            chaotic.execute(&reg, Dispatch::InProcess(&exec)).unwrap().report.into_run().outcomes;
         assert!(outcomes.iter().all(|(_, o)| o.attempts() > 1), "rate 1.0 faults every run");
         assert_eq!(cache.stats().stores, reg.len() as u64, "every converged run is stored");
-        for ((id, a), (_, b)) in outcomes.iter().zip(&clean) {
+        for ((id, a), (_, b)) in outcomes.iter().zip(&clean.outcomes) {
             let fingerprint = |o: &RunOutcome| o.record().map(RunRecord::fingerprint);
             assert_eq!(fingerprint(a), fingerprint(b), "{id}");
         }
@@ -640,7 +618,7 @@ mod tests {
         let batch = Batch { runs: Some(runs), cache: Some(&cache), ..Batch::new(Mode::Run, 0) };
         for warm in [false, true] {
             let out = batch.execute(&reg, Dispatch::InProcess(&Executor::new(2))).unwrap();
-            let BatchReport::Run { outcomes, cached, .. } = out.report else { panic!("run") };
+            let RunReport { outcomes, cached, .. } = out.report.into_run();
             let records: Vec<&RunRecord> =
                 outcomes.iter().map(|(_, o)| o.record().unwrap()).collect();
             let got: Vec<(&str, u64)> =
@@ -666,7 +644,7 @@ mod tests {
         std::fs::create_dir(dir.join(entry)).unwrap();
         let batch = Batch { cache: Some(&cache), ..Batch::new(Mode::Run, seed) };
         let out = batch.execute(&reg, Dispatch::InProcess(&Executor::new(2))).unwrap();
-        let (outcomes, _) = out.report.into_run();
+        let outcomes = out.report.into_run().outcomes;
         assert!(outcomes.iter().all(|(_, o)| o.is_ok()), "every run completes");
         let s = cache.stats();
         assert_eq!((s.stores, s.failed_stores), (reg.len() as u64 - 1, 1), "{s:?}");

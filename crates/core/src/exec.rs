@@ -25,9 +25,10 @@
 //! merge keeps the output bitwise-identical to sequential regardless of
 //! which worker computed what.
 //!
-//! Observability: a registry run batch returns an [`ExecReport`] of what
-//! it measured — per-run wall seconds, batch wall seconds, cached and
-//! quarantined counts — and derives no model from them. Per-worker busy
+//! Observability: a run batch returns a [`RunReport`] and a verify batch
+//! a [`VerifyReport`]. Each keeps the batch's one record — its outcomes
+//! and its trace — and derives every line it prints from them, counters
+//! included, so no tally is stored beside the trace. Per-worker busy
 //! time goes to the trace's timing sidecar, which `treu trace` renders;
 //! fitting a scaling model to measured timings is the §4 lesson module
 //! [`treu_math::scaling`]'s job.
@@ -56,7 +57,7 @@ use crate::experiment::{run_once, Experiment, Params, RunRecord};
 use crate::fault::{backoff_millis, FaultPlan, FaultyExperiment};
 use crate::registry::ExperimentRegistry;
 use crate::sweep::{grid_points, Axis, SweepPoint};
-use crate::trace::{AttemptOutcome, BatchTrace, CacheResult, RunTrace, TraceCounters, TraceEvent};
+use crate::trace::{AttemptOutcome, BatchTrace, CacheResult, RunTrace, TraceEvent};
 use std::time::{Duration, Instant};
 use treu_math::parallel::{adaptive_chunk, default_threads, par_map_dynamic_stats, SchedStats};
 
@@ -153,24 +154,6 @@ impl Executor {
                 record: run_once(exp, gp.seed, gp.params.clone()),
             }
         })
-    }
-
-    /// The parallel form of [`crate::experiment::assert_deterministic`]:
-    /// runs `exp` twice concurrently with the same seed and panics unless
-    /// the two trails are bitwise-identical. Returns the shared
-    /// fingerprint on success.
-    pub fn assert_deterministic<E>(&self, exp: &E, seed: u64, params: &Params) -> u64
-    where
-        E: Experiment + Sync + ?Sized,
-    {
-        let runs = self.map_indexed(2, |_| run_once(exp, seed, params.clone()));
-        assert_eq!(
-            runs[0].trail,
-            runs[1].trail,
-            "experiment '{}' is not deterministic for seed {seed} under concurrent re-execution",
-            exp.name()
-        );
-        runs[0].fingerprint()
     }
 
     /// Verifies every registered experiment in-process under `policy` and
@@ -626,11 +609,9 @@ pub struct VerifyReport {
     /// Ids that were actually (re)computed this pass — with a warm cache
     /// this is zero.
     pub recomputed: usize,
-    /// The pass's merged event trace (empty when tracing was disabled).
+    /// The pass's merged event trace (empty when tracing was disabled);
+    /// [`VerifyReport::render`] folds its counters.
     pub trace: BatchTrace,
-    /// Aggregate counters folded from [`VerifyReport::trace`] — the
-    /// report and the trace are two views of the same event stream.
-    pub counters: TraceCounters,
 }
 
 impl VerifyReport {
@@ -714,117 +695,76 @@ impl VerifyReport {
                 quarantined.iter().map(|o| o.id.as_str()).collect::<Vec<_>>().join(", ")
             ));
         }
-        if self.counters.events > 0 {
-            out.push_str(&self.counters.render_line());
-        }
+        out.push_str(&self.trace.counters().render_line());
         out
     }
 }
 
-/// Wall-clock accounting for one run inside a batch.
+/// What a run batch recorded: each run's outcome in request order,
+/// whether the cache served it, the batch's wall time and its trace.
 #[derive(Debug, Clone)]
-pub struct RunTiming {
-    /// Display label (the run's experiment id).
-    pub label: String,
-    /// Wall seconds of that run alone.
-    pub wall_seconds: f64,
-}
-
-/// What a run batch measured: each run's wall time, the batch's wall
-/// time, and how many runs the cache served or the supervisor
-/// quarantined. Per-worker busy time lives in the trace's timing
-/// sidecar, where `treu trace` reads it.
-#[derive(Debug, Clone)]
-pub struct ExecReport {
+pub struct RunReport {
     /// Worker count used.
     pub jobs: usize,
-    /// Per-run timings, in canonical order.
-    pub runs: Vec<RunTiming>,
-    /// Measured wall seconds for the whole batch.
+    /// `(id, outcome)` pairs, in request order.
+    pub outcomes: Vec<(String, RunOutcome)>,
+    /// Per outcome, whether the run cache served it.
+    pub cached: Vec<bool>,
+    /// Wall-clock seconds for the whole batch.
     pub wall_seconds: f64,
-    /// Runs served from the run cache (their [`RunTiming`] carries the
-    /// original compute cost, not this batch's).
-    pub cached_runs: usize,
-    /// Runs that exhausted their supervision budget and were quarantined
-    /// (they contribute no [`RunTiming`]).
-    pub failed_runs: usize,
-    /// The batch's merged event trace (empty when tracing was disabled or
-    /// the batch did not go through a traced path).
+    /// The batch's merged event trace (empty when tracing was disabled);
+    /// [`RunReport::render`] folds its counters.
     pub trace: BatchTrace,
-    /// Aggregate counters folded from [`ExecReport::trace`].
-    pub counters: TraceCounters,
 }
 
-impl ExecReport {
-    /// Builds a report from labelled per-run wall times plus the measured
-    /// batch wall time.
-    pub fn from_labelled(
-        jobs: usize,
-        runs: impl IntoIterator<Item = (String, f64)>,
-        wall_seconds: f64,
-    ) -> Self {
-        Self {
-            jobs,
-            runs: runs
-                .into_iter()
-                .map(|(label, wall_seconds)| RunTiming { label, wall_seconds })
-                .collect(),
-            wall_seconds,
-            cached_runs: 0,
-            failed_runs: 0,
-            trace: BatchTrace::empty("batch", 0),
-            counters: TraceCounters::default(),
+impl RunReport {
+    /// Runs served from the cache.
+    pub fn cached_count(&self) -> usize {
+        self.cached.iter().filter(|&&hit| hit).count()
+    }
+
+    /// True when this report should flip the exit code under `policy`:
+    /// `Error` gates on any quarantined run; `Warn` also on runs that
+    /// needed retries; `None` never gates.
+    pub fn exceeds(&self, policy: DenyPolicy) -> bool {
+        let failed = self.outcomes.iter().any(|(_, o)| !o.is_ok());
+        let retried = self.outcomes.iter().any(|(_, o)| o.is_ok() && o.attempts() > 1);
+        match policy {
+            DenyPolicy::None => false,
+            DenyPolicy::Error => failed,
+            DenyPolicy::Warn => failed || retried,
         }
     }
 
-    /// Records how many runs were served from the cache.
-    pub fn with_cached(mut self, cached_runs: usize) -> Self {
-        self.cached_runs = cached_runs;
-        self
-    }
-
-    /// Records how many runs were quarantined by the supervisor.
-    pub fn with_failed(mut self, failed_runs: usize) -> Self {
-        self.failed_runs = failed_runs;
-        self
-    }
-
-    /// Attaches the batch's merged event trace and folds its counters.
-    pub fn with_trace(mut self, trace: BatchTrace) -> Self {
-        self.counters = trace.counters();
-        self.trace = trace;
-        self
-    }
-
-    /// Renders the per-run lines, the batch's wall time, then the cache,
-    /// quarantine and trace-counter lines that apply.
+    /// Renders one line per completed run with its record's wall time
+    /// (a cached record keeps the time it was computed in), the batch's
+    /// wall time over every run, then the cache, quarantine and
+    /// trace-counter lines that apply.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for r in &self.runs {
-            out.push_str(&format!("  run    {:<24} {:>9.4}s\n", r.label, r.wall_seconds));
+        for (id, o) in &self.outcomes {
+            if let Some(r) = o.record() {
+                out.push_str(&format!("  run    {id:<24} {:>9.4}s\n", r.wall_seconds));
+            }
         }
+        let runs = self.outcomes.len();
         out.push_str(&format!(
-            "  wall {:.4}s over {} run(s) with {} job(s)\n",
-            self.wall_seconds,
-            self.runs.len(),
-            self.jobs
+            "  wall {:.4}s over {runs} run(s) with {} job(s)\n",
+            self.wall_seconds, self.jobs
         ));
-        if self.cached_runs > 0 {
+        let cached = self.cached_count();
+        if cached > 0 {
             out.push_str(&format!(
-                "  cache: {} of {} run(s) served from the run cache\n",
-                self.cached_runs,
-                self.runs.len()
+                "  cache: {cached} of {runs} run(s) served from the run cache\n"
             ));
         }
-        if self.failed_runs > 0 {
+        let failed = self.outcomes.iter().filter(|(_, o)| !o.is_ok()).count();
+        if failed > 0 {
             out.push_str(&format!(
-                "  quarantined: {} run(s) exhausted their supervision budget\n",
-                self.failed_runs
+                "  quarantined: {failed} run(s) exhausted their supervision budget\n"
             ));
         }
-        if self.counters.events > 0 {
-            out.push_str(&self.counters.render_line());
-        }
+        out.push_str(&self.trace.counters().render_line());
         out
     }
 }
@@ -832,7 +772,7 @@ impl ExecReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{assert_deterministic, run_seeds, RunContext};
+    use crate::experiment::{run_seeds, RunContext};
     use crate::sweep::sweep;
 
     struct Noisy;
@@ -883,14 +823,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn executor_assert_deterministic_agrees_with_sequential() {
-        let params = Params::new().with_int("n", 32);
-        let fp_seq = assert_deterministic(&Noisy, 9, &params);
-        let fp_par = Executor::new(4).assert_deterministic(&Noisy, 9, &params);
-        assert_eq!(fp_seq, fp_par);
-    }
-
     struct NonDet(std::sync::atomic::AtomicU64);
     impl Experiment for NonDet {
         fn name(&self) -> &str {
@@ -902,24 +834,17 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "not deterministic")]
-    fn concurrent_nondeterminism_is_caught() {
-        let exp = NonDet(std::sync::atomic::AtomicU64::new(0));
-        Executor::new(2).assert_deterministic(&exp, 1, &Params::new());
-    }
-
     /// A registry-wide run batch: `(id, record)` pairs plus its report.
     fn run_all(
         exec: &Executor,
         reg: &ExperimentRegistry,
         seed: u64,
         cache: Option<&RunCache>,
-    ) -> (Vec<(String, RunRecord)>, ExecReport) {
+    ) -> (Vec<(String, RunRecord)>, RunReport) {
         let batch = Batch { cache, ..Batch::new(Mode::Run, seed) };
-        let (outcomes, report) =
-            batch.execute(reg, Dispatch::InProcess(exec)).unwrap().report.into_run();
-        let records = outcomes.into_iter().map(|(id, o)| (id, o.record().unwrap().clone()));
+        let report = batch.execute(reg, Dispatch::InProcess(exec)).unwrap().report.into_run();
+        let records =
+            report.outcomes.iter().map(|(id, o)| (id.clone(), o.record().unwrap().clone()));
         (records.collect(), report)
     }
 
@@ -1035,19 +960,19 @@ mod tests {
         let exec = Executor::new(2);
         let plain = run_all(&exec, &reg, 7, None).0;
         let (cold, cold_report) = run_all(&exec, &reg, 7, Some(&cache));
-        assert_eq!(cold_report.cached_runs, 0);
+        assert_eq!(cold_report.cached_count(), 0);
         for ((ida, a), (idb, b)) in plain.iter().zip(cold.iter()) {
             assert_eq!(ida, idb);
             assert_eq!(a.trail, b.trail, "cold cached batch must match the uncached batch");
         }
         let (warm, warm_report) = run_all(&exec, &reg, 7, Some(&cache));
-        assert_eq!(warm_report.cached_runs, reg.len(), "second pass is fully cached");
+        assert_eq!(warm_report.cached_count(), reg.len(), "second pass is fully cached");
         for ((ida, a), (idb, b)) in plain.iter().zip(warm.iter()) {
             assert_eq!(ida, idb);
             assert_eq!(a.trail, b.trail, "cache replay must round-trip trails bitwise");
         }
         assert!(warm_report.render().contains("served from the run cache"));
-        assert_eq!(warm_report.counters.cache_hits, reg.len() as u64);
+        assert_eq!(warm_report.trace.counters().cache_hits, reg.len() as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1105,24 +1030,48 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A run report over `outcomes` at a 1 ms batch wall time.
+    fn run_report(outcomes: Vec<(String, RunOutcome)>, cached: bool) -> RunReport {
+        RunReport {
+            jobs: 2,
+            cached: vec![cached; outcomes.len()],
+            outcomes,
+            wall_seconds: 0.001,
+            trace: BatchTrace::empty("run", 0),
+        }
+    }
+
     #[test]
     fn empty_report_stats_are_finite_and_sane() {
-        // Zero successful runs (everything quarantined, or nothing ran).
-        let report = ExecReport::from_labelled(4, std::iter::empty(), 0.0).with_failed(3);
-        let rendered = report.render();
+        // Zero successful runs: everything quarantined.
+        let failure = RunFailure {
+            taxonomy: FailureKind::Panicked,
+            attempts: 1,
+            last_error: "boom".to_string(),
+        };
+        let failed = (0..3).map(|i| (format!("Q{i}"), RunOutcome::Failed(failure.clone())));
+        let rendered = run_report(failed.collect(), false).render();
         assert!(rendered.contains("quarantined: 3 run(s)"), "{rendered}");
+        assert!(rendered.contains("over 3 run(s)"), "{rendered}");
         assert!(!rendered.contains("NaN") && !rendered.contains("inf"), "{rendered}");
     }
 
     #[test]
     fn fully_cached_batch_renders_all_cached_and_clamps_utilization() {
-        // A warm-cache batch's RunTimings carry the original compute
-        // costs (here 5s against a 1ms wall); the report prints them as
-        // measured and names the cache, with no ratio derived from them.
-        let report =
-            ExecReport::from_labelled(2, [("a".to_string(), 2.0), ("b".to_string(), 3.0)], 0.001)
-                .with_cached(2);
-        let rendered = report.render();
+        // A cached record keeps the wall time it was computed in (here 5s
+        // against a 1ms batch wall); the report prints it as measured and
+        // names the cache, with no ratio derived from them.
+        let record = |id: &str, wall_seconds| RunRecord {
+            name: id.to_string(),
+            seed: 1,
+            trail: crate::provenance::Trail::new(),
+            wall_seconds,
+        };
+        let ok = |id: &str, wall| {
+            (id.to_string(), RunOutcome::Ok { record: record(id, wall), attempts: 1 })
+        };
+        let rendered = run_report(vec![ok("a", 2.0), ok("b", 3.0)], true).render();
+        assert!(rendered.contains(" 2.0000s\n") && rendered.contains(" 3.0000s\n"), "{rendered}");
         assert!(
             rendered.contains("  cache: 2 of 2 run(s) served from the run cache\n"),
             "{rendered}"
@@ -1283,12 +1232,14 @@ mod tests {
         reg.register("Z-panic", "w", "broken", Params::new(), Box::new(AlwaysPanics));
         let batch = Batch { policy: SupervisePolicy::new(0), ..Batch::new(Mode::Run, 7) };
         let exec = Executor::new(2);
-        let (pairs, report) =
-            batch.execute(&reg, Dispatch::InProcess(&exec)).unwrap().report.into_run();
+        let report = batch.execute(&reg, Dispatch::InProcess(&exec)).unwrap().report.into_run();
+        let pairs = &report.outcomes;
         assert_eq!(pairs.len(), 4);
         assert_eq!(pairs.iter().filter(|(_, o)| o.is_ok()).count(), 3);
-        assert_eq!(report.failed_runs, 1);
-        assert_eq!(report.runs.len(), 3, "quarantined runs contribute no timing");
+        let rendered = report.render();
+        assert!(rendered.contains("over 4 run(s)"), "every run is counted:\n{rendered}");
+        assert!(rendered.contains("quarantined: 1 run(s)"), "{rendered}");
+        assert!(report.exceeds(DenyPolicy::Error) && !report.exceeds(DenyPolicy::None));
         let base = run_all(&Executor::sequential(), &small_registry(), 7, None).0;
         for ((id, out), (bid, brec)) in pairs.iter().filter(|(_, o)| o.is_ok()).zip(base.iter()) {
             assert_eq!(id, bid);

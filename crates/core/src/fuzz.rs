@@ -130,7 +130,7 @@ impl Gen {
     fn event(&mut self) -> TraceEvent {
         const TAXONOMY: [Option<&str>; 3] = [None, Some("TimedOut"), Some("CorruptCache")];
         let (replica, attempt) = (self.u32(), self.u32());
-        match self.below(12) {
+        match self.below(10) {
             0 => TraceEvent::Claim { replica },
             1 => TraceEvent::Cache { result: self.pick(&[CacheResult::Hit, CacheResult::Corrupt]) },
             2 => TraceEvent::AttemptStart { replica, attempt },
@@ -149,17 +149,12 @@ impl Gen {
             },
             7 => TraceEvent::CacheStored,
             8 => TraceEvent::CacheHealed,
-            9 => TraceEvent::Verdict {
+            _ => TraceEvent::Verdict {
                 reproduced: self.coin(),
                 cached: self.coin(),
                 attempts: attempt,
                 fingerprint: self.u64(),
                 failure: self.pick(&TAXONOMY),
-            },
-            10 => TraceEvent::SimFailures { failures: self.u64() as usize },
-            _ => TraceEvent::SimRecovery {
-                policy: self.pick(&["restage", "checkpoint"]),
-                overhead_millihours: self.u64(),
             },
         }
     }

@@ -40,8 +40,8 @@
 //!   (not aborting on) runs that exhaust their budget.
 //! * [`batch`] — the one registry batch pipeline: a run or verify
 //!   request becomes tasks, dispatched in-process or across `treu worker`
-//!   processes through the same task function, merged into one report
-//!   and one trace.
+//!   processes through the same task function, merged into one record —
+//!   the outcomes and one trace — that its report prints from.
 //! * [`fault`] — seeded, content-addressed fault injection: a
 //!   [`fault::FaultPlan`] deterministically panics, delays, corrupts or
 //!   transiently fails runs by `(id, seed, attempt)`, so the supervisor's
@@ -99,7 +99,7 @@ pub use attest::{AttestKey, AttestStore, ChainReport, Layout, Link, LinkDraft};
 pub use batch::{Batch, BatchOutcome, BatchReport, Dispatch, Mode};
 pub use cache::{CacheStats, RunCache};
 pub use exec::{
-    DenyPolicy, ExecReport, Executor, FailureKind, RunFailure, RunOutcome, SupervisePolicy,
+    DenyPolicy, Executor, FailureKind, RunFailure, RunOutcome, RunReport, SupervisePolicy,
     VerifyReport,
 };
 pub use experiment::{Experiment, RunContext, RunRecord};

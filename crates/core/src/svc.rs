@@ -1552,14 +1552,14 @@ mod tests {
         let batch = Batch { policy: SupervisePolicy::new(0), ..Batch::new(Mode::Run, 31) };
         let sharded = batch.execute(&reg, Dispatch::Sharded(cfg)).unwrap();
         let stats = sharded.svc.unwrap();
-        let (runs, report) = sharded.report.into_run();
+        let report = sharded.report.into_run();
         assert!(stats.degraded);
-        assert_eq!(runs.len(), reg.len());
-        assert_eq!(report.failed_runs, 0);
+        assert_eq!(report.outcomes.len(), reg.len());
+        assert!(report.outcomes.iter().all(|(_, o)| o.is_ok()), "no run is quarantined");
         let exec = Executor::new(2).with_tracing(true);
-        let (base, base_report) =
+        let base_report =
             batch.execute(&reg, Dispatch::InProcess(&exec)).unwrap().report.into_run();
-        for ((id_a, out_a), (id_b, out_b)) in runs.iter().zip(base.iter()) {
+        for ((id_a, out_a), (id_b, out_b)) in report.outcomes.iter().zip(&base_report.outcomes) {
             assert_eq!(id_a, id_b);
             let (RunOutcome::Ok { record: a, .. }, RunOutcome::Ok { record: b, .. }) =
                 (out_a, out_b)

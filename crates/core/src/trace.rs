@@ -56,9 +56,6 @@ use crate::hash::fnv64;
 /// in-process supervisor emits (see `FailureKind::name`).
 const TAXONOMY: [&str; 4] = ["Panicked", "TimedOut", "Nondeterministic", "CorruptCache"];
 
-/// Cluster-simulator recovery policy labels.
-const POLICIES: [&str; 2] = ["restage", "checkpoint"];
-
 /// What a classified cache lookup found — the trace-side mirror of
 /// [`crate::cache::Lookup`], kept separate so this module stays free of
 /// record payloads.
@@ -194,19 +191,6 @@ pub enum TraceEvent {
         /// Failure taxonomy name when not reproduced.
         failure: Option<&'static str>,
     },
-    /// Cluster simulator: failures drawn for one job.
-    SimFailures {
-        /// Failure count under the seeded failure model.
-        failures: usize,
-    },
-    /// Cluster simulator: what recovery cost one job.
-    SimRecovery {
-        /// Recovery policy name (`restage` / `checkpoint`).
-        policy: &'static str,
-        /// Recovery overhead in milli-hours (integer so the rendered
-        /// stream never depends on float formatting).
-        overhead_millihours: u64,
-    },
 }
 
 impl TraceEvent {
@@ -223,14 +207,12 @@ impl TraceEvent {
             TraceEvent::CacheStored => "cache-stored",
             TraceEvent::CacheHealed => "cache-healed",
             TraceEvent::Verdict { .. } => "verdict",
-            TraceEvent::SimFailures { .. } => "sim-failures",
-            TraceEvent::SimRecovery { .. } => "sim-recovery",
         }
     }
 
     /// Reads the `"ev"` field and the payload fields of an open object, as
-    /// [`TraceEvent::render_into`] writes them. Taxonomy, failure, policy
-    /// and outcome labels are **interned** onto the same `&'static str`
+    /// [`TraceEvent::render_into`] writes them. Taxonomy, failure and
+    /// outcome labels are **interned** onto the same `&'static str`
     /// values the in-process path uses, and an unknown label is an error
     /// rather than an allocated impostor, so a parsed event can never hash
     /// differently from a native one.
@@ -278,11 +260,6 @@ impl TraceEvent {
                 attempts: c.value("attempts")?,
                 fingerprint: c.str_as("fingerprint", |t| t.hex64())?,
                 failure: taxonomy(c, "failure")?,
-            },
-            "sim-failures" => TraceEvent::SimFailures { failures: c.value("failures")? },
-            "sim-recovery" => TraceEvent::SimRecovery {
-                policy: c.label("policy", &POLICIES, |p| p)?,
-                overhead_millihours: c.value("overhead_millihours")?,
             },
             other => return Err(codec::Error::new(at, format!("unknown event {other:?}"))),
         })
@@ -335,14 +312,6 @@ impl TraceEvent {
                     out.push_str(&format!(",\"failure\":\"{f}\""));
                 }
             }
-            TraceEvent::SimFailures { failures } => {
-                out.push_str(&format!(",\"failures\":{failures}"));
-            }
-            TraceEvent::SimRecovery { policy, overhead_millihours } => {
-                out.push_str(&format!(
-                    ",\"policy\":\"{policy}\",\"overhead_millihours\":{overhead_millihours}"
-                ));
-            }
         }
     }
 
@@ -376,10 +345,6 @@ impl TraceEvent {
                 if *cached { " [cached]" } else { "" },
                 failure.map(|f| format!(" ({f})")).unwrap_or_default()
             ),
-            TraceEvent::SimFailures { failures } => format!("{failures} simulated failure(s)"),
-            TraceEvent::SimRecovery { policy, overhead_millihours } => {
-                format!("recovery via {policy} cost {:.3}h", *overhead_millihours as f64 / 1000.0)
-            }
         }
     }
 }
@@ -429,16 +394,6 @@ impl RunTrace {
         }
         self.events.push((self.next_seq, event, at_seconds));
         self.next_seq += 1;
-    }
-
-    /// Moves every event of `other` (a replica-local buffer) into this
-    /// trace, re-sequencing in arrival order — the index-ordered merge
-    /// that keeps the stream schedule-independent.
-    pub fn absorb(&mut self, other: RunTrace) {
-        self.dropped += other.dropped;
-        for (_, ev, at) in other.events {
-            self.push(ev, at);
-        }
     }
 
     /// The buffered `(seq, event, at_seconds)` triples, oldest first.
@@ -521,8 +476,11 @@ pub struct TraceCounters {
 }
 
 impl TraceCounters {
-    /// One-line summary for report renders.
+    /// One-line summary for report renders; empty for an empty stream.
     pub fn render_line(&self) -> String {
+        if self.events == 0 {
+            return String::new();
+        }
         format!(
             "  trace: {} event(s) over {} run(s): {} attempt(s), {} fault(s) injected, {} backoff(s), {} cache hit(s), {} store(s){}\n",
             self.events,
@@ -541,7 +499,7 @@ impl TraceCounters {
 /// scheduling-dependent timing data destined for the sidecar.
 #[derive(Debug, Clone)]
 pub struct BatchTrace {
-    /// Batch kind (`run`, `verify`, `chaos`, `cluster-sim`).
+    /// Batch kind (`run`, `verify`, `chaos`).
     pub kind: String,
     /// The batch seed.
     pub seed: u64,
@@ -660,7 +618,6 @@ impl BatchTrace {
                             c.reproduced += 1;
                         }
                     }
-                    TraceEvent::SimFailures { .. } | TraceEvent::SimRecovery { .. } => {}
                 }
             }
         }
@@ -1003,18 +960,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_in_arrival_order_and_resequences() {
-        let mut main = RunTrace::new("M", 1);
-        main.push(TraceEvent::Cache { result: CacheResult::Miss }, 0.0);
-        let mut replica = RunTrace::new("M", 1);
-        replica.push(TraceEvent::Claim { replica: 1 }, 0.1);
-        replica.push(TraceEvent::AttemptStart { replica: 1, attempt: 0 }, 0.2);
-        main.absorb(replica);
-        let seqs: Vec<u64> = main.events().iter().map(|(s, _, _)| *s).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn parse_round_trips_the_renderer() {
         let t = sample();
         let tf = parse_trace(&t.render_events()).unwrap();
@@ -1106,8 +1051,6 @@ mod tests {
                 fingerprint: 0,
                 failure: None,
             },
-            TraceEvent::SimFailures { failures: 3 },
-            TraceEvent::SimRecovery { policy: "checkpoint", overhead_millihours: 250 },
         ];
         let mut rt = RunTrace::new("all", 1);
         for ev in &events {
@@ -1152,17 +1095,5 @@ mod tests {
             assert!(err.reason.contains("out of sequence"), "{to}: {err}");
             assert_eq!(&bad[err.offset..err.offset + 8], "{\"run\":0", "{to}: {err}");
         }
-    }
-
-    #[test]
-    fn sim_events_render_and_describe() {
-        let mut rt = RunTrace::new("job0", 9);
-        rt.push(TraceEvent::SimFailures { failures: 2 }, 0.0);
-        rt.push(TraceEvent::SimRecovery { policy: "restage", overhead_millihours: 1500 }, 0.0);
-        let t = BatchTrace { runs: vec![rt], ..BatchTrace::empty("cluster-sim", 9) };
-        let tf = parse_trace(&t.render_events()).unwrap();
-        let timeline = render_timeline(&tf, false);
-        assert!(timeline.contains("2 simulated failure(s)"));
-        assert!(timeline.contains("recovery via restage cost 1.500h"));
     }
 }

@@ -36,11 +36,6 @@ impl Sequential {
     pub fn layer(&self, i: usize) -> &dyn Layer {
         self.layers[i].as_ref()
     }
-
-    /// Mutable access to layer `i`.
-    pub fn layer_mut(&mut self, i: usize) -> &mut dyn Layer {
-        self.layers[i].as_mut()
-    }
 }
 
 impl Layer for Sequential {

@@ -438,13 +438,13 @@ fn run_batch_cmd(reg: &ExperimentRegistry, exec: &Executor, args: &[String], o: 
     };
     let out = execute(&batch, reg, o.dispatch(exec));
     match &out.report {
-        BatchReport::Run { outcomes, cached, report } => {
-            for ((id, outcome), &cached) in outcomes.iter().zip(cached) {
+        BatchReport::Run(r) => {
+            for ((id, outcome), &cached) in r.outcomes.iter().zip(&r.cached) {
                 print_run(id, outcome, single.is_some(), cached);
             }
             if single.is_none() {
                 println!();
-                print!("{}", report.render());
+                print!("{}", r.render());
             }
         }
         BatchReport::Verify(r) if single.is_some() => {
@@ -537,7 +537,7 @@ fn finish(
         // bytes are topology-invariant.
         let mut d = LinkDraft::new(step(batch.mode), batch.seed);
         match &out.report {
-            BatchReport::Run { outcomes, .. } => d.absorb_run_outcomes(outcomes),
+            BatchReport::Run(r) => d.absorb_run_outcomes(&r.outcomes),
             BatchReport::Verify(r) => d.absorb_verify(r),
         }
         attest_emit(at, reg, d, batch.cache, batch.params, o.trace_out.as_ref().map(|_| trace));
@@ -572,7 +572,7 @@ fn run_chaos(reg: &ExperimentRegistry, exec: &Executor, args: &[String], o: &Opt
     }
     let params = |id: &str, d: Params| if sup.full { d } else { treu::conformance_params(id) };
     let clean = Batch { params: &params, ..Batch::new(Mode::Run, seed) };
-    let (baseline, _) = execute(&clean, reg, Dispatch::InProcess(exec)).report.into_run();
+    let baseline = execute(&clean, reg, Dispatch::InProcess(exec)).report.into_run().outcomes;
     let batch = Batch { mode: Mode::Verify, policy, plan: Some(&plan), ..clean };
     let mut out = execute(&batch, reg, o.dispatch(exec));
     let BatchReport::Verify(report) = &mut out.report else { unreachable!("a verify batch") };

@@ -36,11 +36,14 @@ fn copy_dir(src: &Path, dst: &Path) {
 }
 
 /// One shared run → verify chain (two registry-wide batches are not
-/// cheap); every corruption drill works on its own copy.
+/// cheap); every corruption drill works on its own copy. No test owns
+/// it, so it lives under the build's temp dir, and each test process
+/// clears the copy the previous one left.
 fn built_chain() -> &'static Path {
     static CHAIN: OnceLock<PathBuf> = OnceLock::new();
     CHAIN.get_or_init(|| {
-        let root = temp_dir("chain");
+        let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("attest-chain");
+        let _ = std::fs::remove_dir_all(&root);
         for cmd in ["run", "verify"] {
             let out = treu(&[
                 cmd,
@@ -318,4 +321,64 @@ fn crlf_line_endings_fail_verification() {
     for (tag, file) in [("crlf-link", "0001-verify.link"), ("crlf-layout", "layout.txt")] {
         assert_edit_fails(tag, file, |t| t.replace('\n', "\r\n"));
     }
+}
+
+/// `attest init` keeps an existing key, `attest show` lists the chain as
+/// it grows and names a layout it cannot read, and a batch never mints
+/// an explicit `--attest-key`.
+#[test]
+fn attest_init_and_show_keep_the_key_and_name_what_is_missing() {
+    let root = temp_dir("cmds");
+    let at = root.join("at");
+    let at = at.to_str().expect("utf8");
+    let stdout = |out: &std::process::Output| String::from_utf8_lossy(&out.stdout).into_owned();
+
+    let init = || {
+        let out = treu(&["attest", "init", "--attest-dir", at]);
+        assert!(out.status.success(), "attest init failed: {}", stdout(&out));
+        stdout(&out)
+    };
+    let sealed = |text: &str| text.split(" initialized ").nth(1).map(str::to_string);
+    let (first, second) = (init(), init());
+    assert!(first.contains("wrote key"), "{first}");
+    assert!(!second.contains("wrote key"), "a second init must keep the key:\n{second}");
+    assert!(sealed(&first).is_some(), "{first}");
+    assert_eq!(sealed(&first), sealed(&second), "same key fingerprint and layout mac");
+
+    let show = || {
+        let out = treu(&["attest", "show", "--attest-dir", at]);
+        assert!(out.status.success(), "attest show failed: {}", stdout(&out));
+        stdout(&out)
+    };
+    let empty = show();
+    assert!(empty.starts_with("treu-layout v1\n") && empty.contains("\nstep run\n"), "{empty}");
+    assert!(empty.ends_with("\n0 link(s)\n"), "{empty}");
+    let run = treu(&["run", "--conformance", "--attest-dir", at]);
+    assert!(run.status.success(), "run --attest-dir failed: {}", stdout(&run));
+    let one = show();
+    assert!(one.contains("0000-run.link: step run seed 2023"), "{one}");
+    assert!(one.ends_with("\n1 link(s)\n"), "{one}");
+
+    let missing = root.join("missing");
+    let out = treu(&["attest", "show", "--attest-dir", missing.to_str().expect("utf8")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(&format!("'{}'", missing.join("layout.txt").display())), "{stderr}");
+
+    let fresh = root.join("fresh");
+    let key = root.join("typo.key");
+    let out = treu(&[
+        "run",
+        "--conformance",
+        "--attest-dir",
+        fresh.to_str().expect("utf8"),
+        "--attest-key",
+        key.to_str().expect("utf8"),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("cannot load key"), "{stderr}");
+    assert!(!key.exists() && !fresh.join("attest.key").exists(), "an explicit key was minted");
+
+    let _ = std::fs::remove_dir_all(&root);
 }

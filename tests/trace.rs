@@ -12,7 +12,7 @@
 //!    and the counters folded from the stream agree with the report.
 
 use treu::core::batch::{Batch, Dispatch, Mode};
-use treu::core::exec::{ExecReport, Executor, SupervisePolicy};
+use treu::core::exec::{Executor, RunReport, SupervisePolicy};
 use treu::core::experiment::{Experiment, Params, RunContext, RunRecord};
 use treu::core::fault::FaultPlan;
 use treu::core::trace::{check_trace_file, parse_times, parse_trace, TraceEvent};
@@ -59,11 +59,12 @@ fn run_all(
     exec: &Executor,
     reg: &ExperimentRegistry,
     seed: u64,
-) -> (Vec<(String, RunRecord)>, ExecReport) {
+) -> (Vec<(String, RunRecord)>, RunReport) {
     let batch = Batch::new(Mode::Run, seed);
-    let (outcomes, report) =
+    let report =
         batch.execute(reg, Dispatch::InProcess(exec)).expect("in-process").report.into_run();
-    let records = outcomes.into_iter().map(|(id, o)| (id, o.record().expect("runs").clone()));
+    let records =
+        report.outcomes.iter().map(|(id, o)| (id.clone(), o.record().expect("runs").clone()));
     (records.collect(), report)
 }
 
@@ -87,7 +88,7 @@ fn synthetic_registry() -> ExperimentRegistry {
 fn plain_batch_trace_is_schedule_independent() {
     let reg = synthetic_registry();
     let (_, base) = run_all(&Executor::sequential(), &reg, 42);
-    assert!(base.counters.events > 0, "tracing is on by default");
+    assert!(base.trace.counters().events > 0, "tracing is on by default");
     for jobs in [2usize, 4, 7] {
         let (_, report) = run_all(&Executor::new(jobs), &reg, 42);
         assert_eq!(
@@ -96,7 +97,7 @@ fn plain_batch_trace_is_schedule_independent() {
             "event stream changed at jobs={jobs}"
         );
         assert_eq!(base.trace.content_hash(), report.trace.content_hash());
-        assert_eq!(base.counters, report.counters);
+        assert_eq!(base.trace.counters(), report.trace.counters());
     }
 }
 
@@ -175,8 +176,9 @@ fn faulted_runs_record_fault_backoff_and_retry_spans_in_order() {
     let report =
         Executor::new(2).verify_all_supervised_with(&reg, 9, None, &policy, Some(&plan), |_, d| d);
     assert!(report.all_reproduced());
-    assert!(report.counters.faults_injected > 0, "rate 1.0 must inject");
-    assert_eq!(report.counters.faults_injected, report.counters.backoffs);
+    let counters = report.trace.counters();
+    assert!(counters.faults_injected > 0, "rate 1.0 must inject");
+    assert_eq!(counters.faults_injected, counters.backoffs);
     for run in &report.trace.runs {
         let names: Vec<&str> = run.events().iter().map(|(_, ev, _)| ev.name()).collect();
         let fault = names.iter().position(|n| *n == "fault");
@@ -191,8 +193,8 @@ fn faulted_runs_record_fault_backoff_and_retry_spans_in_order() {
     }
 }
 
-/// Counters folded from the stream agree with the report's own tallies —
-/// they are the same data, so they can never drift apart.
+/// Counters folded from the stream agree with the report's outcomes —
+/// the report stores no tally of its own, so they can never drift apart.
 #[test]
 fn counters_agree_with_outcomes() {
     quiet_injected_panics();
@@ -202,7 +204,7 @@ fn counters_agree_with_outcomes() {
     let report =
         Executor::new(2).verify_all_supervised_with(&reg, 13, None, &policy, Some(&plan), |_, d| d);
     let c = report.trace.counters();
-    assert_eq!(c, report.counters, "report counters are folded from the trace");
+    assert!(report.render().contains(&c.render_line()), "the report prints the folded counters");
     assert_eq!(c.verdicts as usize, report.outcomes.len());
     assert_eq!(c.reproduced as usize, report.outcomes.iter().filter(|o| o.reproduced).count());
     assert_eq!(c.quarantined as usize, 2 * report.quarantined().len(), "two replicas per id");
@@ -247,6 +249,6 @@ fn tracing_off_produces_identical_results_and_empty_stream() {
         assert_eq!(ia, ib);
         assert_eq!(ra.fingerprint(), rb.fingerprint(), "tracing changed a result");
     }
-    assert!(on.counters.events > 0);
-    assert_eq!(off.counters.events, 0, "tracing off leaves an empty stream");
+    assert!(on.trace.counters().events > 0);
+    assert_eq!(off.trace.counters().events, 0, "tracing off leaves an empty stream");
 }
