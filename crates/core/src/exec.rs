@@ -1057,7 +1057,7 @@ mod tests {
     }
 
     #[test]
-    fn fully_cached_batch_renders_all_cached_and_clamps_utilization() {
+    fn fully_cached_batch_prints_recorded_walls_and_no_derived_ratio() {
         // A cached record keeps the wall time it was computed in (here 5s
         // against a 1ms batch wall); the report prints it as measured and
         // names the cache, with no ratio derived from them.
