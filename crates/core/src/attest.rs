@@ -522,25 +522,11 @@ impl AttestStore {
         Ok(out)
     }
 
-    /// The `prev` value the next link must carry: the MAC of the last
-    /// link, or the layout's MAC when the chain is empty. Fails closed
-    /// on an unparseable tail link — appending to a corrupt chain would
-    /// only bury the corruption.
-    pub fn chain_head(&self, layout: &Layout) -> io::Result<u64> {
-        let links = self.link_files()?;
-        match links.last() {
-            None => Ok(layout.mac),
-            Some((file, text)) => Link::parse(text).map(|l| l.mac).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("chain tail '{file}' is unparseable; run `treu attest verify`"),
-                )
-            }),
-        }
-    }
-
     /// Seals `draft` onto the end of the chain and writes the link file.
-    /// Returns the path and the sealed link.
+    /// Returns the path and the sealed link. The new link's `prev` is the
+    /// MAC of the last link, or the layout's MAC when the chain is empty.
+    /// Fails closed on an unparseable tail link — appending to a corrupt
+    /// chain would only bury the corruption.
     pub fn append(&self, key: &AttestKey, draft: LinkDraft) -> io::Result<(PathBuf, Link)> {
         let layout = self.load_layout()?;
         if !layout.mac_ok(key) {
@@ -555,8 +541,17 @@ impl AttestStore {
                 format!("step '{}' is not declared in the layout", draft.step),
             ));
         }
-        let prev = self.chain_head(&layout)?;
-        let index = self.link_files()?.len();
+        let links = self.link_files()?;
+        let prev = match links.last() {
+            None => layout.mac,
+            Some((file, text)) => Link::parse(text).map(|l| l.mac).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("chain tail '{file}' is unparseable; run `treu attest verify`"),
+                )
+            })?,
+        };
+        let index = links.len();
         let link = Link {
             step: draft.step,
             seed: draft.seed,
@@ -1170,6 +1165,12 @@ mod tests {
         let report = verify_chain(&store, &k, &VerifyContext::default());
         assert!(!report.ok());
         assert!(report.failures[0].reason.contains("chain linkage broken"), "{}", report.render());
+
+        // An unparseable tail refuses the next append.
+        std::fs::write(store.dir().join(Link::file_name(1, "verify")), "junk").unwrap();
+        let err = store.append(&k, draft("badge")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("chain tail '0001-verify.link' is unparseable"), "{err}");
     }
 
     #[test]

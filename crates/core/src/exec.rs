@@ -426,9 +426,8 @@ where
 /// `limit` no matter how often the wait is interrupted.
 ///
 /// Returns `Err(true)` when the sender disconnected without a value and
-/// `Err(false)` on deadline exhaustion. Shared by the per-attempt
-/// watchdog above and reused as the supervision discipline for the
-/// service coordinator's per-worker watchdog.
+/// `Err(false)` on deadline exhaustion. The per-attempt watchdog above is
+/// its one caller.
 pub(crate) fn await_deadline<T>(
     rx: &std::sync::mpsc::Receiver<T>,
     start: Instant,

@@ -37,6 +37,7 @@ use std::path::{Path, PathBuf};
 
 use crate::cache::write_atomic;
 use crate::codec::{self, Cursor, Esc, Token};
+use crate::exec::FailureKind;
 use treu_math::parallel::SchedStats;
 
 /// Magic header value of the hashed event stream.
@@ -51,10 +52,6 @@ pub const DEFAULT_RING_CAPACITY: usize = 512;
 // The trace address is the canonical FNV-1a fold over the rendered event
 // stream — the same hash the run cache and fault plan use.
 use crate::hash::fnv64;
-
-/// Failure-taxonomy labels an event may carry — the `&'static str`s the
-/// in-process supervisor emits (see `FailureKind::name`).
-const TAXONOMY: [&str; 4] = ["Panicked", "TimedOut", "Nondeterministic", "CorruptCache"];
 
 /// What a classified cache lookup found — the trace-side mirror of
 /// [`crate::cache::Lookup`], kept separate so this module stays free of
@@ -220,7 +217,9 @@ impl TraceEvent {
         let at = c.pos();
         let taxonomy = |c: &mut Cursor<'_>, key: &str| {
             let present = c.peek_key() == Some(key);
-            present.then(|| c.label(key, &TAXONOMY, |t| t)).transpose()
+            let label =
+                || c.label(key, &FailureKind::ALL, FailureKind::name).map(FailureKind::name);
+            present.then(label).transpose()
         };
         Ok(match c.str("ev")?.as_str() {
             "claim" => TraceEvent::Claim { replica: c.value("replica")? },

@@ -636,7 +636,7 @@ const SOAK_HIT_RATE_FLOOR: f64 = 0.25;
 /// zero drift and zero quarantines, at least one eviction (the bound
 /// must actually bite), and a steady-state hit-rate above the floor.
 fn run_soak_cmd(reg: &ExperimentRegistry, args: &[String], o: &Opts) {
-    use treu_bench::soak::{generate, run_soak, SoakConfig, SoakReport};
+    use treu_bench::soak::{run_soak, SoakConfig, SoakReport};
 
     let sup = &o.sup;
     let mut cfg = if sup.full { SoakConfig::full(o.jobs) } else { SoakConfig::quick(o.jobs) };
@@ -649,14 +649,18 @@ fn run_soak_cmd(reg: &ExperimentRegistry, args: &[String], o: &Opts) {
     let mut args = args.to_vec();
     let want = "want a positive integer";
     let positive = |n: &usize| *n >= 1;
+    // Both factors of the submission count fit a u32, so the count can
+    // neither wrap a 64-bit usize nor come out empty.
+    let want_u32 = "want an integer from 1 to 4294967295";
+    let positive_u32 = |n: &u32| *n >= 1;
     if let Some(n) = take_parsed(&mut args, "--tenants", want, positive) {
         cfg.tenants = n;
     }
-    if let Some(n) = take_parsed(&mut args, "--epochs", want, positive) {
-        cfg.epochs = n as u32;
+    if let Some(n) = take_parsed(&mut args, "--epochs", want_u32, positive_u32) {
+        cfg.epochs = n;
     }
-    if let Some(n) = take_parsed(&mut args, "--per-epoch", want, positive) {
-        cfg.submissions_per_epoch = n;
+    if let Some(n) = take_parsed(&mut args, "--per-epoch", want_u32, positive_u32) {
+        cfg.submissions_per_epoch = n as usize;
     }
     if let Some(n) = take_parsed(&mut args, "--cache-entries", want, positive) {
         cfg.bound = CacheBound::entries(n);
@@ -690,13 +694,6 @@ fn run_soak_cmd(reg: &ExperimentRegistry, args: &[String], o: &Opts) {
         let _ = std::fs::remove_dir_all(&dir);
         report
     };
-
-    // Sanity before spending anything: the generator must produce
-    // traffic for the configured tenant population.
-    let ids: Vec<String> = reg.iter().map(|(id, _)| id.to_string()).collect();
-    if generate(&cfg, &ids).is_empty() {
-        usage_err("soak: empty submission stream (check --epochs/--per-epoch)");
-    }
 
     let primary = run_once("primary", &cfg);
     print!("{}", primary.render());
@@ -1208,8 +1205,8 @@ fn run_attest_cmd(args: &[String], reg: &ExperimentRegistry, o: &Opts) {
             print!("{}", layout.render());
             let files = store.link_files().unwrap_or_else(|e| exit_on(e));
             for (file, text) in &files {
-                match Link::parse(text) {
-                    Some(l) => println!(
+                match Link::decode(text) {
+                    Ok(l) => println!(
                         "{file}: step {} seed {} prev {:#018x} mac {:#018x} \
                          ({} material(s), {} product(s))",
                         l.step,
@@ -1219,7 +1216,7 @@ fn run_attest_cmd(args: &[String], reg: &ExperimentRegistry, o: &Opts) {
                         l.materials.len(),
                         l.products.len()
                     ),
-                    None => println!("{file}: UNPARSEABLE"),
+                    Err(e) => println!("{file}: UNPARSEABLE at {}", e.locate(text)),
                 }
             }
             println!("{} link(s)", files.len());

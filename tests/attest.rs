@@ -358,6 +358,11 @@ fn attest_init_and_show_keep_the_key_and_name_what_is_missing() {
     let one = show();
     assert!(one.contains("0000-run.link: step run seed 2023"), "{one}");
     assert!(one.ends_with("\n1 link(s)\n"), "{one}");
+    let link = Path::new(at).join("0000-run.link");
+    let text = std::fs::read_to_string(&link).expect("read the link");
+    std::fs::write(&link, text.replace('\n', "\r\n")).expect("write a CRLF link");
+    let damaged = show();
+    assert!(damaged.contains("0000-run.link: UNPARSEABLE at line 1, byte 12: "), "{damaged}");
 
     let missing = root.join("missing");
     let out = treu(&["attest", "show", "--attest-dir", missing.to_str().expect("utf8")]);

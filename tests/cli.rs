@@ -670,10 +670,16 @@ fn soak_enforce_accepts_a_converging_soak() {
 
 #[test]
 fn bad_soak_flags_fail_with_usage_error() {
+    // Names the report path, so a soak that wrongly runs stays off the
+    // committed BENCH_soak.json.
+    let out_path = std::env::temp_dir().join(format!("treu-cli-soak-{}.json", std::process::id()));
+    let out_path = out_path.to_str().expect("utf8 path");
     for bad in [
         &["soak", "--bogus"][..],
         &["soak", "--tenants", "x"],
         &["soak", "--epochs", "0"],
+        &["soak", "--epochs", "4294967297", "--out", out_path],
+        &["soak", "--per-epoch", "9223372036854775808", "--epochs", "2", "--out", out_path],
         &["soak", "--per-epoch"],
         &["soak", "not-a-seed"],
         &["soak", "--workers", "2"],
